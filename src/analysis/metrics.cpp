@@ -242,6 +242,7 @@ void ScanProfileSink::begin_campaign(const CampaignWindow& window) {
 
 void ScanProfileSink::begin_node(cluster::NodeId /*node*/) {
   pending_ = telemetry::NodeLog{};
+  bulk_ = false;
 }
 
 void ScanProfileSink::on_start(const telemetry::StartRecord& r) {
@@ -252,9 +253,21 @@ void ScanProfileSink::on_end(const telemetry::EndRecord& r) {
   pending_.add_end(r);
 }
 
+void ScanProfileSink::on_node_log(telemetry::EncodedNodeLog& log) {
+  add_node(log.node(), log.log());
+  bulk_ = true;
+}
+
 void ScanProfileSink::end_node(cluster::NodeId node) {
-  const double hours = pending_.monitored_hours();
-  const double tbh = pending_.terabyte_hours();
+  if (!bulk_) add_node(node, pending_);
+  bulk_ = false;
+  pending_ = telemetry::NodeLog{};
+}
+
+void ScanProfileSink::add_node(cluster::NodeId node,
+                               const telemetry::NodeLog& log) {
+  const double hours = log.monitored_hours();
+  const double tbh = log.terabyte_hours();
   hours_.at(static_cast<std::size_t>(node.blade),
             static_cast<std::size_t>(node.soc)) = hours;
   tbh_.at(static_cast<std::size_t>(node.blade),
@@ -266,8 +279,7 @@ void ScanProfileSink::end_node(cluster::NodeId node) {
   total_tbh_ += tbh;
   if (hours > 0.0) ++monitored_nodes_;
   if (daily_tbh_.empty()) daily_tbh_.assign(series_days(window_), 0.0);
-  accumulate_daily_terabyte_hours(pending_, window_, daily_tbh_);
-  pending_ = telemetry::NodeLog{};
+  accumulate_daily_terabyte_hours(log, window_, daily_tbh_);
 }
 
 ErrorsGridAnalyzer::ErrorsGridAnalyzer() : grid_(node_grid()) {}

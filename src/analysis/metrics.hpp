@@ -146,8 +146,9 @@ struct HeadlineStats {
 
 /// Record-level analyzer: every product the figures read from the raw
 /// archive (Figs 1, 2, 9 and the headline scan totals), computed in one pass
-/// over the record stream without materializing a CampaignArchive.  Only
-/// START/END records are buffered, one node at a time.
+/// over the record stream without materializing a CampaignArchive.  A bulk
+/// node log is read in place; on the per-record feed only START/END records
+/// are buffered, one node at a time.
 class ScanProfileSink final : public telemetry::RecordSink {
  public:
   ScanProfileSink();
@@ -159,6 +160,7 @@ class ScanProfileSink final : public telemetry::RecordSink {
   void on_end(const telemetry::EndRecord& r) override;
   void on_alloc_fail(const telemetry::AllocFailRecord& /*r*/) override {}
   void on_error_run(const telemetry::ErrorRun& /*r*/) override {}
+  void on_node_log(telemetry::EncodedNodeLog& log) override;
 
   [[nodiscard]] const CampaignWindow& window() const noexcept { return window_; }
   [[nodiscard]] const Grid2D& hours_grid() const noexcept { return hours_; }
@@ -171,6 +173,9 @@ class ScanProfileSink final : public telemetry::RecordSink {
   [[nodiscard]] int monitored_nodes() const noexcept { return monitored_nodes_; }
 
  private:
+  /// Fold one node's START/END records into the grids and totals.
+  void add_node(cluster::NodeId node, const telemetry::NodeLog& log);
+
   CampaignWindow window_;
   Grid2D hours_;
   Grid2D tbh_;
@@ -179,6 +184,7 @@ class ScanProfileSink final : public telemetry::RecordSink {
   double total_tbh_ = 0.0;
   int monitored_nodes_ = 0;
   telemetry::NodeLog pending_;  ///< starts/ends of the node being streamed
+  bool bulk_ = false;           ///< current node arrived via on_node_log
 };
 
 /// Fig 3 incrementally.

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -24,6 +25,10 @@ class NodeLog {
   void add_alloc_fail(const AllocFailRecord& r) { alloc_fails_.push_back(r); }
   void add_error_run(const ErrorRun& r) { error_runs_.push_back(r); }
   void add_error(const ErrorRecord& r) { error_runs_.push_back(ErrorRun{r, 0, 1}); }
+  /// Append `runs` in stored order, one bulk copy.
+  void add_error_runs(std::span<const ErrorRun> runs) {
+    error_runs_.insert(error_runs_.end(), runs.begin(), runs.end());
+  }
 
   // Capacity hints for decoders that know record counts up front.
   void reserve_starts(std::size_t n) { starts_.reserve(starts_.size() + n); }

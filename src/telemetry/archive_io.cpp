@@ -179,6 +179,14 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
   }
   if (index > kEndFrame)
     throw DecodeError("node index out of range", frame_offset);
+  // One frame per node, ascending: a duplicated or descending frame would
+  // reach sinks as a second frame for one node.
+  if (frames_ > 0 && index <= last_index_)
+    throw DecodeError("node index " + std::to_string(index) +
+                          " not ascending (previous frame " +
+                          std::to_string(last_index_) + ")",
+                      frame_offset);
+  last_index_ = index;
   node = cluster::node_from_index(static_cast<int>(index));
   const std::uint64_t size = read_varint(*is_);
   const std::uint64_t body_offset = stream_offset(*is_);
@@ -199,7 +207,16 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
 }
 
 void ArchiveReader::drain(RecordSink& sink) {
-  sink.begin_campaign(window_);
+  drain_frames(window_, sink,
+               [this](cluster::NodeId& node, NodeLog& log) {
+                 return next(node, log);
+               });
+}
+
+void drain_frames(
+    const CampaignWindow& window, RecordSink& sink,
+    const std::function<bool(cluster::NodeId&, NodeLog&)>& next) {
+  sink.begin_campaign(window);
   cluster::NodeId node;
   NodeLog log;
   std::string scratch;
@@ -207,8 +224,9 @@ void ArchiveReader::drain(RecordSink& sink) {
   const auto& kernels = kernels::active_encode_kernels();
   while (next(node, log)) {
     sink.begin_node(node);
-    // Bulk delivery: record-oriented sinks replay (same stream as before),
-    // byte-oriented sinks re-encode once into the reused scratch buffer.
+    // Bulk delivery: record-oriented sinks read the decoded log in place
+    // (or replay it), byte-oriented sinks re-encode once into the reused
+    // scratch buffer.
     EncodedNodeLog enc(node, log, scratch, kernels, &arena);
     sink.on_node_log(enc);
     sink.end_node(node);

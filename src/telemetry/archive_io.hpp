@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -90,11 +91,12 @@ class ArchiveReader {
   /// Read the next node frame into (node, log).  Returns false once the end
   /// frame is reached (after validating the frame count).  Throws
   /// telemetry::DecodeError with byte-offset context on corrupt or
-  /// truncated input.
+  /// truncated input, including a frame whose node index does not ascend
+  /// (duplicated or out of order).
   [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log);
 
   /// Push the remaining stream through `sink` with full framing
-  /// (begin_campaign .. end_campaign).
+  /// (begin_campaign .. end_campaign), one bulk on_node_log per frame.
   void drain(RecordSink& sink);
 
   [[nodiscard]] std::uint64_t frames_read() const noexcept { return frames_; }
@@ -103,8 +105,15 @@ class ArchiveReader {
   std::istream* is_;
   CampaignWindow window_;
   std::uint64_t frames_ = 0;
+  std::uint64_t last_index_ = 0;  ///< node index of the last frame read
   bool done_ = false;
 };
+
+/// Push the frames `next` yields through `sink` with full framing
+/// (begin_campaign .. end_campaign), one bulk on_node_log per frame: the
+/// delivery loop of ArchiveReader::drain and ShardMergeReader::drain.
+void drain_frames(const CampaignWindow& window, RecordSink& sink,
+                  const std::function<bool(cluster::NodeId&, NodeLog&)>& next);
 
 /// Spill a materialized archive through ArchiveWriter (binary file mode).
 void save_archive_stream(const CampaignArchive& archive, const std::string& path);

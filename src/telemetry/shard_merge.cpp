@@ -218,6 +218,13 @@ void ShardMergeReader::fill_head(Shard& shard) {
     }
     if (index > kEndFrame)
       throw DecodeError("node index out of range", start);
+    // Frames ascend within a shard.  After a resume last_index is 0, which
+    // still only rejects frames no valid resumed stream can hold.
+    if (shard.frames_read > 0 && index <= shard.last_index)
+      throw DecodeError("node index " + std::to_string(index) +
+                            " not ascending",
+                        start);
+    shard.last_index = index;
     const std::uint64_t size =
         read_varint_at(shard.file, stream_offset(shard.file));
     const std::uint64_t body_start = stream_offset(shard.file);
@@ -289,15 +296,9 @@ bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
 }
 
 void ShardMergeReader::drain(RecordSink& sink) {
-  sink.begin_campaign(window_);
-  cluster::NodeId node;
-  NodeLog log;
-  while (next(node, log)) {
-    sink.begin_node(node);
-    replay_node_log(log, sink);
-    sink.end_node(node);
-  }
-  sink.end_campaign();
+  drain_frames(window_, sink, [this](cluster::NodeId& node, NodeLog& log) {
+    return next(node, log);
+  });
 }
 
 std::vector<ShardCursor> ShardMergeReader::cursors() const {

@@ -104,8 +104,8 @@ class ShardMergeReader {
   /// monolithic spill.
   bool next_raw(std::uint64_t& node_index, std::string& body);
 
-  /// Replay the whole (remaining) merged stream through `sink` with full
-  /// RecordSink framing.
+  /// Push the whole (remaining) merged stream through `sink` with full
+  /// RecordSink framing, one bulk on_node_log per frame.
   void drain(RecordSink& sink);
 
   /// Resume snapshot: the position of every shard, ascending shard index.
@@ -123,6 +123,7 @@ class ShardMergeReader {
     bool has_head = false;
     bool done = false;
     std::uint64_t head_index = 0;
+    std::uint64_t last_index = 0;   ///< node index of the last frame read
     std::uint64_t head_offset = 0;  ///< file offset of the buffered frame
     std::uint64_t end_offset = 0;   ///< file offset of the end frame
     std::string head_body;

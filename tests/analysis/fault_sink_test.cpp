@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/alignment.hpp"
@@ -19,6 +20,7 @@
 #include "common/thread_pool.hpp"
 #include "dram/address_map.hpp"
 #include "sim/campaign.hpp"
+#include "telemetry/kernels/kernels.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::analysis {
@@ -230,17 +232,22 @@ TEST(FaultSink, ProductsInvariantAcrossThreadCounts) {
   }
 }
 
-// The record-level sink: scan totals, grids and the daily series from a
-// framed replay must equal the archive-based batch metrics.
-TEST(FaultSink, ScanProfileSinkMatchesArchiveMetrics) {
+void expect_scan_profile_matches_archive(bool bulk) {
   const sim::CampaignResult& campaign = sim::default_campaign();
 
   ScanProfileSink scan;
   scan.begin_campaign(campaign.archive.window());
+  std::string scratch;
   for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
     const cluster::NodeId node = cluster::node_from_index(i);
     scan.begin_node(node);
-    telemetry::replay_node_log(campaign.archive.log(node), scan);
+    if (bulk) {
+      telemetry::EncodedNodeLog enc(node, campaign.archive.log(node), scratch,
+                                    telemetry::kernels::active_encode_kernels());
+      scan.on_node_log(enc);
+    } else {
+      telemetry::replay_node_log(campaign.archive.log(node), scan);
+    }
     scan.end_node(node);
   }
   scan.end_campaign();
@@ -264,6 +271,16 @@ TEST(FaultSink, ScanProfileSinkMatchesArchiveMetrics) {
   EXPECT_EQ(streamed.monitored_nodes, batch.monitored_nodes);
   EXPECT_EQ(streamed.node_mtbf_hours, batch.node_mtbf_hours);
   EXPECT_EQ(streamed.cluster_mtbe_minutes, batch.cluster_mtbe_minutes);
+}
+
+// The record-level sink: scan totals, grids and the daily series from a
+// framed replay, per record or as bulk node logs, must equal the
+// archive-based batch metrics.
+TEST(FaultSink, ScanProfileSinkMatchesArchiveMetrics) {
+  for (const bool bulk : {false, true}) {
+    SCOPED_TRACE(bulk ? "bulk" : "per-record");
+    expect_scan_profile_matches_archive(bulk);
+  }
 }
 
 // Sinks with default framing handle an empty stream without touching a

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <vector>
 
 #include "common/require.hpp"
 #include "telemetry/binary_codec.hpp"
@@ -156,6 +157,63 @@ TEST(ArchiveStream, RejectsOutOfRangeNodeIndex) {
   cluster::NodeId node;
   NodeLog log;
   EXPECT_THROW((void)reader.next(node, log), ContractViolation);
+}
+
+/// A hand-built stream whose node frames carry `indices` in the given
+/// order (each body a sample log), with a matching end frame.  Records the
+/// byte offset of every frame in `offsets`.
+std::string stream_with_frames(const std::vector<int>& indices,
+                               std::vector<std::size_t>& offsets) {
+  std::ostringstream os(std::ios::binary);
+  ArchiveWriter writer(os);
+  writer.begin_campaign(CampaignWindow{});
+  writer.finish();
+  std::string bytes = os.str();
+  bytes.resize(bytes.size() - 3);  // drop the empty stream's end frame
+  for (const int index : indices) {
+    offsets.push_back(bytes.size());
+    const std::string body =
+        encode_node_log(sample_log(cluster::node_from_index(index)));
+    put_varint(bytes, static_cast<std::uint64_t>(index));
+    put_varint(bytes, body.size());
+    bytes += body;
+  }
+  put_varint(bytes, static_cast<std::uint64_t>(cluster::kStudyNodeSlots));
+  put_varint(bytes, indices.size());
+  return bytes;
+}
+
+// The format requires ascending node indices; a duplicated or descending
+// frame would otherwise reach sinks as a second frame for one node.
+TEST(ArchiveStream, RejectsDuplicateAndDescendingFrames) {
+  for (const std::vector<int>& indices :
+       {std::vector<int>{17, 17}, std::vector<int>{200, 17},
+        std::vector<int>{3, 200, 200}}) {
+    std::vector<std::size_t> offsets;
+    const std::string bytes = stream_with_frames(indices, offsets);
+    std::istringstream is(bytes, std::ios::binary);
+    ArchiveReader reader(is);
+    CampaignArchive archive;
+    try {
+      reader.drain(archive);
+      ADD_FAILURE() << "frame order " << indices.front() << ", "
+                    << indices.back() << " accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.byte_offset(), offsets.back());
+      EXPECT_NE(e.detail().find("not ascending"), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The same frames in ascending order decode.
+  std::vector<std::size_t> offsets;
+  const std::string bytes = stream_with_frames({3, 17, 200}, offsets);
+  std::istringstream is(bytes, std::ios::binary);
+  ArchiveReader reader(is);
+  CampaignArchive archive;
+  reader.drain(archive);
+  EXPECT_EQ(reader.frames_read(), 3u);
+  EXPECT_EQ(archive.total_raw_errors(), 3u * 42u);
 }
 
 TEST(ArchiveWriterContract, RecordsOutsideNodeFrameThrow) {

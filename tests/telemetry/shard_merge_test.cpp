@@ -157,6 +157,57 @@ TEST(ShardMerge, OverlappingPartitionIsRejected) {
   std::remove(p1.c_str());
 }
 
+TEST(ShardMerge, DuplicateOrDescendingFrameWithinAShardIsRejected) {
+  const std::string p1 = write_temp("smt_d1.unph", shard_bytes(2, 1, {1}));
+  for (const std::vector<int>& nodes :
+       {std::vector<int>{0, 4, 4}, std::vector<int>{6, 2}}) {
+    const std::string p0 = write_temp("smt_d0.unph", shard_bytes(2, 0, nodes));
+    std::ostringstream merged;
+    try {
+      merge_shard_archives({p0, p1}, merged);
+      FAIL() << "frame order " << nodes.front() << ".." << nodes.back()
+             << " accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_NE(std::string(e.detail()).find("shard 0"), std::string::npos)
+          << e.detail();
+      EXPECT_NE(std::string(e.detail()).find("not ascending"),
+                std::string::npos)
+          << e.detail();
+      EXPECT_GT(e.byte_offset(), 0u);
+    }
+    std::remove(p0.c_str());
+  }
+  std::remove(p1.c_str());
+}
+
+/// Counts how a producer delivers frames: bulk node logs vs per-record calls.
+struct DeliveryCounter final : RecordSink {
+  void on_start(const StartRecord&) override { ++per_record; }
+  void on_end(const EndRecord&) override { ++per_record; }
+  void on_alloc_fail(const AllocFailRecord&) override { ++per_record; }
+  void on_error_run(const ErrorRun&) override { ++per_record; }
+  void on_node_log(EncodedNodeLog& log) override {
+    nodes.push_back(cluster::node_index(log.node()));
+    runs += log.log().error_runs().size();
+  }
+  std::vector<int> nodes;
+  std::size_t runs = 0;
+  std::size_t per_record = 0;
+};
+
+TEST(ShardMerge, DrainDeliversOneBulkNodeLogPerFrame) {
+  const std::string p0 = write_temp("smt_b0.unph", shard_bytes(2, 0, {0, 4}));
+  const std::string p1 = write_temp("smt_b1.unph", shard_bytes(2, 1, {1, 7}));
+  ShardMergeReader reader({p0, p1});
+  DeliveryCounter sink;
+  reader.drain(sink);
+  EXPECT_EQ(sink.nodes, (std::vector<int>{0, 1, 4, 7}));
+  EXPECT_EQ(sink.runs, 4u);
+  EXPECT_EQ(sink.per_record, 0u);
+  std::remove(p0.c_str());
+  std::remove(p1.c_str());
+}
+
 TEST(ShardMerge, TruncationNamesShardAndByteOffset) {
   const std::string p0 = write_temp("smt_t0.unph", shard_bytes(2, 0, {0, 2}));
   const std::string full = shard_bytes(2, 1, {1, 3});

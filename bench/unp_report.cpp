@@ -16,6 +16,7 @@
 // Report sections go to stdout; the observability footer (per-stage and
 // per-analyzer wall clock) goes to stderr so section output stays clean.
 // Exit status: 0 on success, 2 on bad usage or unreadable/corrupt input.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +181,20 @@ void print_sink_timings(const std::vector<const char*>& labels,
   }
 }
 
+/// Render the wanted sections to stdout; returns the wall time it took.
+double render_sections(bench::ReportAnalyzers& analyzers,
+                       const bench::ReportInputs& inputs) {
+  const auto t_render = std::chrono::steady_clock::now();
+  analyzers.render(inputs);
+  return ms_since(t_render);
+}
+
+void print_render_timing(const Options& opts, double render_ms) {
+  std::fprintf(stderr, "report render (%td sections)     : %9.1f ms\n",
+               std::count(std::begin(opts.want), std::end(opts.want), true),
+               render_ms);
+}
+
 /// Store-backed path: faults + scan profile replay from a UNPF store.
 int run_store_report(const Options& opts) {
   // One parse, shared bytes: the handle owns the mapping; the reader is a
@@ -215,7 +230,7 @@ int run_store_report(const Options& opts) {
   inputs.total_terabyte_hours = profile.total_terabyte_hours;
   inputs.monitored_nodes = profile.monitored_nodes;
   inputs.extraction = &extraction;
-  analyzers.render(inputs);
+  const double render_ms = render_sections(analyzers, inputs);
 
   std::fprintf(stderr, "\n== unp_report: store-replay timings ==\n");
   std::fprintf(stderr, "store %s  fingerprint %016llx\n",
@@ -229,6 +244,7 @@ int run_store_report(const Options& opts) {
   std::fprintf(stderr, "analyzer fan-out (%zu sinks, %zu thr) : %7.1f ms\n",
                analyzers.sinks().size(), opts.threads, fanout_ms);
   print_sink_timings(analyzers.labels(), timings);
+  print_render_timing(opts, render_ms);
   return 0;
 }
 
@@ -268,7 +284,7 @@ int run_report(const Options& opts) {
   inputs.total_terabyte_hours = scan.total_terabyte_hours();
   inputs.monitored_nodes = scan.monitored_nodes();
   inputs.extraction = &extraction;
-  analyzers.render(inputs);
+  const double render_ms = render_sections(analyzers, inputs);
 
   // --- Observability footer (stderr keeps section stdout byte-clean). -----
   std::fprintf(stderr, "\n== unp_report: one-pass timings ==\n");
@@ -288,6 +304,7 @@ int run_report(const Options& opts) {
   std::fprintf(stderr, "analyzer fan-out (%zu sinks, %zu thr) : %7.1f ms\n",
                analyzers.sinks().size(), opts.threads, fanout_ms);
   print_sink_timings(analyzers.labels(), timings);
+  print_render_timing(opts, render_ms);
   return 0;
 }
 

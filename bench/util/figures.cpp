@@ -814,14 +814,39 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
       "--exhaustive enumerates the full upset spaces behind these rates.)\n");
 }
 
+namespace {
+
+/// Replay the extracted faults through one detector per node (keyed by node
+/// index) under `mapping`.  `fold` wraps each word into the geometry's
+/// address space so every geometry sees every fault; otherwise words past
+/// it are skipped.
+std::map<int, faults::hammer::HammerRowDetector> replay_hammer_detectors(
+    const analysis::ExtractionResult& extraction,
+    const dram::mapping::DramMapping& mapping, bool fold) {
+  const faults::hammer::DetectorConfig detector_config{};
+  const std::uint64_t total = mapping.total_words();  // power of two
+  std::map<int, faults::hammer::HammerRowDetector> per_node;
+  for (const auto& f : extraction.faults) {
+    std::uint64_t word = f.virtual_address / sizeof(Word);
+    if (fold) {
+      word &= total - 1;
+    } else if (word >= total) {
+      continue;
+    }
+    per_node.try_emplace(cluster::node_index(f.node), mapping, detector_config)
+        .first->second.observe(f.first_seen, word);
+  }
+  return per_node;
+}
+
+}  // namespace
+
 void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
   print_header(
       "Extension - Rowhammer victim-row census",
       "observed faults re-clustered into DRAM (bank,row) coordinates; rows "
       "with >=3 distinct faulted words inside 6h are access-dependent "
       "signatures (time-driven mechanisms scatter over ~2^21 rows)", out);
-
-  const faults::hammer::DetectorConfig detector_config{};
 
   // Per-geometry clustering comparison: decode the SAME fault stream under
   // each menu geometry (word indices folded into smaller address spaces, so
@@ -833,26 +858,12 @@ void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
   for (const std::string& name : dram::mapping::mapping_menu()) {
     const dram::mapping::DramMapping mapping(
         dram::mapping::make_mapping_config(name));
-    const std::uint64_t fold = mapping.total_words() - 1;  // power of two
-    std::map<int, faults::hammer::HammerRowDetector> per_node;
     std::uint64_t rows_triggered = 0;
     int max_words = 0;
-    for (const auto& f : extraction.faults) {
-      const std::uint64_t word = (f.virtual_address / sizeof(Word)) & fold;
-      const int index = cluster::node_index(f.node);
-      auto it = per_node.find(index);
-      if (it == per_node.end()) {
-        it = per_node
-                 .emplace(std::piecewise_construct,
-                          std::forward_as_tuple(index),
-                          std::forward_as_tuple(mapping, detector_config))
-                 .first;
-      }
-      it->second.observe(f.first_seen, word);
-    }
     std::uint64_t absorbable = 0;
     std::uint64_t nodes_triggered = 0;
-    for (const auto& [index, det] : per_node) {
+    for (const auto& [index, det] :
+         replay_hammer_detectors(extraction, mapping, /*fold=*/true)) {
       rows_triggered += det.detections().size();
       absorbable += det.absorbable_faults();
       if (!det.detections().empty()) ++nodes_triggered;
@@ -871,20 +882,8 @@ void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
   // node (node-ordered across the fleet for determinism).
   const dram::mapping::DramMapping primary(
       dram::mapping::make_mapping_config("lpddr3:mb"));
-  std::map<int, faults::hammer::HammerRowDetector> per_node;
-  for (const auto& f : extraction.faults) {
-    const std::uint64_t word = f.virtual_address / sizeof(Word);
-    if (word >= primary.total_words()) continue;
-    const int index = cluster::node_index(f.node);
-    auto it = per_node.find(index);
-    if (it == per_node.end()) {
-      it = per_node
-               .emplace(std::piecewise_construct, std::forward_as_tuple(index),
-                        std::forward_as_tuple(primary, detector_config))
-               .first;
-    }
-    it->second.observe(f.first_seen, word);
-  }
+  const std::map<int, faults::hammer::HammerRowDetector> per_node =
+      replay_hammer_detectors(extraction, primary, /*fold=*/false);
   const auto format_utc = [](TimePoint t) {
     const CivilDateTime c = to_civil_utc(t);
     char buf[24];

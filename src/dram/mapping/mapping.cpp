@@ -9,30 +9,35 @@ namespace unp::dram::mapping {
 
 namespace {
 
-/// Pack the bits of `value` selected by `mask` into a dense integer
-/// (portable PEXT).
-std::uint64_t extract_bits(std::uint64_t value, std::uint64_t mask) noexcept {
-  std::uint64_t out = 0;
-  int shift = 0;
+/// Maximal runs of consecutive set bits of `mask`, lowest first; the
+/// coordinate packs the runs densely in that order.
+std::vector<BitRun> bit_runs(std::uint64_t mask) {
+  std::vector<BitRun> runs;
+  int packed = 0;  // coordinate bits covered by earlier runs
   while (mask != 0) {
-    const std::uint64_t low = mask & (~mask + 1);
-    if (value & low) out |= std::uint64_t{1} << shift;
-    ++shift;
-    mask ^= low;
+    const int lo = std::countr_zero(mask);
+    const int width = std::countr_one(mask >> lo);
+    const std::uint64_t run = (~std::uint64_t{0} >> (64 - width)) << lo;
+    runs.push_back({run, lo - packed});
+    packed += width;
+    mask &= ~run;
   }
+  return runs;
+}
+
+/// Pack the address bits under `runs` into a dense coordinate (PEXT).
+std::uint64_t gather(std::uint64_t addr,
+                     const std::vector<BitRun>& runs) noexcept {
+  std::uint64_t out = 0;
+  for (const BitRun& r : runs) out |= (addr & r.mask) >> r.shift;
   return out;
 }
 
-/// Scatter the low bits of `value` into the positions of `mask`
-/// (portable PDEP).
-std::uint64_t deposit_bits(std::uint64_t value, std::uint64_t mask) noexcept {
+/// Scatter a dense coordinate into the address bits under `runs` (PDEP).
+std::uint64_t scatter(std::uint64_t value,
+                      const std::vector<BitRun>& runs) noexcept {
   std::uint64_t out = 0;
-  while (mask != 0) {
-    const std::uint64_t low = mask & (~mask + 1);
-    if (value & 1) out |= low;
-    value >>= 1;
-    mask ^= low;
-  }
+  for (const BitRun& r : runs) out |= (value << r.shift) & r.mask;
   return out;
 }
 
@@ -57,23 +62,28 @@ DramMapping::DramMapping(MappingConfig config) : config_(std::move(config)) {
   }
   // Row, column and select bits partition the physical address.
   UNP_REQUIRE((config_.row_mask | config_.column_mask | selects) == space);
+
+  row_runs_ = bit_runs(config_.row_mask);
+  column_runs_ = bit_runs(config_.column_mask);
+  for (const BankFunction& fn : config_.bank_functions) {
+    bank_masks_.push_back(fn.mask());
+  }
 }
 
 DramCoordinate DramMapping::decode(std::uint64_t word_addr) const noexcept {
   DramCoordinate c;
-  c.row = extract_bits(word_addr, config_.row_mask);
-  c.column = extract_bits(word_addr, config_.column_mask);
-  for (std::size_t k = 0; k < config_.bank_functions.size(); ++k) {
-    c.bank |= static_cast<std::uint32_t>(
-                  gf2_dot(word_addr, config_.bank_functions[k].mask()))
+  c.row = gather(word_addr, row_runs_);
+  c.column = gather(word_addr, column_runs_);
+  for (std::size_t k = 0; k < bank_masks_.size(); ++k) {
+    c.bank |= static_cast<std::uint32_t>(gf2_dot(word_addr, bank_masks_[k]))
               << k;
   }
   return c;
 }
 
 std::uint64_t DramMapping::encode(const DramCoordinate& c) const noexcept {
-  std::uint64_t addr = deposit_bits(c.row, config_.row_mask) |
-                       deposit_bits(c.column, config_.column_mask);
+  std::uint64_t addr =
+      scatter(c.row, row_runs_) | scatter(c.column, column_runs_);
   for (std::size_t k = 0; k < config_.bank_functions.size(); ++k) {
     const BankFunction& fn = config_.bank_functions[k];
     const int want = static_cast<int>((c.bank >> k) & 1);
@@ -94,12 +104,7 @@ std::uint64_t DramMapping::columns() const noexcept {
 }
 
 std::vector<std::uint64_t> DramMapping::canonical_bank_functions() const {
-  std::vector<std::uint64_t> masks;
-  masks.reserve(config_.bank_functions.size());
-  for (const BankFunction& fn : config_.bank_functions) {
-    masks.push_back(fn.mask());
-  }
-  return gf2_rref(std::move(masks));
+  return gf2_rref(bank_masks_);
 }
 
 namespace {

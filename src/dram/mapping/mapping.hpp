@@ -50,6 +50,14 @@ struct MappingConfig {
   friend bool operator==(const MappingConfig&, const MappingConfig&) = default;
 };
 
+/// One maximal run of consecutive set bits of a row or column mask.
+/// Coordinate bits [b, b + width) live at address bits [b + shift,
+/// b + shift + width), so a run moves as one shift-and-mask.
+struct BitRun {
+  std::uint64_t mask = 0;  ///< the run's bits, at their address positions
+  int shift = 0;           ///< address bit position - coordinate bit position
+};
+
 /// DRAM coordinates of one word.  `bank` is the combined
 /// channel/rank/bank-group/bank ordinal (bit k = value of bank function k).
 struct DramCoordinate {
@@ -64,7 +72,10 @@ class DramMapping {
  public:
   /// Validates the config (masks partition the address bits, select bits
   /// dedicated, folds confined to row|column); throws ContractViolation on
-  /// an ill-formed config.
+  /// an ill-formed config.  Precomputes the row/column masks' bit runs and
+  /// the bank parity masks, so decode and encode cost one shift-and-mask
+  /// per run (one each for the contiguous menu geometries) plus one parity
+  /// per bank function.
   explicit DramMapping(MappingConfig config);
 
   [[nodiscard]] DramCoordinate decode(std::uint64_t word_addr) const noexcept;
@@ -88,6 +99,9 @@ class DramMapping {
 
  private:
   MappingConfig config_;
+  std::vector<BitRun> row_runs_;
+  std::vector<BitRun> column_runs_;
+  std::vector<std::uint64_t> bank_masks_;  ///< BankFunction::mask(), by k
 };
 
 /// Names of the built-in geometry menu.

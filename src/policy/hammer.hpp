@@ -53,6 +53,13 @@ class HammerMitigationPolicy final : public Policy {
   HammerMitigationPolicy() : HammerMitigationPolicy(Config{}) {}
   explicit HammerMitigationPolicy(Config config);
 
+  // The detectors reference this object's own mapping_: a copy's or a
+  // move target's detectors would dangle once the source is destroyed.
+  HammerMitigationPolicy(const HammerMitigationPolicy&) = delete;
+  HammerMitigationPolicy& operator=(const HammerMitigationPolicy&) = delete;
+  HammerMitigationPolicy(HammerMitigationPolicy&&) = delete;
+  HammerMitigationPolicy& operator=(HammerMitigationPolicy&&) = delete;
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "hammer-mitigation";
   }

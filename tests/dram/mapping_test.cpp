@@ -67,14 +67,58 @@ TEST(Mapping, MenuConfigsAreWellFormed) {
   EXPECT_THROW((void)make_mapping_config("ddr9:7ch"), ContractViolation);
 }
 
-TEST(Mapping, EncodeDecodeRoundTripsEveryMenuGeometry) {
-  RngStream rng(7);
+/// Per-bit decode: walk the address bits low to high, packing row and
+/// column bits densely in that order; bank bit k is function k's parity.
+DramCoordinate reference_decode(const MappingConfig& config,
+                                std::uint64_t addr) {
+  DramCoordinate c;
+  int row_bit = 0;
+  int column_bit = 0;
+  for (int b = 0; b < config.address_bits; ++b) {
+    const std::uint64_t bit = (addr >> b) & 1;
+    if ((config.row_mask >> b) & 1) c.row |= bit << row_bit++;
+    if ((config.column_mask >> b) & 1) c.column |= bit << column_bit++;
+  }
+  for (std::size_t k = 0; k < config.bank_functions.size(); ++k) {
+    const int parity =
+        std::popcount(addr & config.bank_functions[k].mask()) & 1;
+    c.bank |= static_cast<std::uint32_t>(parity) << k;
+  }
+  return c;
+}
+
+/// Row and column masks split into several runs each, with select bits
+/// wedged between them.
+MappingConfig scattered_config() {
+  MappingConfig c;
+  c.name = "test:scattered";
+  c.address_bits = 24;
+  c.column_mask = 0b111 | (0b11 << 5) | (1 << 9);           // 0-2, 5-6, 9
+  c.row_mask = (1 << 7) | (0b11 << 10) | (0x7FFull << 13);  // 7, 10-11, 13-23
+  c.bank_functions = {{3, (1 << 7) | (1 << 20)},
+                      {4, 1 << 9},
+                      {8, (1 << 10) | (1 << 13)},
+                      {12, 0}};
+  return c;
+}
+
+TEST(Mapping, DecodeMatchesPerBitReferenceAndEncodeInvertsIt) {
+  std::vector<MappingConfig> configs;
   for (const std::string& name : mapping_menu()) {
-    SCOPED_TRACE(name);
-    const DramMapping mapping{make_mapping_config(name)};
+    configs.push_back(make_mapping_config(name));
+  }
+  configs.push_back(scattered_config());
+  RngStream rng(7);
+  for (const MappingConfig& config : configs) {
+    SCOPED_TRACE(config.name);
+    const DramMapping mapping{config};
+    std::vector<std::uint64_t> words = {0, mapping.total_words() - 1};
     for (int i = 0; i < 2000; ++i) {
-      const std::uint64_t addr = rng.uniform_u64(mapping.total_words());
+      words.push_back(rng.uniform_u64(mapping.total_words()));
+    }
+    for (const std::uint64_t addr : words) {
       const DramCoordinate c = mapping.decode(addr);
+      EXPECT_EQ(c, reference_decode(config, addr)) << addr;
       EXPECT_LT(c.bank, mapping.banks());
       EXPECT_LT(c.row, mapping.rows());
       EXPECT_LT(c.column, mapping.columns());

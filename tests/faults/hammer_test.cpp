@@ -10,6 +10,8 @@
 #include <map>
 #include <set>
 
+#include "common/require.hpp"
+#include "common/rng.hpp"
 #include "dram/mapping/mapping.hpp"
 #include "faults/hammer/detect.hpp"
 #include "faults/suite.hpp"
@@ -233,6 +235,183 @@ TEST(Hammer, DetectorFlagsBurstRowsAndAbsorbsFollowups) {
         mapping.encode({5, 700, static_cast<std::uint64_t>(10 + i)})));
   }
   EXPECT_EQ(detector.detections().size(), 1u);
+}
+
+/// What a HammerRowDetector must report after a stream, derived naively:
+/// every observation re-scans all earlier observations of its row.
+struct ReferenceCensus {
+  std::vector<DetectedRow> detections;
+  std::uint64_t absorbable = 0;
+  std::uint64_t observed = 0;
+};
+
+ReferenceCensus reference_census(
+    const dram::mapping::DramMapping& mapping, const DetectorConfig& config,
+    const std::vector<std::pair<TimePoint, std::uint64_t>>& stream) {
+  ReferenceCensus ref;
+  std::map<std::uint64_t, std::size_t> triggered;  // row key -> detection
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto [time, word] = stream[i];
+    ++ref.observed;
+    const dram::mapping::DramCoordinate c = mapping.decode(word);
+    std::set<std::uint64_t> words_ever;
+    std::set<std::uint64_t> words_in_window;
+    for (std::size_t j = 0; j <= i; ++j) {
+      const dram::mapping::DramCoordinate cj = mapping.decode(stream[j].second);
+      if (cj.bank != c.bank || cj.row != c.row) continue;
+      words_ever.insert(stream[j].second);
+      // A word is in the window while its latest sighting is no older than
+      // window_seconds (inclusive at exactly window_seconds).
+      if (stream[j].first >= time - config.window_seconds) {
+        words_in_window.insert(stream[j].second);
+      }
+    }
+    const std::uint64_t key = (std::uint64_t{c.bank} << 48) | c.row;
+    const auto hit = triggered.find(key);
+    if (hit != triggered.end()) {
+      DetectedRow& d = ref.detections[hit->second];
+      if (time > d.trigger_time) ++ref.absorbable;
+      d.distinct_words = static_cast<int>(words_ever.size());
+    } else if (static_cast<int>(words_in_window.size()) >=
+               config.min_distinct_words) {
+      triggered.emplace(key, ref.detections.size());
+      ref.detections.push_back({c.bank, c.row, time,
+                                static_cast<int>(words_ever.size())});
+    }
+  }
+  return ref;
+}
+
+/// Seeded stream over `rows` x 2 banks x 6 columns, so words repeat
+/// (refreshing their timestamps) and rows keep faulting after their
+/// trigger.  Half the observations revisit one of the last four rows, which
+/// clusters faults in time even when `rows` is large; gaps are zero, exactly
+/// one window, or uniform in [1, max_gap].
+std::vector<std::pair<TimePoint, std::uint64_t>> seeded_stream(
+    const dram::mapping::DramMapping& mapping, std::uint64_t seed,
+    std::size_t length, std::uint64_t rows, std::int64_t window,
+    std::int64_t max_gap) {
+  RngStream rng(seed);
+  std::vector<std::pair<TimePoint, std::uint64_t>> stream;
+  std::vector<dram::mapping::DramCoordinate> recent_rows;
+  TimePoint time = 1'000'000;
+  for (std::size_t i = 0; i < length; ++i) {
+    const std::uint64_t step = rng.uniform_u64(16);
+    if (step == 0) {
+      time += window;
+    } else if (step >= 4) {
+      time += rng.uniform_int(1, max_gap);
+    }  // else simultaneous with the previous observation
+    dram::mapping::DramCoordinate c;
+    if (!recent_rows.empty() && rng.bernoulli(0.5)) {
+      c = recent_rows[rng.uniform_u64(recent_rows.size())];
+    } else {
+      c.bank = static_cast<std::uint32_t>(rng.uniform_u64(2));
+      c.row = rng.uniform_u64(rows);
+      recent_rows.push_back(c);
+      if (recent_rows.size() > 4) recent_rows.erase(recent_rows.begin());
+    }
+    c.column = rng.uniform_u64(6);
+    stream.emplace_back(time, mapping.encode(c));
+  }
+  return stream;
+}
+
+void expect_matches_reference(
+    const dram::mapping::DramMapping& mapping, const DetectorConfig& config,
+    const std::vector<std::pair<TimePoint, std::uint64_t>>& stream) {
+  HammerRowDetector detector(mapping, config);
+  std::size_t triggers = 0;
+  for (const auto& [time, word] : stream) {
+    if (detector.observe(time, word)) {
+      ++triggers;
+      EXPECT_EQ(detector.detections().size(), triggers);
+      EXPECT_EQ(detector.detections().back().trigger_time, time);
+    }
+  }
+  const ReferenceCensus ref = reference_census(mapping, config, stream);
+  ASSERT_EQ(detector.detections().size(), ref.detections.size());
+  for (std::size_t i = 0; i < ref.detections.size(); ++i) {
+    SCOPED_TRACE(i);
+    const DetectedRow& got = detector.detections()[i];
+    EXPECT_EQ(got.bank, ref.detections[i].bank);
+    EXPECT_EQ(got.row, ref.detections[i].row);
+    EXPECT_EQ(got.trigger_time, ref.detections[i].trigger_time);
+    EXPECT_EQ(got.distinct_words, ref.detections[i].distinct_words);
+  }
+  EXPECT_EQ(detector.absorbable_faults(), ref.absorbable);
+  EXPECT_EQ(detector.observed_faults(), ref.observed);
+  EXPECT_EQ(detector.observed_faults(), stream.size());
+}
+
+TEST(HammerDetector, MatchesNaiveReferenceOnSeededStreams) {
+  for (const char* geometry : {"lpddr3:mb", "ddr4:2ch"}) {
+    const dram::mapping::DramMapping mapping{
+        dram::mapping::make_mapping_config(geometry)};
+    for (int min_words = 1; min_words <= HammerRowDetector::kMaxDistinctWords;
+         ++min_words) {
+      for (const std::int64_t window :
+           {std::int64_t{600}, std::int64_t{6 * 3600}}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << geometry << " min " << min_words << " window "
+                       << window << " seed " << seed);
+          const DetectorConfig config{min_words, window};
+          expect_matches_reference(
+              mapping, config,
+              seeded_stream(mapping, seed, 400, 8, window, window / 2));
+        }
+      }
+    }
+  }
+}
+
+TEST(HammerDetector, MatchesNaiveReferenceWithManyRowsOnOneNode) {
+  // Thousands of rows through one detector: the row and word tables grow
+  // many times over while earlier rows keep their state.
+  const dram::mapping::DramMapping mapping{
+      dram::mapping::make_mapping_config("lpddr3:mb")};
+  const DetectorConfig config{3, 3600};
+  expect_matches_reference(mapping, config,
+                           seeded_stream(mapping, 99, 6000, 4000, 3600, 60));
+}
+
+TEST(HammerDetector, WindowIsInclusiveAndRepeatsRefreshTheirWords) {
+  const dram::mapping::DramMapping mapping{
+      dram::mapping::make_mapping_config("lpddr3:mb")};
+  const DetectorConfig config{3, 3600};
+  const auto word = [&](std::uint64_t column) {
+    return mapping.encode({1, 10, column});
+  };
+
+  // A word exactly window_seconds old still counts.
+  HammerRowDetector edge(mapping, config);
+  EXPECT_FALSE(edge.observe(0, word(1)));
+  EXPECT_FALSE(edge.observe(0, word(2)));
+  EXPECT_TRUE(edge.observe(3600, word(3)));
+
+  // One second older and it has expired; a repeat of word 1 at 3000
+  // refreshed it, so only word 2 drops out.
+  HammerRowDetector expired(mapping, config);
+  EXPECT_FALSE(expired.observe(0, word(1)));
+  EXPECT_FALSE(expired.observe(0, word(2)));
+  EXPECT_FALSE(expired.observe(3000, word(1)));
+  EXPECT_FALSE(expired.observe(3601, word(3)));
+  EXPECT_TRUE(expired.observe(3602, word(4)));
+  ASSERT_EQ(expired.detections().size(), 1u);
+  EXPECT_EQ(expired.detections()[0].trigger_time, 3602);
+  EXPECT_EQ(expired.detections()[0].distinct_words, 4);
+}
+
+TEST(HammerDetector, RejectsMinDistinctWordsOutsideTheWindowCap) {
+  const dram::mapping::DramMapping mapping{
+      dram::mapping::make_mapping_config("lpddr3:mb")};
+  for (const int bad : {0, -1, HammerRowDetector::kMaxDistinctWords + 1}) {
+    EXPECT_THROW(HammerRowDetector(mapping, DetectorConfig{bad, 3600}),
+                 ContractViolation);
+  }
+  EXPECT_NO_THROW(HammerRowDetector(
+      mapping, DetectorConfig{HammerRowDetector::kMaxDistinctWords, 3600}));
 }
 
 TEST(Hammer, SuiteDisabledByDefaultAndAdditiveWhenEnabled) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "faults/hammer/generator.hpp"
 #include "policy/hammer.hpp"
@@ -104,6 +105,12 @@ TEST(HammerMitigation, RequiresHammerEnabledCampaign) {
   config.campaign.faults.enable_hammer = false;
   EXPECT_THROW((void)run_hammer_mitigation(config), ContractViolation);
 }
+
+// The policy's detectors reference its own mapping, so it must stay put.
+static_assert(!std::is_copy_constructible_v<HammerMitigationPolicy>);
+static_assert(!std::is_copy_assignable_v<HammerMitigationPolicy>);
+static_assert(!std::is_move_constructible_v<HammerMitigationPolicy>);
+static_assert(!std::is_move_assignable_v<HammerMitigationPolicy>);
 
 TEST(HammerMitigationPolicy, EmitsRetirePageOnTrigger) {
   HammerMitigationPolicy policy;

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,12 +109,12 @@ bool parse_args(int argc, char** argv, Options& opts) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--shards") == 0) {
       if (!set_mode(opts, Mode::kSimulate)) return false;
-      if (!cli.long_in(i, "--shards", 1, bench::CliParser::kNoUpperBound,
+      if (!cli.long_in(i, "--shards", 1, std::numeric_limits<int>::max(),
                        opts.shards))
         return false;
     } else if (std::strcmp(arg, "--shard") == 0) {
       if (!set_mode(opts, Mode::kSimulate)) return false;
-      if (!cli.long_in(i, "--shard", 0, bench::CliParser::kNoUpperBound,
+      if (!cli.long_in(i, "--shard", 0, std::numeric_limits<int>::max(),
                        opts.shard))
         return false;
     } else if (std::strcmp(arg, "--merge") == 0) {

@@ -71,15 +71,14 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
 namespace {
 
 /// Per-slot scratch for phase 3: everything a worker touches while turning
-/// one node's fault events into (optionally pre-encoded) telemetry.  Under
-/// the default emit options a slot is allocated once and reused for every
-/// block, so steady-state simulation+encoding allocates nothing per node.
+/// one node's fault events into (optionally pre-encoded) telemetry.  A slot
+/// is allocated once and reused for every block, so steady-state
+/// simulation+encoding allocates nothing per node.
 struct NodeSlot {
   telemetry::NodeLog log;
   SessionSimArena sim;
-  std::string encoded;         ///< pre-encoded UNPA body (bulk path)
+  std::string encoded;         ///< pre-encoded UNPA body
   telemetry::EncodeArena enc;  ///< gather scratch for the batch kernels
-  bool pre_encoded = false;
 };
 
 }  // namespace
@@ -87,8 +86,7 @@ struct NodeSlot {
 CampaignSummary run_campaign_shard(const CampaignConfig& config,
                                    const ShardSpec& spec,
                                    const std::vector<telemetry::RecordSink*>& sinks,
-                                   std::size_t threads,
-                                   const CampaignEmitOptions& emit) {
+                                   std::size_t threads) {
   UNP_REQUIRE(threads >= 1);
   UNP_REQUIRE(spec.count >= 1);
   UNP_REQUIRE(spec.index >= 0 && spec.index < spec.count);
@@ -188,53 +186,31 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   const std::uint64_t session_seed = campaign_session_seed(config);
   const std::size_t block = std::max<std::size_t>(threads * 8, 32);
   const telemetry::kernels::EncodeKernels& encode =
-      emit.encode != nullptr ? *emit.encode
-                             : telemetry::kernels::active_encode_kernels();
+      telemetry::kernels::active_encode_kernels();
   // Pre-encode UNPA bodies in the workers only when some sink will actually
   // consume bytes; record-routing sinks never pay for encoding.
   bool wants_encoded = false;
-  if (emit.bulk_node_logs) {
-    for (const auto* sink : sinks)
-      wants_encoded = wants_encoded || sink->wants_encoded_node_log();
-  }
+  for (const auto* sink : sinks)
+    wants_encoded = wants_encoded || sink->wants_encoded_node_log();
 
-  std::vector<NodeSlot> slots;
-  if (emit.reuse_buffers) slots.resize(std::min(block, owned.size()));
+  std::vector<NodeSlot> slots(std::min(block, owned.size()));
   summary.accounting.resize(owned.size());
   for (std::size_t base = 0; base < owned.size(); base += block) {
     const std::size_t count = std::min(block, owned.size() - base);
-    if (!emit.reuse_buffers) {
-      // Legacy churn baseline: fresh buffers for every block.
-      slots.clear();
-      slots.resize(count);
-    }
     auto simulate = [&](std::size_t i) {
       const std::size_t j = owned[base + i];
       const cluster::NodeId node = nodes[j];
-      const bool overheating = cluster::Topology::is_overheating_slot(node);
       NodeSlot& s = slots[i];
-      const auto& indices =
-          per_node[static_cast<std::size_t>(cluster::node_index(node))];
-      if (emit.reuse_buffers) {
-        // Zero-copy: simulate straight off the shared fleet-truth events.
-        simulate_node_shared_into(config.session, node, plans[j], overheating,
-                                  session_seed, fleet_truth, indices, s.sim,
-                                  s.log);
-      } else {
-        // Legacy churn baseline: deep-copy this node's events (heap word
-        // lists included) before simulating, as the pre-arena code did.
-        s.sim.events.clear();
-        s.sim.events.reserve(indices.size());
-        for (const std::uint32_t e : indices)
-          s.sim.events.push_back(fleet_truth[e]);
-        simulate_node_into(config.session, node, plans[j], overheating,
-                           session_seed, s.sim, s.log);
-      }
-      s.pre_encoded = false;
+      // Zero-copy: simulate straight off the shared fleet-truth events.
+      simulate_node_shared_into(
+          config.session, node, plans[j],
+          cluster::Topology::is_overheating_slot(node), session_seed,
+          fleet_truth,
+          per_node[static_cast<std::size_t>(cluster::node_index(node))], s.sim,
+          s.log);
       if (wants_encoded) {
         s.encoded.clear();
         telemetry::encode_node_log_into(s.log, s.encoded, encode, &s.enc);
-        s.pre_encoded = true;
       }
     };
     if (pool) {
@@ -246,25 +222,16 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       const std::size_t j = owned[base + i];
       const cluster::NodeId node = nodes[j];
       NodeSlot& s = slots[i];
-      if (emit.bulk_node_logs) {
-        // One EncodedNodeLog shared across sinks: the body is encoded at
-        // most once per node (already done in the worker if any sink wants
-        // bytes) and spliced — never re-encoded, never re-copied per sink.
-        telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, encode,
-                                          &s.enc, s.pre_encoded);
-        for (auto* sink : sinks) {
-          sink->begin_node(node);
-          sink->on_node_log(enc_log);
-          sink->end_node(node);
-        }
-      } else {
-        for (auto* sink : sinks) {
-          sink->begin_node(node);
-          telemetry::replay_node_log(s.log, *sink);
-          sink->end_node(node);
-        }
+      // One EncodedNodeLog shared across sinks: the body is encoded at most
+      // once per node (already done in the worker if any sink wants bytes)
+      // and spliced — never re-encoded, never re-copied per sink.
+      telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, encode, &s.enc,
+                                        wants_encoded);
+      for (auto* sink : sinks) {
+        sink->begin_node(node);
+        sink->on_node_log(enc_log);
+        sink->end_node(node);
       }
-      if (!emit.reuse_buffers) s.log = telemetry::NodeLog{};
       summary.accounting[base + i] = {node, plans[j].scanned_hours(),
                                       plans[j].terabyte_hours(),
                                       plans[j].sessions.size()};
@@ -278,9 +245,8 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
 
 CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
-    const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads,
-    const CampaignEmitOptions& emit) {
-  return run_campaign_shard(config, ShardSpec{}, sinks, threads, emit);
+    const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads) {
+  return run_campaign_shard(config, ShardSpec{}, sinks, threads);
 }
 
 CampaignResult run_campaign(const CampaignConfig& config, std::size_t threads) {

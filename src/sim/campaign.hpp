@@ -102,34 +102,18 @@ struct CampaignResult {
 [[nodiscard]] std::uint64_t campaign_session_seed(
     const CampaignConfig& config) noexcept;
 
-/// Hot-path knobs for the record-emission machinery.  The defaults are the
-/// optimized path; the legacy flags reproduce the pre-arena allocation
-/// behavior so the campaign throughput bench can measure both in one binary.
-/// Every combination emits a byte-identical record stream.
-struct CampaignEmitOptions {
-  /// Reuse per-slot NodeLog / event / encode buffers across node blocks;
-  /// false recreates every buffer per block (the legacy churn).
-  bool reuse_buffers = true;
-  /// Deliver each node's log to sinks as one bulk on_node_log call, with
-  /// the UNPA body pre-encoded in the simulation workers whenever a sink
-  /// wants bytes; false replays record by record through the per-record
-  /// virtual interface.
-  bool bulk_node_logs = true;
-  /// Encode kernel set for pre-encoded bodies; null means the process-wide
-  /// active set.  Output bytes are identical for every set.
-  const telemetry::kernels::EncodeKernels* encode = nullptr;
-};
-
 /// Stream the campaign through `sinks`.  Per-node records are pushed with
 /// full framing (begin_campaign .. end_campaign, nodes ascending by index)
 /// as soon as each node block completes; only a bounded block of node logs
-/// is ever resident.  `threads` > 1 parallelizes planning and session
-/// simulation; the emitted stream is bit-identical for any thread count,
-/// any `emit` options, and any encode kernel set.
+/// is ever resident.  Each node reaches every sink as one bulk
+/// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the UNPA
+/// body is encoded once per node in the simulation workers with the active
+/// encode kernels and shared by every sink.  `threads` > 1 parallelizes
+/// planning and session simulation; the emitted stream is bit-identical for
+/// any thread count and any encode kernel set.
 CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
-    const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1,
-    const CampaignEmitOptions& emit = {});
+    const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1);
 
 /// Run the campaign and materialize the archive (the CampaignArchive sink
 /// fed by run_campaign_streaming).

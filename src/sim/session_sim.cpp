@@ -1,7 +1,6 @@
 #include "sim/session_sim.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/require.hpp"
 #include "scanner/pattern.hpp"
@@ -167,10 +166,10 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
 
 namespace {
 
-/// Shared tail of the simulate_node_* entry points: `arena.ptrs` holds this
+/// Shared tail of the simulate_node entry points: `arena.ptrs` holds this
 /// node's events (any order) and is sorted in place; everything else is read
-/// through it.  Sorting the pointer view yields the same event order the old
-/// value sort produced (see sort_event_ptrs), without moving any FaultEvent.
+/// through it.  Sorting the pointer view yields the event order sort_events
+/// gives the values (see sort_event_ptrs), without moving any FaultEvent.
 void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
                         const sched::ScanPlan& plan, bool overheating,
                         std::uint64_t seed, SessionSimArena& arena,
@@ -236,16 +235,6 @@ void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
 
 }  // namespace
 
-void simulate_node_into(const SessionSimConfig& config, cluster::NodeId node,
-                        const sched::ScanPlan& plan, bool overheating,
-                        std::uint64_t seed, SessionSimArena& arena,
-                        telemetry::NodeLog& out) {
-  arena.ptrs.clear();
-  arena.ptrs.reserve(arena.events.size());
-  for (const FaultEvent& ev : arena.events) arena.ptrs.push_back(&ev);
-  simulate_node_core(config, node, plan, overheating, seed, arena, out);
-}
-
 void simulate_node_shared_into(const SessionSimConfig& config,
                                cluster::NodeId node,
                                const sched::ScanPlan& plan, bool overheating,
@@ -262,12 +251,13 @@ void simulate_node_shared_into(const SessionSimConfig& config,
 telemetry::NodeLog simulate_node(const SessionSimConfig& config,
                                  cluster::NodeId node,
                                  const sched::ScanPlan& plan,
-                                 std::vector<faults::FaultEvent> events,
+                                 const std::vector<faults::FaultEvent>& events,
                                  bool overheating, std::uint64_t seed) {
   SessionSimArena arena;
-  arena.events = std::move(events);
+  arena.ptrs.reserve(events.size());
+  for (const FaultEvent& ev : events) arena.ptrs.push_back(&ev);
   NodeLog log;
-  simulate_node_into(config, node, plan, overheating, seed, arena, log);
+  simulate_node_core(config, node, plan, overheating, seed, arena, log);
   return log;
 }
 

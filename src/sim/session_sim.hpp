@@ -44,7 +44,6 @@ struct SessionSimConfig {
 /// transient/stuck pointer partitions.  Capacity persists across nodes, so a
 /// steady-state campaign worker allocates nothing per node.
 struct SessionSimArena {
-  std::vector<faults::FaultEvent> events;  ///< owned copy (legacy/by-value path)
   std::vector<const faults::FaultEvent*> ptrs;  ///< the view actually sorted
   std::vector<const faults::FaultEvent*> transients;
   std::vector<const faults::FaultEvent*> stucks;
@@ -52,25 +51,18 @@ struct SessionSimArena {
 
 /// Produce the telemetry a node's scanner would log over its whole plan,
 /// given the fault events assigned to that node (any order).  `overheating`
-/// selects the hot-slot temperature profile.
+/// selects the hot-slot temperature profile.  The events are read in place
+/// through a pointer view; none is copied.
 [[nodiscard]] telemetry::NodeLog simulate_node(
     const SessionSimConfig& config, cluster::NodeId node,
-    const sched::ScanPlan& plan, std::vector<faults::FaultEvent> events,
+    const sched::ScanPlan& plan, const std::vector<faults::FaultEvent>& events,
     bool overheating, std::uint64_t seed);
 
-/// Arena form of simulate_node: `arena.events` holds this node's fault
-/// events on entry (any order); `out` is cleared and refilled, keeping its
-/// capacity.  Identical output to simulate_node.
-void simulate_node_into(const SessionSimConfig& config, cluster::NodeId node,
-                        const sched::ScanPlan& plan, bool overheating,
-                        std::uint64_t seed, SessionSimArena& arena,
-                        telemetry::NodeLog& out);
-
-/// Zero-copy form, the campaign hot path: the node's events are the
-/// `indices` rows of the shared fleet-truth vector, read in place — no
-/// per-node FaultEvent (and inner word-list) copies.  Only pointer scratch
-/// in `arena` is touched.  Identical output to simulate_node_into on a copy
-/// of the same events in the same order.
+/// Arena form, the campaign hot path: the node's events are the `indices`
+/// rows of the shared fleet-truth vector, read in place.  `out` is cleared
+/// and refilled, and only pointer scratch in `arena` is touched, so both
+/// keep their capacity across nodes.  Identical output to simulate_node on
+/// the same events in the same order.
 void simulate_node_shared_into(const SessionSimConfig& config,
                                cluster::NodeId node,
                                const sched::ScanPlan& plan, bool overheating,

@@ -62,15 +62,16 @@ struct ShardPlan {
 
 /// Run one shard of the campaign, streaming the owned nodes' records to
 /// `sinks` with full framing (begin_campaign .. end_campaign, owned nodes
-/// ascending by index).  The returned summary is filtered to the shard:
-/// `ground_truth` and `accounting` cover owned nodes only, so the K shard
-/// summaries concatenate (stably, by ground-truth order / node index) into
-/// the monolithic summary.  `run_campaign_streaming(config, sinks, threads)`
-/// is exactly `run_campaign_shard(config, ShardSpec{}, sinks, threads)`.
+/// ascending by index), one bulk `on_node_log` per node exactly as
+/// run_campaign_streaming delivers them.  The returned summary is filtered
+/// to the shard: `ground_truth` and `accounting` cover owned nodes only, so
+/// the K shard summaries concatenate (stably, by ground-truth order / node
+/// index) into the monolithic summary.
+/// `run_campaign_streaming(config, sinks, threads)` is exactly
+/// `run_campaign_shard(config, ShardSpec{}, sinks, threads)`.
 CampaignSummary run_campaign_shard(const CampaignConfig& config,
                                    const ShardSpec& spec,
                                    const std::vector<telemetry::RecordSink*>& sinks,
-                                   std::size_t threads = 1,
-                                   const CampaignEmitOptions& emit = {});
+                                   std::size_t threads = 1);
 
 }  // namespace unp::sim

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <sys/wait.h>
 
@@ -36,6 +37,7 @@ const std::string kPolicy = UNP_POLICY_BIN;
 const std::string kQuery = UNP_QUERY_BIN;
 const std::string kEcc = UNP_ECC_BIN;
 const std::string kHammer = UNP_HAMMER_BIN;
+const std::string kCampaign = UNP_CAMPAIGN_BIN;
 
 TEST(ReportCli, UnknownFlagExitsTwo) {
   EXPECT_EQ(run(kReport + " --frobnicate"), 2);
@@ -245,6 +247,15 @@ TEST(HammerCli, HelpExitsZero) {
 
 TEST(HammerCli, SingleGeometrySolveSucceeds) {
   EXPECT_EQ(run(kHammer + " --solve --geometry ddr3:1ch"), 0);
+}
+
+TEST(CampaignCli, ShardCountBeyondIntRangeExitsTwo) {
+  // ShardSpec holds ints: a --shards/--shard value past INT_MAX must be
+  // refused, not truncated (4294967298 would wrap to a 2-way partition).
+  const std::string out = ::testing::TempDir() + "campaign_cli_shards";
+  std::filesystem::create_directories(out);
+  EXPECT_EQ(run(kCampaign + " --shards 4294967298 --shard 1 --out " + out), 2);
+  EXPECT_EQ(run(kCampaign + " --shards 2 --shard 4294967297 --out " + out), 2);
 }
 
 }  // namespace

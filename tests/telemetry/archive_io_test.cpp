@@ -9,6 +9,7 @@
 
 #include "common/require.hpp"
 #include "telemetry/binary_codec.hpp"
+#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::telemetry {
 namespace {
@@ -214,6 +215,84 @@ TEST(ArchiveStream, RejectsDuplicateAndDescendingFrames) {
   reader.drain(archive);
   EXPECT_EQ(reader.frames_read(), 3u);
   EXPECT_EQ(archive.total_raw_errors(), 3u * 42u);
+}
+
+TEST(ArchiveStream, ByteLayoutMatchesHandEncodedLiteral) {
+  // One node frame whose bytes are derived by hand from the format comments
+  // in archive_io.hpp and binary_codec.hpp (LEB128 varints, zigzag time
+  // deltas restarting at 0 per section, flag byte + little-endian f64 per
+  // temperature), so the layout is pinned independently of the encoder.
+  const cluster::NodeId node = cluster::node_from_index(17);
+  NodeLog log;
+  log.add_start({120, node, 300, kNoTemperature});
+  log.add_start({500, node, 300, 30.5});
+  log.add_end({400, node, 31.25});
+  log.add_alloc_fail({450, node});
+  ErrorRecord err;
+  err.time = 130;
+  err.node = node;
+  err.virtual_address = 0x1000;
+  err.expected = 0xFFFFFFFFu;
+  err.actual = 0xFFFFFFFEu;
+  err.physical_page = 1;
+  log.add_error_run({err, 60, 5});
+
+  const unsigned char expected[] = {
+      'U', 'N', 'P', 'S', 0x01,  // magic, version
+      0xC8, 0x01,                // zigzag(window.start = 100) = 200
+      0xD0, 0x0F,                // zigzag(window.end = 1000) = 2000
+      0x11,                      // node index 17 (index 5 is empty: elided)
+      0x35,                      // body size 53
+      // STARTs: count 2
+      0x02,
+      0xF0, 0x01, 0xAC, 0x02, 0x00,  // dt 120, 300 bytes, no temperature
+      0xF8, 0x05, 0xAC, 0x02,        // dt 380, 300 bytes
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3E, 0x40,  // 30.5 C
+      // ENDs: count 1
+      0x01,
+      0xA0, 0x06,                                            // dt 400
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x3F, 0x40,  // 31.25 C
+      // ALLOCFAILs: count 1
+      0x01, 0x84, 0x07,  // dt 450
+      // ERROR runs: count 1
+      0x01,
+      0x84, 0x02,                    // dt 130
+      0x80, 0x20,                    // virtual address 0x1000
+      0xFF, 0xFF, 0xFF, 0xFF, 0x0F,  // expected 0xFFFFFFFF
+      0xFE, 0xFF, 0xFF, 0xFF, 0x0F,  // actual 0xFFFFFFFE
+      0x00,                          // no temperature
+      0x01,                          // physical page 1
+      0x3C,                          // period 60 s
+      0x05,                          // count 5
+      0xB1, 0x07,  // end frame: kStudyNodeSlots = 945
+      0x01,        // frame count 1
+  };
+  const std::string want(reinterpret_cast<const char*>(expected),
+                         sizeof expected);
+
+  CampaignWindow window;
+  window.start = 100;
+  window.end = 1000;
+  const auto write = [&](bool bulk) {
+    std::ostringstream os(std::ios::binary);
+    ArchiveWriter writer(os);
+    writer.begin_campaign(window);
+    writer.begin_node(cluster::node_from_index(5));
+    writer.end_node(cluster::node_from_index(5));
+    writer.begin_node(node);
+    std::string scratch;
+    EncodedNodeLog enc(node, log, scratch, kernels::active_encode_kernels());
+    if (bulk) {
+      writer.on_node_log(enc);
+    } else {
+      replay_node_log(log, writer);
+    }
+    writer.end_node(node);
+    writer.finish();
+    return os.str();
+  };
+  EXPECT_EQ(write(false), want) << "per-record";
+  EXPECT_EQ(write(true), want) << "bulk";
 }
 
 TEST(ArchiveWriterContract, RecordsOutsideNodeFrameThrow) {

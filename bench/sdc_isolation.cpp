@@ -32,9 +32,10 @@ int main() {
 
   TextTable table({"Scheme", "Corrected", "Detected", "Miscorrected",
                    "Undetected", "Silent total"});
-  auto add_scheme = [&](const char* name, const ecc::OutcomeCounts& c) {
-    table.add_row({name, format_count(c.corrected), format_count(c.detected),
-                   format_count(c.miscorrected), format_count(c.undetected),
+  auto add_scheme = [&](const char* name, const ecc::PopulationResult& r) {
+    const ecc::VerdictCounts c = r.total();
+    table.add_row({name, format_count(c.correct), format_count(c.detect_only),
+                   format_count(c.miscorrect), format_count(c.sdc),
                    format_count(c.silent())});
   };
   add_scheme("SECDED(72,64)", whatif.secded);

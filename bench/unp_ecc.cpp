@@ -12,10 +12,6 @@
 //   --sweep          shorthand for the canonical comparison: the default
 //                    code set, --exhaustive 3 plus --population.
 //
-// --check-classifier cross-checks the fixed mask classifier (ecc/outcome.hpp)
-// against real decoding on every population mask and fails loudly on any
-// disagreement — the CI gate that keeps the two ECC answers coherent.
-//
 // All tallies are additive u64 counters over deterministic enumeration
 // orders, so output is bit-identical for any --threads value (asserted by
 // tests/ecc and bench_perf_ecc).
@@ -30,9 +26,7 @@
 #include "analysis/streaming_extractor.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "ecc/adapters.hpp"
 #include "ecc/engine.hpp"
-#include "ecc/outcome.hpp"
 #include "ecc/registry.hpp"
 #include "store/reader.hpp"
 #include "util/campaign_cache.hpp"
@@ -47,7 +41,6 @@ struct Options {
   std::vector<std::string> codes;  ///< empty = default sweep set
   int exhaustive_weight = 0;       ///< 0 = exhaustive mode off
   bool population = false;
-  bool check_classifier = false;
   std::string store_path;
   std::uint64_t seed = 42;
   std::size_t threads = sim::default_campaign_threads();
@@ -67,9 +60,6 @@ void usage(std::FILE* out) {
       "                     (refused when the pattern count is intractable)\n"
       "  --population       replay extracted fault masks through each code\n"
       "  --sweep            default codes, --exhaustive 3 + --population\n"
-      "  --check-classifier verify the fixed outcome classifier against\n"
-      "                     real decode on every population mask (exit 1 on\n"
-      "                     any disagreement)\n"
       "  --store PATH       fault source for --population: a UNPF store\n"
       "                     (default: the live campaign pipeline)\n"
       "  --seed S           campaign seed for the live source (default 42)\n"
@@ -101,8 +91,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--sweep") == 0) {
       if (opts.exhaustive_weight == 0) opts.exhaustive_weight = 3;
       opts.population = true;
-    } else if (std::strcmp(arg, "--check-classifier") == 0) {
-      opts.check_classifier = true;
     } else if (std::strcmp(arg, "--store") == 0) {
       const char* v = cli.next_value(i, "--store");
       if (!v) return false;
@@ -143,8 +131,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
     usage(stderr);
     return false;
   }
-  const bool needs_population = opts.population || opts.check_classifier;
-  if (!needs_population && !opts.store_path.empty()) {
+  if (!opts.population && !opts.store_path.empty()) {
     std::fprintf(stderr,
                  "unp_ecc: --store supplies the --population fault source; "
                  "pass --population (or --sweep) with it\n");
@@ -157,11 +144,19 @@ bool parse_args(int argc, char** argv, Options& opts) {
                  "and cannot apply to it\n");
     return false;
   }
-  if (opts.check_classifier && !opts.population) {
-    std::fprintf(stderr,
-                 "unp_ecc: --check-classifier verifies population masks; "
-                 "pass --population (or --sweep) with it\n");
-    return false;
+  if (opts.population) {
+    // Population replay embeds 32-bit scanner masks in the data field;
+    // refuse a narrower code before the campaign is acquired.
+    for (const std::string& spec : opts.codes) {
+      const int data_bits = ecc::make_code(spec)->geometry().data_bits;
+      if (data_bits < 32) {
+        std::fprintf(stderr,
+                     "unp_ecc: --population replays 32-bit fault masks; "
+                     "code %s has only %d data bits (needs >= 32)\n",
+                     spec.c_str(), data_bits);
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -186,6 +181,14 @@ int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
 
   for (const auto& code : codes) {
     const ecc::CodeGeometry geom = code->geometry();
+    if (max_weight > geom.codeword_bits) {
+      std::fprintf(stderr,
+                   "unp_ecc: refusing exhaustive K=%d for %s: its codeword "
+                   "has only %d bits (K must be <= %d)\n",
+                   max_weight, std::string(code->name()).c_str(),
+                   geom.codeword_bits, geom.codeword_bits);
+      return 2;
+    }
     std::uint64_t workload = 0;
     for (int k = 1; k <= max_weight; ++k) {
       const std::uint64_t patterns = ecc::binomial(geom.codeword_bits, k);
@@ -232,46 +235,6 @@ int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
                  static_cast<unsigned long long>(result.total_patterns()));
   }
   return 0;
-}
-
-/// Map the fixed classifier's vocabulary onto the engine's.
-ecc::Verdict verdict_of(ecc::EccOutcome outcome) {
-  switch (outcome) {
-    case ecc::EccOutcome::kNoError:
-    case ecc::EccOutcome::kCorrected: return ecc::Verdict::kCorrect;
-    case ecc::EccOutcome::kDetected: return ecc::Verdict::kDetectOnly;
-    case ecc::EccOutcome::kMiscorrected: return ecc::Verdict::kMiscorrect;
-    case ecc::EccOutcome::kUndetected: return ecc::Verdict::kSdc;
-  }
-  return ecc::Verdict::kDetectOnly;
-}
-
-/// Cross-check the fixed mask classifier against real decode per fault.
-/// Returns the number of disagreements (printing the first few).
-std::uint64_t check_classifier(const analysis::ExtractionResult& extraction) {
-  const ecc::Secded7264Code secded;
-  const ecc::ChipkillCode chipkill;
-  std::uint64_t mismatches = 0;
-  for (const auto& f : extraction.faults) {
-    const Word mask = f.flip_mask();
-    if (mask == 0) continue;
-    const std::vector<int> bits = set_bit_positions(mask);
-    const ecc::Verdict s_real = secded.evaluate(bits);
-    const ecc::Verdict s_cls = verdict_of(ecc::secded_outcome(f.expected, f.actual));
-    const ecc::Verdict c_real = chipkill.evaluate(bits);
-    const ecc::Verdict c_cls =
-        verdict_of(ecc::chipkill_outcome(f.expected, f.actual));
-    if (s_real != s_cls || c_real != c_cls) {
-      if (++mismatches <= 5) {
-        std::fprintf(stderr,
-                     "unp_ecc: classifier disagreement on mask %08x: "
-                     "secded %s vs %s, chipkill %s vs %s\n",
-                     mask, ecc::to_string(s_cls), ecc::to_string(s_real),
-                     ecc::to_string(c_cls), ecc::to_string(c_real));
-      }
-    }
-  }
-  return mismatches;
 }
 
 int run(const Options& opts) {
@@ -345,20 +308,6 @@ int run(const Options& opts) {
   std::fprintf(stderr, "population replay (%zu codes)  : %9.1f ms\n",
                codes.size(), replay_ms);
 
-  if (opts.check_classifier) {
-    const std::uint64_t mismatches = check_classifier(extraction);
-    if (mismatches > 0) {
-      std::fprintf(stderr,
-                   "unp_ecc: FAIL: classifier disagrees with real decode on "
-                   "%llu of %zu faults\n",
-                   static_cast<unsigned long long>(mismatches),
-                   extraction.faults.size());
-      return 1;
-    }
-    std::printf("\nclassifier check: fixed classifier == real decode on all "
-                "%zu fault masks\n",
-                extraction.faults.size());
-  }
   return 0;
 }
 

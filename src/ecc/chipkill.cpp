@@ -1,25 +1,33 @@
 #include "ecc/chipkill.hpp"
 
 #include <bit>
+#include <cstdint>
 
 namespace unp::ecc {
 
-int ChipkillModel::symbols_touched(std::uint64_t error_mask) noexcept {
-  int count = 0;
-  for (int s = 0; s < kSymbols; ++s) {
-    const std::uint64_t symbol_mask = 0xFULL << (s * kSymbolBits);
-    if (error_mask & symbol_mask) ++count;
-  }
-  return count;
+CodeGeometry ChipkillCode::geometry() const noexcept {
+  CodeGeometry g;
+  g.data_bits = 64;
+  g.check_bits = 2 * kSymbolBits;
+  g.codeword_bits = g.data_bits + g.check_bits;
+  g.guaranteed_correct = kSymbolBits;  // one whole symbol
+  g.guaranteed_detect = 2;  // any two-symbol pattern is detected
+  return g;
 }
 
-ChipkillModel::Outcome ChipkillModel::classify(std::uint64_t error_mask) noexcept {
-  if (error_mask == 0) return Outcome::kClean;
-  switch (symbols_touched(error_mask)) {
-    case 1: return Outcome::kCorrected;
-    case 2: return Outcome::kDetected;
-    default: return Outcome::kUndetected;
+Verdict ChipkillCode::evaluate(std::span<const int> error_bits) const {
+  std::uint32_t symbols = 0;
+  bool data_hit = false;
+  for (const int p : error_bits) {
+    symbols |= std::uint32_t{1} << (p / kSymbolBits);
+    data_hit = data_hit || p < 64;
   }
+  const int touched = std::popcount(symbols);
+  if (touched <= 1) return Verdict::kCorrect;
+  if (touched == 2) return Verdict::kDetectOnly;
+  // Beyond SSC-DSD's guarantee: modeled as undetected, silent only if data
+  // was hit.
+  return data_hit ? Verdict::kSdc : Verdict::kCorrect;
 }
 
 }  // namespace unp::ecc

@@ -1,37 +1,36 @@
-// Chipkill-style symbol-correcting code model (SSC-DSD).
+// Chipkill-style symbol-correcting code (SSC-DSD) over x4 devices.
 //
 // The related work the paper cites (Sridharan & Liberty) measured chipkill
 // to be ~42x more reliable than SECDED because DRAM faults cluster inside
 // one device: a whole-chip failure corrupts one b-bit *symbol* of the ECC
 // word, which a single-symbol-correct / double-symbol-detect code repairs.
 //
-// We model the outcome function of such a code over a 64-bit data word
-// divided into 4-bit symbols (x4 devices):
-//   - errors confined to one symbol   -> corrected
-//   - errors spanning two symbols     -> detected, uncorrectable
-//   - errors spanning three+ symbols  -> beyond the code's guarantee; modelled
-//     as undetected (worst case for the SDC analysis, and stated as such).
+// The codeword is 16 data symbols (64 bits) plus 2 check symbols, 4 bits
+// each.  Over the symbols an error pattern touches:
+//   - one symbol        -> corrected
+//   - two symbols       -> detected, uncorrectable
+//   - three or more     -> beyond the code's guarantee; modelled as
+//     undetected (worst case for the SDC analysis, and stated as such), so
+//     silent iff a data bit was hit.
 //
 // This is an outcome model, not a Reed-Solomon implementation: the analyses
-// only consume the corrected/detected/undetected classification.
+// only consume the verdict.
 #pragma once
 
-#include <cstdint>
+#include "ecc/code.hpp"
 
 namespace unp::ecc {
 
-class ChipkillModel {
+class ChipkillCode final : public Code {
  public:
   static constexpr int kSymbolBits = 4;
-  static constexpr int kSymbols = 64 / kSymbolBits;
 
-  enum class Outcome : std::uint8_t { kClean, kCorrected, kDetected, kUndetected };
-
-  /// Classify the flip pattern `error_mask` over a 64-bit data word.
-  [[nodiscard]] static Outcome classify(std::uint64_t error_mask) noexcept;
-
-  /// Number of 4-bit symbols touched by `error_mask`.
-  [[nodiscard]] static int symbols_touched(std::uint64_t error_mask) noexcept;
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "chipkill";
+  }
+  [[nodiscard]] CodeGeometry geometry() const noexcept override;
+  [[nodiscard]] Verdict evaluate(
+      std::span<const int> error_bits) const override;
 };
 
 }  // namespace unp::ecc

@@ -1,8 +1,7 @@
 // The pluggable ECC evaluation interface (ROADMAP item 1).
 //
 // The paper's counterfactual — "what would a protected system have seen?"
-// (Sections III-C/D) — was originally answered by a fixed mask classifier
-// (ecc/outcome.hpp).  This header turns the question into real coding
+// (Sections III-C/D) — is answered here and only here, as real coding
 // theory: a Code encodes data, an evaluator injects an error pattern, the
 // code decodes, and the verdict is decided by comparing the decoded data
 // with the truth.  Everything the study injects is a *bit-flip pattern*,
@@ -13,9 +12,9 @@
 // trials — no codeword buffers, just syndrome arithmetic per pattern.
 //
 // Codeword geometry convention: bit positions [0, data_bits) are the data
-// bits (fault masks embed at position 0 upward, matching outcome.hpp's
-// "scanner word in the low bits, upper bits clean" convention), positions
-// [data_bits, codeword_bits) are check/EDC bits.
+// bits (a 32-bit scanner fault mask embeds at position 0 upward, so the
+// upper data bits stay clean — conservative, since extra clean bits never
+// mask an error), positions [data_bits, codeword_bits) are check/EDC bits.
 #pragma once
 
 #include <cstdint>

@@ -111,9 +111,9 @@ struct PopulationResult {
 };
 
 /// Replay extracted fault flip-masks through the code.  Masks embed at
-/// codeword bit 0 upward (the scanner-word convention shared with
-/// ecc/outcome.hpp); zero masks (no corruption) are skipped.  The tally is
-/// additive, so results are thread-count invariant.
+/// codeword bit 0 upward (the scanner-word convention of code.hpp); zero
+/// masks (no corruption) are skipped.  The tally is additive, so results
+/// are thread-count invariant.
 [[nodiscard]] PopulationResult evaluate_population(const Code& code,
                                                    std::span<const Word> masks,
                                                    ThreadPool& pool);

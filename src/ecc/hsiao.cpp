@@ -1,6 +1,7 @@
 #include "ecc/hsiao.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -14,16 +15,19 @@ int HsiaoCode::min_check_bits(int data_bits) noexcept {
   return 0;
 }
 
-HsiaoCode::HsiaoCode(int data_bits, int check_bits) {
+HsiaoCode::HsiaoCode(int data_bits, int check_bits, std::string name)
+    : name_(std::move(name)) {
   UNP_REQUIRE(data_bits >= 4);
   if (check_bits == 0) check_bits = min_check_bits(data_bits);
   UNP_REQUIRE(check_bits >= 4 && check_bits <= 20);
   data_bits_ = data_bits;
   check_bits_ = check_bits;
-  name_ = "hsiao:" + std::to_string(data_bits) + "/" + std::to_string(check_bits);
+  if (name_.empty()) {
+    name_ = "hsiao:" + std::to_string(data_bits) + "/" + std::to_string(check_bits);
+  }
 
-  // Same pinned enumeration as Secded7264: odd weights ascending, values
-  // ascending within a weight, unit vectors reserved for the check bits.
+  // Pinned enumeration: odd weights ascending, values ascending within a
+  // weight, unit vectors reserved for the check bits.
   columns_.reserve(static_cast<std::size_t>(data_bits));
   const std::uint32_t limit = std::uint32_t{1} << check_bits;
   for (int w = 3; w <= check_bits && static_cast<int>(columns_.size()) < data_bits;

@@ -1,13 +1,12 @@
 // Generalized odd-weight-column (Hsiao) SEC-DED code, Hsiao(d/k).
 //
-// The canonical Secded7264 (secded.hpp) is the d=64, k=8 instance of this
-// family; this class builds the same construction for any payload width:
-// the d data columns of the parity-check matrix are the numerically
-// smallest distinct odd-weight-(>=3) k-bit vectors enumerated in
-// (weight, value) order, the k check columns are the unit vectors.  The
-// enumeration order is pinned so that Hsiao(64/8) is column-for-column
-// identical to Secded7264 (asserted by tests/ecc/codes_test.cpp) and every
-// evaluation result is reproducible across builds.
+// The study's canonical SECDED(72,64) (registry spec `secded72`) is the
+// d=64, k=8 instance of this family.  The d data columns of the
+// parity-check matrix are the numerically smallest distinct
+// odd-weight-(>=3) k-bit vectors enumerated in (weight, value) order, the
+// k check columns are the unit vectors.  The enumeration order is pinned so
+// every evaluation result is reproducible across builds (the exhaustive
+// census is pinned in tests/ecc/codes_test.cpp).
 //
 // Properties (any d, k): single-bit errors give an odd-weight syndrome
 // equal to their column (corrected); double-bit errors give a non-zero
@@ -16,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ecc/code.hpp"
@@ -26,8 +26,9 @@ class HsiaoCode final : public Code {
  public:
   /// `check_bits == 0` auto-sizes: the smallest k whose odd-weight-(>=3)
   /// column pool covers `data_bits`.  Throws ContractViolation when the
-  /// requested k cannot accommodate d (pool exhausted) or k > 20.
-  explicit HsiaoCode(int data_bits, int check_bits = 0);
+  /// requested k cannot accommodate d (pool exhausted) or k > 20.  An empty
+  /// `name` defaults to the spec string "hsiao:D/K".
+  explicit HsiaoCode(int data_bits, int check_bits = 0, std::string name = {});
 
   /// Smallest k with 2^(k-1) - k >= d odd-weight non-unit columns.
   [[nodiscard]] static int min_check_bits(int data_bits) noexcept;
@@ -39,8 +40,7 @@ class HsiaoCode final : public Code {
   [[nodiscard]] Verdict evaluate(
       std::span<const int> error_bits) const override;
 
-  /// Parity-check column of data bit `i` (testing hook mirroring
-  /// Secded7264::data_column).
+  /// Parity-check column of data bit `i` (testing hook).
   [[nodiscard]] std::uint32_t data_column(int i) const noexcept {
     return columns_[static_cast<std::size_t>(i)];
   }

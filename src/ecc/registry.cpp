@@ -2,8 +2,8 @@
 
 #include <charconv>
 
-#include "ecc/adapters.hpp"
 #include "ecc/bch.hpp"
+#include "ecc/chipkill.hpp"
 #include "ecc/hamming.hpp"
 #include "ecc/hsiao.hpp"
 #include "ecc/large.hpp"
@@ -41,7 +41,7 @@ const char* to_string(Verdict verdict) noexcept {
 
 std::unique_ptr<Code> make_code(std::string_view spec, std::string* error) {
   try {
-    if (spec == "secded72") return std::make_unique<Secded7264Code>();
+    if (spec == "secded72") return std::make_unique<HsiaoCode>(64, 8, "secded72");
     if (spec == "chipkill") return std::make_unique<ChipkillCode>();
 
     const std::size_t colon = spec.find(':');

@@ -3,7 +3,7 @@
 // The spec vocabulary (shared by unp_ecc, the report section, the perf
 // gate, and the tests):
 //
-//   secded72          the canonical Hsiao SECDED(72,64) singleton
+//   secded72          the study's SECDED(72,64): hsiao:64/8 by name
 //   chipkill          SSC-DSD symbol code over x4 devices
 //   hamming:D         extended Hamming SEC-DED, D data bits
 //   hsiao:D/K         odd-weight-column SEC-DED, K=0 auto-sizes

@@ -1,20 +1,40 @@
 #include "resilience/ecc_whatif.hpp"
 
+#include <bit>
 #include <cstdlib>
+
+#include "common/thread_pool.hpp"
+#include "ecc/registry.hpp"
 
 namespace unp::resilience {
 
 EccWhatIf ecc_what_if(const std::vector<analysis::FaultRecord>& faults) {
+  std::vector<Word> masks;
+  masks.reserve(faults.size());
+  for (const auto& f : faults) masks.push_back(f.flip_mask());
+
   EccWhatIf result;
-  for (const auto& f : faults) {
-    result.parity.add(ecc::parity_outcome(f.expected, f.actual));
-    result.secded.add(ecc::secded_outcome(f.expected, f.actual));
-    result.chipkill.add(ecc::chipkill_outcome(f.expected, f.actual));
-    const int bits = f.flipped_bits();
-    if (bits >= 2) ++result.multibit_faults;
-    if (bits == 2) ++result.double_bit_faults;
-    if (bits > 2) ++result.beyond_secded_guarantee;
+  for (const Word mask : masks) {
+    if (mask == 0) continue;
+    result.parity.add(std::popcount(mask) % 2 == 1 ? ecc::Verdict::kDetectOnly
+                                                   : ecc::Verdict::kSdc);
   }
+
+  // The engine's tallies are thread-count invariant; one worker suffices.
+  ThreadPool pool(1);
+  result.secded =
+      ecc::evaluate_population(*ecc::make_code("secded72"), masks, pool);
+  result.chipkill =
+      ecc::evaluate_population(*ecc::make_code("chipkill"), masks, pool);
+
+  const auto class_total = [&](ecc::PopulationClass c) {
+    return result.secded.by_class[static_cast<std::size_t>(c)].total();
+  };
+  result.double_bit_faults = class_total(ecc::PopulationClass::kDoubleBit);
+  result.beyond_secded_guarantee = class_total(ecc::PopulationClass::kFewBit) +
+                                   class_total(ecc::PopulationClass::kManyBit);
+  result.multibit_faults =
+      result.double_bit_faults + result.beyond_secded_guarantee;
   return result;
 }
 

@@ -11,22 +11,26 @@
 #include <vector>
 
 #include "analysis/extraction.hpp"
-#include "ecc/outcome.hpp"
+#include "ecc/code.hpp"
+#include "ecc/engine.hpp"
 
 namespace unp::resilience {
 
 struct EccWhatIf {
-  ecc::OutcomeCounts parity;
-  ecc::OutcomeCounts secded;
-  ecc::OutcomeCounts chipkill;
-  /// Faults with >= `sdc_bit_threshold` flipped bits (the paper's
-  /// "more than 2 corrupted bits could pass undetected").
+  /// A per-word parity bit: odd flip counts are detected (detect_only),
+  /// even ones pass silently (sdc); it corrects nothing.
+  ecc::VerdictCounts parity;
+  ecc::PopulationResult secded;    ///< registry code `secded72`
+  ecc::PopulationResult chipkill;  ///< registry code `chipkill`
+  /// Faults with more than 2 flipped bits (the paper's "more than 2
+  /// corrupted bits could pass undetected").
   std::uint64_t beyond_secded_guarantee = 0;
   std::uint64_t multibit_faults = 0;
   std::uint64_t double_bit_faults = 0;
 };
 
-/// Classify every fault under SECDED(72,64) and the chipkill model.
+/// Replay every fault's flip mask through SECDED(72,64), chipkill and
+/// parity.  Faults with no flipped bit are skipped.
 [[nodiscard]] EccWhatIf ecc_what_if(const std::vector<analysis::FaultRecord>& faults);
 
 /// The isolation analysis of Section III-D: for each fault beyond SECDED's

@@ -194,8 +194,26 @@ TEST(EccCli, StoreExcludesLivePipelineFlags) {
   EXPECT_EQ(run(kEcc + " --population --store x.unpf --seed 5"), 2);
 }
 
-TEST(EccCli, CheckClassifierRequiresPopulation) {
-  EXPECT_EQ(run(kEcc + " --check-classifier --exhaustive 2"), 2);
+TEST(EccCli, PopulationRefusesNarrowCodeUpFront) {
+  // Population masks are 32-bit; a narrower code is refused at parse time,
+  // naming the code and its data width, before any campaign is simulated.
+  int exit_code = 0;
+  const std::string err =
+      run_stderr(kEcc + " --population --code hamming:8", exit_code);
+  EXPECT_EQ(exit_code, 2);
+  EXPECT_NE(err.find("hamming:8"), std::string::npos) << err;
+  EXPECT_NE(err.find("8 data bits"), std::string::npos) << err;
+  EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
+}
+
+TEST(EccCli, ExhaustiveRefusesWeightBeyondCodeword) {
+  int exit_code = 0;
+  const std::string err =
+      run_stderr(kEcc + " --code hamming:4 --exhaustive 20", exit_code);
+  EXPECT_EQ(exit_code, 2);
+  EXPECT_NE(err.find("hamming:4"), std::string::npos) << err;
+  EXPECT_NE(err.find("8 bits"), std::string::npos) << err;
+  EXPECT_EQ(err.find("precondition"), std::string::npos) << err;
 }
 
 TEST(EccCli, MissingStoreFileExitsTwo) {

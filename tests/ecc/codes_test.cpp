@@ -1,44 +1,26 @@
 // The pluggable codes against ground truth: exhaustive guarantees per
-// family, a pinned miscorrection census for 3-/4-bit upsets, agreement of
-// the fixed mask classifier (ecc/outcome.hpp) with real decode, the large-
-// codeword EDC fast path and its CRC-aliasing SDC window, and the registry's
-// malformed-spec contract.
+// family, a pinned miscorrection census for 3-/4-bit upsets, the Hsiao
+// parity-check columns, chipkill's symbol rules, the large-codeword EDC fast
+// path and its CRC-aliasing SDC window, and the registry's malformed-spec
+// contract.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "common/bitops.hpp"
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "ecc/adapters.hpp"
+#include "ecc/chipkill.hpp"
 #include "ecc/engine.hpp"
+#include "ecc/hsiao.hpp"
 #include "ecc/large.hpp"
-#include "ecc/outcome.hpp"
 #include "ecc/registry.hpp"
 
 namespace unp::ecc {
 namespace {
-
-std::vector<int> bit_positions(std::uint64_t mask) {
-  std::vector<int> bits;
-  for (int b = 0; b < 64; ++b)
-    if ((mask >> b) & 1u) bits.push_back(b);
-  return bits;
-}
-
-Verdict verdict_of(EccOutcome outcome) {
-  switch (outcome) {
-    case EccOutcome::kNoError:
-    case EccOutcome::kCorrected: return Verdict::kCorrect;
-    case EccOutcome::kDetected: return Verdict::kDetectOnly;
-    case EccOutcome::kMiscorrected: return Verdict::kMiscorrect;
-    case EccOutcome::kUndetected: return Verdict::kSdc;
-  }
-  return Verdict::kSdc;
-}
 
 ExhaustiveResult sweep(const std::string& spec, int max_weight) {
   const auto code = make_code(spec);
@@ -99,8 +81,8 @@ TEST(CodesTest, PinnedCensusSecded72) {
 }
 
 TEST(CodesTest, HsiaoAutoSizedMatchesCanonicalSecded72Exactly) {
-  // The generalized odd-weight-column construction at (64, 8) must
-  // reproduce the hand-built Secded7264 H matrix outcome-for-outcome.
+  // `secded72` is the odd-weight-column construction at (64, 8) under the
+  // study's name: the two specs must agree outcome-for-outcome.
   const ExhaustiveResult hsiao = sweep("hsiao:64/8", 4);
   const ExhaustiveResult secded = sweep("secded72", 4);
   ASSERT_EQ(hsiao.weights.size(), secded.weights.size());
@@ -129,49 +111,78 @@ TEST(CodesTest, PinnedCensusBch64T2) {
   EXPECT_EQ(r.weights[3].counts.sdc, 0u);
 }
 
-// --- the fixed classifier agrees with real decode -------------------------
-
-TEST(CodesTest, ClassifierAgreesWithRealDecodeOnAllMasksUpToWeight4) {
-  const Secded7264Code secded;
-  const ChipkillCode chipkill;
-  ThreadPool pool(1);
-  std::uint64_t checked = 0;
-  for (std::uint32_t w1 = 0; w1 < 32; ++w1)
-    for (std::uint32_t w2 = w1; w2 < 32; ++w2)
-      for (std::uint32_t w3 = w2; w3 < 32; ++w3)
-        for (std::uint32_t w4 = w3; w4 < 32; ++w4) {
-          const Word mask = (Word{1} << w1) | (Word{1} << w2) |
-                            (Word{1} << w3) | (Word{1} << w4);
-          const std::vector<int> bits = bit_positions(mask);
-          // Verdicts are data-independent for these linear codes; spot-check
-          // that the classifier agrees regardless of the word it lands on.
-          for (const Word expected : {Word{0}, Word{0xDEADBEEF}}) {
-            const Word observed = expected ^ mask;
-            ASSERT_EQ(verdict_of(secded_outcome(expected, observed)),
-                      secded.evaluate(bits))
-                << "secded mask 0x" << std::hex << mask;
-            ASSERT_EQ(verdict_of(chipkill_outcome(expected, observed)),
-                      chipkill.evaluate(bits))
-                << "chipkill mask 0x" << std::hex << mask;
-          }
-          ++checked;
-        }
-  EXPECT_EQ(checked, 52360u);  // multisets of 4 positions from 32
+TEST(CodesTest, PinnedCensusChipkill) {
+  // Every pattern touching one symbol is corrected, two are detected, and
+  // three or more pass silently when a data bit is hit; miscorrection never
+  // happens in the outcome model.
+  const ExhaustiveResult r = sweep("chipkill", 4);
+  ASSERT_EQ(r.codeword_bits, 72);
+  const VerdictCounts expected[] = {
+      {.correct = 72, .miscorrect = 0, .detect_only = 0, .sdc = 0},
+      {.correct = 108, .miscorrect = 0, .detect_only = 2448, .sdc = 0},
+      {.correct = 72, .miscorrect = 0, .detect_only = 7344, .sdc = 52224},
+      {.correct = 18, .miscorrect = 0, .detect_only = 10404, .sdc = 1018368},
+  };
+  ASSERT_EQ(r.weights.size(), 4u);
+  for (std::size_t w = 0; w < 4; ++w)
+    EXPECT_EQ(r.weights[w].counts, expected[w]) << "weight " << (w + 1);
 }
 
-TEST(CodesTest, ClassifierAgreesWithRealDecodeOnRandomHeavyMasks) {
-  const Secded7264Code secded;
-  const ChipkillCode chipkill;
-  RngStream rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    const int flips = 1 + static_cast<int>(rng.uniform_u64(16));
-    Word mask = 0;
-    for (int f = 0; f < flips; ++f)
-      mask |= Word{1} << rng.uniform_u64(32);
-    const std::vector<int> bits = bit_positions(mask);
-    ASSERT_EQ(verdict_of(secded_outcome(0, mask)), secded.evaluate(bits));
-    ASSERT_EQ(verdict_of(chipkill_outcome(0, mask)), chipkill.evaluate(bits));
+// --- Hsiao parity-check columns -------------------------------------------
+
+void expect_distinct_odd_weight_columns(const HsiaoCode& code) {
+  const CodeGeometry g = code.geometry();
+  std::set<std::uint32_t> seen;
+  for (int i = 0; i < g.data_bits; ++i) {
+    const std::uint32_t col = code.data_column(i);
+    EXPECT_LT(col, std::uint32_t{1} << g.check_bits) << code.name();
+    EXPECT_EQ(std::popcount(col) % 2, 1) << code.name() << " bit " << i;
+    EXPECT_NE(std::popcount(col), 1)
+        << code.name() << ": unit columns are reserved for check bits";
+    EXPECT_TRUE(seen.insert(col).second)
+        << code.name() << ": duplicate column " << col;
   }
+}
+
+TEST(HsiaoTest, ColumnsAreDistinctOddWeight) {
+  expect_distinct_odd_weight_columns(HsiaoCode(64, 8));
+  const HsiaoCode auto_sized(32);
+  EXPECT_EQ(auto_sized.geometry().check_bits, 7);
+  expect_distinct_odd_weight_columns(auto_sized);
+}
+
+// --- chipkill symbol rules --------------------------------------------------
+
+TEST(ChipkillTest, OneNibbleIsCorrected) {
+  const ChipkillCode code;
+  EXPECT_EQ(code.evaluate(std::vector<int>{0, 1}), Verdict::kCorrect);
+  EXPECT_EQ(code.evaluate(std::vector<int>{4, 5, 6, 7}), Verdict::kCorrect);
+  // A whole-nibble flip is beyond SECDED's guarantee: the reliability gap.
+  EXPECT_NE(make_code("secded72")->evaluate(std::vector<int>{4, 5, 6, 7}),
+            Verdict::kCorrect);
+}
+
+TEST(ChipkillTest, TwoSymbolsAreDetectOnly) {
+  const ChipkillCode code;
+  EXPECT_EQ(code.evaluate(std::vector<int>{3, 4}), Verdict::kDetectOnly);
+  EXPECT_EQ(code.evaluate(std::vector<int>{0, 8}), Verdict::kDetectOnly);
+  EXPECT_EQ(code.evaluate(std::vector<int>{4, 5, 6, 7, 12, 13, 14, 15}),
+            Verdict::kDetectOnly);
+}
+
+TEST(ChipkillTest, ThreeOrMoreSymbolsWithDataHitAreSdc) {
+  const ChipkillCode code;
+  EXPECT_EQ(code.evaluate(std::vector<int>{0, 4, 8}), Verdict::kSdc);
+  EXPECT_EQ(code.evaluate(std::vector<int>{0, 64, 68}), Verdict::kSdc);
+  std::vector<int> all_data;
+  for (int b = 0; b < 64; ++b) all_data.push_back(b);
+  EXPECT_EQ(code.evaluate(all_data), Verdict::kSdc);
+}
+
+TEST(ChipkillTest, CheckSymbolOnlyDamageIsCorrect) {
+  const ChipkillCode code;
+  EXPECT_EQ(code.evaluate(std::vector<int>{64, 65, 66, 67}), Verdict::kCorrect);
+  EXPECT_EQ(code.evaluate(std::vector<int>{64, 71}), Verdict::kDetectOnly);
 }
 
 // --- large-codeword EDC-first behaviour -----------------------------------

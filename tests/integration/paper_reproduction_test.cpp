@@ -281,9 +281,10 @@ TEST(PaperSdc, SectionIIID) {
   // "The other 9 memory errors corrupted more than 2 bits".
   EXPECT_NEAR(static_cast<double>(whatif.beyond_secded_guarantee), 9.0, 6.0);
   // SECDED corrects the single-bit mass and detects the doubles.
-  EXPECT_GT(whatif.secded.corrected, 40000u);
-  EXPECT_GT(whatif.secded.detected, 30u);
-  EXPECT_GT(whatif.secded.silent() + whatif.secded.detected, 0u);
+  EXPECT_GT(whatif.secded.total().correct, 40000u);
+  EXPECT_GT(whatif.secded.total().detect_only, 30u);
+  EXPECT_GT(whatif.secded.total().silent() + whatif.secded.total().detect_only,
+            0u);
 
   // The seven >3-bit faults sit on otherwise error-free nodes.
   const auto reports = resilience::sdc_isolation_report(p.extraction.faults, 4);

@@ -120,18 +120,40 @@ TEST(Checkpoint, AdaptivePolicyWinsUnderBimodalRegimes) {
 
 TEST(EccWhatIf, CountsPerScheme) {
   std::vector<FaultRecord> faults{
-      fault({1, 1}, 100, 0),                                     // single bit
-      fault({1, 1}, 200, 64, 0xFFFFFFFFu, 0xFFFF7BFFu),          // double
-      fault({1, 1}, 300, 128, 0xFFFFFFFFu, 0xFFFFFF0Fu),         // 4-bit nibble
+      fault({1, 1}, 100, 0, 0xFFFFFFFFu, 0xFFFFFFFFu),   // no flip: skipped
+      fault({1, 1}, 200, 0),                             // 1 bit
+      fault({1, 1}, 300, 64, 0xFFFFFFFFu, 0xFFFF7BFFu),  // 2 bits, 2 nibbles
+      fault({1, 2}, 400, 0, 0xFFFFFFFFu, 0xFFFF73FFu),   // 3 bits, 2 nibbles
+      fault({1, 2}, 500, 64, 0xFFFFFFFFu, 0xFC3FFFFFu),  // 4 bits, 2 nibbles
+      fault({2, 1}, 600, 0, 0x00000000u, 0x00000111u),   // 3 bits, 3 nibbles
+      fault({2, 1}, 700, 64, 0x00000000u, 0x000000F0u),  // 4 bits, 1 nibble
+      fault({2, 2}, 800, 0),                             // 1 bit
   };
-  const EccWhatIf result = ecc_what_if(faults);
-  EXPECT_EQ(result.multibit_faults, 2u);
-  EXPECT_EQ(result.double_bit_faults, 1u);
-  EXPECT_EQ(result.beyond_secded_guarantee, 1u);
-  EXPECT_EQ(result.secded.corrected, 1u);
-  EXPECT_GE(result.secded.detected, 1u);
-  // The aligned-nibble fault is chipkill-correctable.
-  EXPECT_EQ(result.chipkill.corrected, 2u);
+  const EccWhatIf r = ecc_what_if(faults);
+
+  EXPECT_EQ(r.multibit_faults, 5u);
+  EXPECT_EQ(r.double_bit_faults, 1u);
+  EXPECT_EQ(r.beyond_secded_guarantee, 4u);
+
+  // Parity flags the odd flip counts (1, 3, 3, 1 bits) and misses the even.
+  EXPECT_EQ(r.parity, (ecc::VerdictCounts{.detect_only = 4, .sdc = 3}));
+
+  // SECDED: the singles are repaired, the double detected; the wider faults
+  // (beyond the guarantee) are never repaired.
+  EXPECT_EQ(r.secded.faults, 7u);
+  EXPECT_EQ(r.secded.total().total(), 7u);
+  EXPECT_EQ(r.secded.total().correct, 2u);
+  const auto secded_class = [&](ecc::PopulationClass c) {
+    return r.secded.by_class[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(secded_class(ecc::PopulationClass::kDoubleBit).detect_only, 1u);
+  EXPECT_EQ(secded_class(ecc::PopulationClass::kFewBit).correct, 0u);
+
+  // Chipkill: one-nibble faults repaired, two-nibble detected, the
+  // three-nibble fault silent.
+  EXPECT_EQ(r.chipkill.faults, 7u);
+  EXPECT_EQ(r.chipkill.total(),
+            (ecc::VerdictCounts{.correct = 3, .detect_only = 3, .sdc = 1}));
 }
 
 TEST(EccWhatIf, IsolationReportFindsQuietNodes) {

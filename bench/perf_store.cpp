@@ -1,12 +1,12 @@
 // Performance gate: columnar-store queries vs cached re-extraction.
 //
-// The pre-store workflow answers every figure-level question by reloading
-// the cached campaign (25M+ raw records) and re-running batch extraction,
+// Without a store, every figure-level question replays the cached campaign
+// (25M+ raw records) through the streaming extractor, as unp_report does,
 // even though the answer only needs the ~10^4 extracted faults.  This bench
-// builds a UNPF store once from the warm cache, then measures, per queried
-// figure:
+// builds a UNPF store once (filling the cache if it is cold), then
+// measures, per queried figure:
 //
-//   re-extract  - reload cached campaign + extract_faults + compute product;
+//   re-extract  - replay the cache into a StreamingExtractor + compute;
 //   store scan  - open the store + scan the query's columns + compute.
 //
 // Gates (non-zero exit on failure):
@@ -88,11 +88,9 @@ int main() {
   bench::print_header(
       "perf_store - columnar fault store vs cached re-extraction",
       "figure queries answered from the UNPF store >= 5x faster than "
-      "reload+extract; zone-map pruning scans fewer segments for equal "
+      "replay+extract; zone-map pruning scans fewer segments for equal "
       "results");
 
-  // Warm the cache so the re-extraction side measures its steady state.
-  (void)bench::default_data();
   if (bench::default_cache_path().empty()) {
     std::printf("campaign cache disabled (UNP_CAMPAIGN_CACHE=off); the\n"
                 "re-extraction emulation needs the cache - nothing to "
@@ -102,18 +100,19 @@ int main() {
 
   const std::size_t threads = sim::default_campaign_threads();
   const std::string store_path = bench::default_cache_path() + ".perf.unpf";
+  const sim::CampaignConfig config{};
 
-  {  // Build the store once from the same warm cache (not timed by a gate).
+  {  // Build the store once; this pass also warms the cache, so the
+     // re-extraction side measures its steady state (not timed by a gate).
     const auto t0 = std::chrono::steady_clock::now();
     analysis::ScanProfileSink scan;
     analysis::StreamingExtractor extractor;
-    const bench::StreamStats acquire =
-        bench::stream_campaign(sim::CampaignConfig{},
-                               analysis::ExtractionConfig{},
-                               {&scan, &extractor}, threads);
+    const bench::StreamStats acquire = bench::stream_campaign(
+        config, analysis::ExtractionConfig{}, {&scan, &extractor}, threads);
     const analysis::ExtractionResult extraction = extractor.finish();
     store::write_store(store_path, extraction, scan, acquire.fingerprint);
-    std::printf("store build (warm cache)        : %9.1f ms  (%llu faults)\n",
+    std::printf("store build (%s)        : %9.1f ms  (%llu faults)\n",
+                acquire.from_cache ? "warm cache" : "cold cache",
                 ms_since(t0),
                 static_cast<unsigned long long>(extraction.faults.size()));
   }
@@ -127,13 +126,14 @@ int main() {
   double store_total = 0.0;
   for (const FigureQuery& fq : kQueries) {
     const auto t_a = std::chrono::steady_clock::now();
-    sim::CampaignResult campaign;
-    if (!bench::reload_default_campaign(campaign)) {
-      std::printf("cache reload failed; aborting comparison\n");
+    analysis::StreamingExtractor extractor;
+    if (!bench::stream_campaign(config, analysis::ExtractionConfig{},
+                                {&extractor}, threads)
+             .from_cache) {
+      std::printf("cache replay failed; aborting comparison\n");
       return 1;
     }
-    const analysis::ExtractionResult extraction =
-        analysis::extract_faults(campaign.archive);
+    const analysis::ExtractionResult extraction = extractor.finish();
     std::vector<analysis::FaultRecord> subset;
     for (const analysis::FaultRecord& f : extraction.faults) {
       if (fq.query.matches(
@@ -141,7 +141,7 @@ int main() {
               f.first_seen, f.flipped_bits()))
         subset.push_back(f);
     }
-    fq.compute(subset, campaign.archive.window());
+    fq.compute(subset, config.window);
     const double a_ms = ms_since(t_a);
 
     const auto t_b = std::chrono::steady_clock::now();

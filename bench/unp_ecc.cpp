@@ -5,7 +5,9 @@
 //
 //   --exhaustive K   enumerate EVERY error pattern of weight 1..K over each
 //                    selected code's codeword and tabulate the verdicts —
-//                    the code's complete multi-bit-upset characterization;
+//                    the code's complete multi-bit-upset characterization
+//                    (a default-menu code beyond the pattern ceiling is
+//                    listed as skipped; a --code beyond it exits 2);
 //   --population     replay the campaign's extracted fault masks through
 //                    each code, tallied per corruption-multiplicity class
 //                    (faults come from --store, else the live pipeline);
@@ -57,7 +59,8 @@ void usage(std::FILE* out) {
       "                     hamming:D | hsiao:D[/K] | bch:D/T |\n"
       "                     large:512B|1KB|4KB[/T]\n"
       "  --exhaustive K     enumerate all error patterns of weight 1..K\n"
-      "                     (refused when the pattern count is intractable)\n"
+      "                     (an intractable pattern count refuses a --code\n"
+      "                     and skips a default-menu code)\n"
       "  --population       replay extracted fault masks through each code\n"
       "  --sweep            default codes, --exhaustive 3 + --population\n"
       "  --store PATH       fault source for --population: a UNPF store\n"
@@ -169,10 +172,12 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 /// Workload ceiling for --exhaustive: enumerating beyond this many patterns
 /// for one code is refused with the estimate instead of running for hours.
+/// A code named with --code is refused outright (exit 2); a code from the
+/// default menu is reported as skipped and the run goes on.
 constexpr std::uint64_t kMaxExhaustivePatterns = 2'000'000'000ULL;
 
 int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
-                   int max_weight, ThreadPool& pool) {
+                   int max_weight, bool skip_over_limit, ThreadPool& pool) {
   bench::print_header(
       "ECC evaluation engine - exhaustive multi-bit-upset enumeration",
       "every C(n,k) error pattern per code for k<=" +
@@ -196,6 +201,13 @@ int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
                                         : std::max(workload + patterns, workload);
     }
     if (workload > kMaxExhaustivePatterns) {
+      if (skip_over_limit) {
+        std::printf("%s  skipped (%llu patterns > limit %llu)\n\n",
+                    std::string(code->name()).c_str(),
+                    static_cast<unsigned long long>(workload),
+                    static_cast<unsigned long long>(kMaxExhaustivePatterns));
+        continue;
+      }
       std::fprintf(stderr,
                    "unp_ecc: refusing exhaustive K=%d for %s: ~%llu patterns "
                    "(limit %llu); lower K or pick a shorter code\n",
@@ -246,7 +258,8 @@ int run(const Options& opts) {
   ThreadPool pool(opts.threads);
 
   if (opts.exhaustive_weight > 0) {
-    const int rc = run_exhaustive(codes, opts.exhaustive_weight, pool);
+    const int rc = run_exhaustive(codes, opts.exhaustive_weight,
+                                  opts.codes.empty(), pool);
     if (rc != 0) return rc;
   }
 

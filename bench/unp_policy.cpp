@@ -8,8 +8,8 @@
 //                  outcome ledgers side by side;
 //   --sweep        run the seven Table II quarantine periods as seven
 //                  shadowed policies in one pass and print Table II through
-//                  the same renderer as bench_tab2_quarantine — outcomes,
-//                  and hence output, are bit-identical to the batch sweep;
+//                  bench::print_tab2 — outcomes, and hence output, are
+//                  bit-identical to the batch resilience::quarantine_sweep;
 //   --closed-loop  actually actuate the threshold policy: quarantines cut
 //                  scan sessions, the node is re-simulated, and the fleet
 //                  report compares open- vs closed-loop observation.

@@ -1,12 +1,12 @@
 // Unified figure driver: every paper figure/table from ONE pass.
 //
-// The per-figure binaries each pay a full campaign acquisition (cache reload
-// or simulation) plus a batch extraction before printing one section.  This
-// driver acquires the record stream once (ScanProfileSink + StreamingExtractor
+// This is the one front door for the paper's figures and tables.  It
+// acquires the record stream once (ScanProfileSink + StreamingExtractor
 // riding the same replay), fans the fault-level analyzers out on the thread
-// pool, and prints any requested subset of sections through the same
-// bench::print_* renderers the individual binaries use - so each section is
-// byte-identical to its standalone binary's stdout.
+// pool, and prints any requested subset of sections through the shared
+// bench::print_* renderers.  A section's bytes do not depend on which other
+// sections are selected: --all is the concatenation of every single-section
+// run in canonical order (CI cmp's the two).
 //
 // --store PATH skips simulation and extraction entirely: faults and the scan
 // profile replay out of a prebuilt UNPF columnar store (see unp_query

@@ -298,31 +298,17 @@ std::unique_ptr<PipelineEntry> build_pipeline(
       PipelineEntry{empty_campaign(config), {}});
   sim::CampaignResult& campaign = entry->campaign;
   CampaignData& d = entry->data;
-  if (!cache_disabled()) d.stats.cache_path = cache_path_for(fingerprint);
-
-  const auto acquire_start = Clock::now();
-  if (!d.stats.cache_path.empty() &&
-      load_cached_campaign(d.stats.cache_path, config, fingerprint, campaign)) {
-    d.stats.from_cache = true;
-  } else {
-    campaign.summary = simulate_and_spill(d.stats.cache_path, fingerprint,
-                                          config, {&campaign.archive},
+  const std::string path =
+      cache_disabled() ? std::string{} : cache_path_for(fingerprint);
+  if (path.empty() ||
+      !load_cached_campaign(path, config, fingerprint, campaign)) {
+    campaign.summary = simulate_and_spill(path, fingerprint, config,
+                                          {&campaign.archive},
                                           sim::default_campaign_threads());
   }
-  d.stats.acquire_ms = ms_since(acquire_start);
   d.campaign = &campaign;
-
-  const auto extract_start = Clock::now();
   d.extraction = analysis::extract_faults(campaign.archive, extraction);
-  d.stats.extract_ms = ms_since(extract_start);
-
-  const auto group_start = Clock::now();
   d.groups = analysis::group_simultaneous(d.extraction.faults);
-  d.stats.group_ms = ms_since(group_start);
-
-  d.stats.raw_records = d.extraction.total_raw_logs;
-  d.stats.faults = d.extraction.faults.size();
-  d.stats.groups = d.groups.size();
   return entry;
 }
 
@@ -394,23 +380,6 @@ std::string default_cache_path() {
   if (cache_disabled()) return {};
   return cache_path_for(
       campaign_fingerprint(default_config(), analysis::ExtractionConfig{}));
-}
-
-void invalidate_default_cache() {
-  const std::string path = default_cache_path();
-  if (path.empty()) return;
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-}
-
-bool reload_default_campaign(sim::CampaignResult& out) {
-  const std::string path = default_cache_path();
-  if (path.empty()) return false;
-  const sim::CampaignConfig& config = default_config();
-  out = empty_campaign(config);
-  return load_cached_campaign(
-      path, config,
-      campaign_fingerprint(config, analysis::ExtractionConfig{}), out);
 }
 
 StreamStats stream_campaign(const sim::CampaignConfig& config,

@@ -1,11 +1,13 @@
-// Shared bench scaffolding: every figure/table binary consumes the same
-// calibrated campaign (seed 42) and extraction, then prints its own view.
+// Shared bench scaffolding: every bench driver consumes the same calibrated
+// campaign (seed 42) and extraction, then prints its own view.
 //
 // The campaign is acquired through an on-disk cache: the first bench process
 // simulates it (multithreaded) while spilling the record stream plus ground
-// truth and accounting to a cache file; every later process — i.e. the other
-// ~35 bench binaries of a full experiment sweep — reloads that file in
-// milliseconds instead of re-simulating seconds of fleet timeline.
+// truth and accounting to a cache file; every later process — unp_report,
+// the ablation/extension benches, the perf gates — replays that file
+// instead of re-simulating seconds of fleet timeline.  Front ends stream it
+// (stream_campaign); default_data() materializes archive and extraction
+// for the benches that need the whole campaign in memory.
 //
 // Cache file (binary, varint/f64 encodings from telemetry/binary_codec):
 //
@@ -35,24 +37,10 @@
 
 namespace unp::bench {
 
-/// Wall-clock + volume instrumentation of the shared pipeline stages,
-/// reported by bench_perf_pipeline.
-struct PipelineStats {
-  bool from_cache = false;   ///< archive reloaded from disk vs simulated
-  std::string cache_path;    ///< file used (empty when caching is disabled)
-  double acquire_ms = 0.0;   ///< campaign acquisition (reload or simulate+spill)
-  double extract_ms = 0.0;   ///< fault extraction
-  double group_ms = 0.0;     ///< simultaneity grouping
-  std::uint64_t raw_records = 0;  ///< raw ERROR lines entering extraction
-  std::uint64_t faults = 0;       ///< independent faults extracted
-  std::uint64_t groups = 0;       ///< simultaneous groups
-};
-
 struct CampaignData {
   const sim::CampaignResult* campaign = nullptr;
   analysis::ExtractionResult extraction;
   std::vector<analysis::SimultaneousGroup> groups;  ///< over extraction.faults
-  PipelineStats stats;
 };
 
 /// Digest of everything that determines the shared pipeline's products:
@@ -83,14 +71,6 @@ struct CampaignData {
 
 /// Cache file the default campaign maps to ("" when caching is disabled).
 [[nodiscard]] std::string default_cache_path();
-
-/// Delete the default campaign's cache file if present (tooling/tests).
-void invalidate_default_cache();
-
-/// Reload the default campaign from its cache file into `out`.  Returns
-/// false when caching is disabled or the file is missing/stale/corrupt.
-/// Exposed so the perf benches can measure the reload path in isolation.
-bool reload_default_campaign(sim::CampaignResult& out);
 
 /// Instrumentation of a one-pass streaming acquisition.
 struct StreamStats {

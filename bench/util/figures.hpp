@@ -1,14 +1,15 @@
 // Shared renderers for every paper figure/table the bench suite prints.
 //
 // Each renderer takes finished analysis products and writes one complete,
-// self-describing report section (header included) to stdout.  Both front
-// ends call these with equal values, so their output is byte-identical by
+// self-describing report section (header included) to stdout.  Every front
+// end calls these with equal values, so their output is byte-identical by
 // construction:
 //
-//   - the per-figure binaries (bench_fig01.., bench_tab1.., bench_ext_..)
-//     compute their products with the batch entry points;
-//   - unp_report computes all products in one streaming pass and prints any
-//     requested subset.
+//   - unp_report computes all products in one streaming pass (live or from
+//     a UNPF store) and prints any requested subset;
+//   - unp_query and unp_serve render the same sections over a store
+//     predicate;
+//   - unp_policy --sweep prints Table II from the online policy engine.
 #pragma once
 
 #include <cstdio>
@@ -98,9 +99,9 @@ void print_fig13(const analysis::AutoRegime& result,
                  const CampaignWindow& window,
                 FILE* out = stdout);
 
-/// Table II: quarantine-period sweep.  Both the batch bench
-/// (bench_tab2_quarantine) and the online policy engine (unp_policy --sweep)
-/// print through this, so equal outcomes render byte-identically.
+/// Table II: quarantine-period sweep, as printed by the online policy
+/// engine (unp_policy --sweep).  Outcomes equal to the batch
+/// resilience::quarantine_sweep render byte-identically.
 void print_tab2(const std::vector<resilience::QuarantineOutcome>& sweep,
                 FILE* out = stdout);
 

@@ -18,9 +18,11 @@ int run(const std::string& args_for_binary) {
   return WEXITSTATUS(status);
 }
 
-/// Run with stderr captured (stdout discarded), for diagnostics contracts.
-std::string run_stderr(const std::string& args_for_binary, int& exit_code) {
-  const std::string command = args_for_binary + " 2>&1 >/dev/null";
+/// Run with one stream captured and the other discarded: `redirect` is the
+/// shell redirection applied after the arguments.
+std::string run_capture(const std::string& args_for_binary,
+                        const char* redirect, int& exit_code) {
+  const std::string command = args_for_binary + redirect;
   std::FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
   std::string output;
@@ -30,6 +32,16 @@ std::string run_stderr(const std::string& args_for_binary, int& exit_code) {
   EXPECT_TRUE(WIFEXITED(status)) << command;
   exit_code = WEXITSTATUS(status);
   return output;
+}
+
+/// Run with stderr captured (stdout discarded), for diagnostics contracts.
+std::string run_stderr(const std::string& args_for_binary, int& exit_code) {
+  return run_capture(args_for_binary, " 2>&1 >/dev/null", exit_code);
+}
+
+/// Run with stdout captured (stderr discarded).
+std::string run_stdout(const std::string& args_for_binary, int& exit_code) {
+  return run_capture(args_for_binary, " 2>/dev/null", exit_code);
 }
 
 const std::string kReport = UNP_REPORT_BIN;
@@ -184,6 +196,18 @@ TEST(EccCli, ExhaustiveWorkloadRefusalExitsTwo) {
   // C(72,16) patterns is far beyond the enumerable ceiling; the CLI must
   // refuse with an estimate instead of starting a year-long loop.
   EXPECT_EQ(run(kEcc + " --code secded72 --exhaustive 16"), 2);
+}
+
+TEST(EccCli, DefaultMenuSkipsOverLimitCodes) {
+  // With no --code, a menu code beyond the enumeration ceiling is listed as
+  // skipped and the run goes on: K=3 over the large codes is ~10^10+
+  // patterns, while every other menu code enumerates in milliseconds.
+  int exit_code = 0;
+  const std::string out = run_stdout(kEcc + " --exhaustive 3", exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(out.find("large:512B/8  skipped ("), std::string::npos) << out;
+  EXPECT_NE(out.find("large:4KB/8  skipped ("), std::string::npos) << out;
+  EXPECT_NE(out.find("bch:64/2"), std::string::npos) << out;
 }
 
 TEST(EccCli, StoreRequiresPopulationMode) {

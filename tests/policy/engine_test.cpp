@@ -207,8 +207,8 @@ TEST(PolicyEngine, LoudestNodeExcludedFromLedgers) {
 }
 
 // Acceptance: the full default campaign, streamed once, reproduces the
-// entire batch Table II sweep bit-identically (what `unp_policy --sweep`
-// prints vs bench_tab2_quarantine).
+// entire batch Table II sweep bit-identically (`unp_policy --sweep` prints
+// the engine's outcomes; resilience::quarantine_sweep is the oracle).
 TEST(PolicyEngine, DefaultCampaignSweepBitIdenticalToBatch) {
   const sim::CampaignResult& campaign = sim::default_campaign();
   PolicyEngine engine;

@@ -4,9 +4,12 @@
 // live_scan tool or an exported campaign), then run the paper's complete
 // Section II-C + III analysis over them.
 //
-//   analyze_logs --export-archive camp.bin     # write the default campaign
-//   analyze_logs --archive camp.bin            # analyze a binary archive
+//   analyze_logs --export-archive camp.unps    # write the default campaign
+//   analyze_logs --archive camp.unps           # analyze a UNPS stream
 //   analyze_logs node1.log node2.log ...       # analyze text log files
+//
+// --archive reads any UNPS stream: an --export-archive file or the merged
+// output of `unp_campaign --merge`.
 //
 // Text logs use the line format produced by live_scan / telemetry codec;
 // each file may contain records of one node (host= field names it).
@@ -21,7 +24,7 @@
 #include "analysis/regime.hpp"
 #include "common/table.hpp"
 #include "sim/campaign.hpp"
-#include "telemetry/binary_codec.hpp"
+#include "telemetry/archive_io.hpp"
 #include "telemetry/codec.hpp"
 
 namespace {
@@ -110,12 +113,13 @@ int main(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "--export-archive") == 0) {
     std::printf("simulating the default campaign...\n");
     const sim::CampaignResult& campaign = sim::default_campaign();
-    telemetry::save_archive(campaign.archive, argv[2]);
+    std::ofstream os(argv[2], std::ios::binary | std::ios::trunc);
+    telemetry::save_archive_stream(campaign.archive, os);
     std::printf("wrote %s\n", argv[2]);
     return 0;
   }
   if (argc >= 3 && std::strcmp(argv[1], "--archive") == 0) {
-    report(telemetry::load_archive(argv[2]));
+    report(telemetry::load_archive_stream(argv[2]));
     return 0;
   }
   if (argc >= 2 && argv[1][0] != '-') {

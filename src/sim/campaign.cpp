@@ -77,7 +77,7 @@ namespace {
 struct NodeSlot {
   telemetry::NodeLog log;
   SessionSimArena sim;
-  std::string encoded;         ///< pre-encoded UNPA body
+  std::string encoded;         ///< pre-encoded node-log body
   telemetry::EncodeArena enc;  ///< gather scratch for the batch kernels
 };
 
@@ -187,8 +187,8 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   const std::size_t block = std::max<std::size_t>(threads * 8, 32);
   const telemetry::kernels::EncodeKernels& encode =
       telemetry::kernels::active_encode_kernels();
-  // Pre-encode UNPA bodies in the workers only when some sink will actually
-  // consume bytes; record-routing sinks never pay for encoding.
+  // Pre-encode node-log bodies in the workers only when some sink will
+  // actually consume bytes; record-routing sinks never pay for encoding.
   bool wants_encoded = false;
   for (const auto* sink : sinks)
     wants_encoded = wants_encoded || sink->wants_encoded_node_log();

@@ -106,8 +106,8 @@ struct CampaignResult {
 /// full framing (begin_campaign .. end_campaign, nodes ascending by index)
 /// as soon as each node block completes; only a bounded block of node logs
 /// is ever resident.  Each node reaches every sink as one bulk
-/// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the UNPA
-/// body is encoded once per node in the simulation workers with the active
+/// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the
+/// node-log body is encoded once per node in the simulation workers with the active
 /// encode kernels and shared by every sink.  `threads` > 1 parallelizes
 /// planning and session simulation; the emitted stream is bit-identical for
 /// any thread count and any encode kernel set.

@@ -1,5 +1,6 @@
 #include "telemetry/archive_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -19,6 +20,35 @@ constexpr std::uint8_t kStreamVersion = 1;
 constexpr std::uint64_t kEndFrame =
     static_cast<std::uint64_t>(cluster::kStudyNodeSlots);
 
+/// Read exactly `size` bytes.  The buffer grows only by what the stream
+/// reports present (in_avail, a lower bound) or by kReadStep, so a lying
+/// length costs at most the bytes present plus one step, never the declared
+/// size.  Files and strings report up to their end, so an honest body is
+/// read in at most two pieces.
+std::string read_exact(std::istream& is, std::uint64_t size) {
+  constexpr std::uint64_t kReadStep = std::uint64_t{1} << 20;
+  const std::uint64_t start = stream_offset(is);
+  std::string out;
+  while (out.size() < size) {
+    const std::size_t have = out.size();
+    const std::streamsize avail = is.rdbuf()->in_avail();
+    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
+        size - have,
+        std::max<std::uint64_t>(
+            kReadStep, avail > 0 ? static_cast<std::uint64_t>(avail) : 0)));
+    out.resize(have + want);
+    is.read(out.data() + have, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    if (got != want)
+      throw DecodeError("truncated block (wanted " + std::to_string(size) +
+                            " bytes, got " + std::to_string(have + got) + ")",
+                        start);
+  }
+  return out;
+}
+
+}  // namespace
+
 void write_varint(std::ostream& os, std::uint64_t value) {
   std::string buf;
   put_varint(buf, value);
@@ -26,8 +56,6 @@ void write_varint(std::ostream& os, std::uint64_t value) {
   UNP_REQUIRE(os.good());
 }
 
-/// Stream offset for decode-error context; 0 when the stream cannot tell
-/// (already failed, or not seekable).
 std::uint64_t stream_offset(std::istream& is) {
   const std::streamoff off = is.rdstate() ? -1 : std::streamoff(is.tellg());
   return off < 0 ? 0 : static_cast<std::uint64_t>(off);
@@ -50,19 +78,6 @@ std::uint64_t read_varint(std::istream& is) {
     shift += 7;
   }
 }
-
-std::string read_exact(std::istream& is, std::uint64_t size) {
-  const std::uint64_t start = stream_offset(is);
-  std::string body(size, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(size));
-  if (static_cast<std::uint64_t>(is.gcount()) != size)
-    throw DecodeError("truncated block (wanted " + std::to_string(size) +
-                          " bytes, got " + std::to_string(is.gcount()) + ")",
-                      start);
-  return body;
-}
-
-}  // namespace
 
 ArchiveWriter::ArchiveWriter(std::ostream& os,
                              const kernels::EncodeKernels* encode)
@@ -113,13 +128,8 @@ void ArchiveWriter::on_node_log(EncodedNodeLog& log) {
   UNP_REQUIRE(node_open_ && pending_.empty());
   bulk_ = true;
   if (log.empty()) return;  // empty frames are elided
-  write_varint(*os_,
-               static_cast<std::uint64_t>(cluster::node_index(log.node())));
-  const std::string& body = log.bytes();
-  write_varint(*os_, body.size());
-  os_->write(body.data(), static_cast<std::streamsize>(body.size()));
-  UNP_REQUIRE(os_->good());
-  ++frames_;
+  write_frame(static_cast<std::uint64_t>(cluster::node_index(log.node())),
+              log.bytes());
 }
 
 void ArchiveWriter::end_node(cluster::NodeId node) {
@@ -129,15 +139,20 @@ void ArchiveWriter::end_node(cluster::NodeId node) {
     bulk_ = false;
     return;
   }
-  // Empty frames are elided, mirroring encode_archive's non-empty-only rule.
-  if (pending_.empty()) return;
-  write_varint(*os_, static_cast<std::uint64_t>(cluster::node_index(node)));
+  if (pending_.empty()) return;  // empty frames are elided
   body_.clear();
   encode_node_log_into(pending_, body_, *encode_, &arena_);
-  write_varint(*os_, body_.size());
-  os_->write(body_.data(), static_cast<std::streamsize>(body_.size()));
-  UNP_REQUIRE(os_->good());
+  write_frame(static_cast<std::uint64_t>(cluster::node_index(node)), body_);
   pending_.clear();
+}
+
+void ArchiveWriter::write_frame(std::uint64_t node_index,
+                                std::string_view body) {
+  UNP_REQUIRE(header_written_ && !finished_ && node_index < kEndFrame);
+  write_varint(*os_, node_index);
+  write_varint(*os_, body.size());
+  os_->write(body.data(), static_cast<std::streamsize>(body.size()));
+  UNP_REQUIRE(os_->good());
   ++frames_;
 }
 
@@ -152,18 +167,19 @@ void ArchiveWriter::finish() {
 }
 
 ArchiveReader::ArchiveReader(std::istream& is) : is_(&is) {
+  const std::uint64_t start = stream_offset(is);
   const std::string magic = read_exact(is, sizeof kStreamMagic);
   if (std::memcmp(magic.data(), kStreamMagic, sizeof kStreamMagic) != 0)
-    throw DecodeError("bad UNPS magic", 0);
+    throw DecodeError("bad UNPS magic", start);
   const int version = is.get();
   if (version != kStreamVersion)
     throw DecodeError("unsupported UNPS version " + std::to_string(version),
-                      sizeof kStreamMagic);
+                      start + sizeof kStreamMagic);
   window_.start = zigzag_decode(read_varint(is));
   window_.end = zigzag_decode(read_varint(is));
 }
 
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+bool ArchiveReader::next_raw(std::uint64_t& node_index, std::string& body) {
   if (done_) return false;
   const std::uint64_t frame_offset = stream_offset(*is_);
   const std::uint64_t index = read_varint(*is_);
@@ -186,23 +202,41 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
                           " not ascending (previous frame " +
                           std::to_string(last_index_) + ")",
                       frame_offset);
-  last_index_ = index;
-  node = cluster::node_from_index(static_cast<int>(index));
   const std::uint64_t size = read_varint(*is_);
-  const std::uint64_t body_offset = stream_offset(*is_);
-  const std::string body = read_exact(*is_, size);
+  body_offset_ = stream_offset(*is_);
+  body = read_exact(*is_, size);
+  last_index_ = index;
+  frame_offset_ = frame_offset;
+  node_index = index;
+  ++frames_;
+  return true;
+}
+
+NodeLog ArchiveReader::decode_body(cluster::NodeId node,
+                                   const std::string& body) const {
   std::size_t pos = 0;
+  NodeLog log;
   try {
     log = decode_node_log(body, pos, node);
   } catch (const DecodeError& e) {
     // Re-anchor the body-relative offset to the stream position.
     throw DecodeError("node frame for " + cluster::node_name(node) + ": " +
                           e.detail(),
-                      body_offset + e.byte_offset());
+                      body_offset_ + e.byte_offset());
   }
   if (pos != body.size())
-    throw DecodeError("node frame body size mismatch", body_offset + pos);
-  ++frames_;
+    throw DecodeError("node frame body size mismatch", body_offset_ + pos);
+  return log;
+}
+
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+  // A fresh body per frame: a buffer kept across frames would hold the
+  // largest body's bytes while sinks consume its decoded log.
+  std::uint64_t index = 0;
+  std::string body;
+  if (!next_raw(index, body)) return false;
+  node = cluster::node_from_index(static_cast<int>(index));
+  log = decode_body(node, body);
   return true;
 }
 
@@ -234,9 +268,7 @@ void drain_frames(
   sink.end_campaign();
 }
 
-void save_archive_stream(const CampaignArchive& archive, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  UNP_REQUIRE(os.good());
+void save_archive_stream(const CampaignArchive& archive, std::ostream& os) {
   ArchiveWriter writer(os);
   writer.begin_campaign(archive.window());
   std::string scratch;
@@ -250,7 +282,6 @@ void save_archive_stream(const CampaignArchive& archive, const std::string& path
     writer.end_node(node);
   }
   writer.finish();
-  UNP_REQUIRE(os.good());
 }
 
 CampaignArchive load_archive_stream(const std::string& path) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
 
 #include "common/require.hpp"
 #include "telemetry/kernels/kernels.hpp"
@@ -11,9 +10,6 @@
 namespace unp::telemetry {
 
 namespace {
-
-constexpr char kMagic[4] = {'U', 'N', 'P', 'A'};
-constexpr std::uint8_t kVersion = 1;
 
 double get_temp(const std::string& in, std::size_t& pos) {
   if (pos >= in.size()) throw DecodeError("truncated temperature flag", pos);
@@ -234,86 +230,6 @@ NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
     }
   }
   return log;
-}
-
-std::string encode_archive(const CampaignArchive& archive) {
-  std::string out(kMagic, sizeof kMagic);
-  out.push_back(static_cast<char>(kVersion));
-  put_varint(out, zigzag_encode(archive.window().start));
-  put_varint(out, zigzag_encode(archive.window().end));
-
-  // Only non-empty node logs are stored.
-  std::vector<int> nodes;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const NodeLog& log = archive.log(cluster::node_from_index(i));
-    if (!log.starts().empty() || !log.ends().empty() ||
-        !log.alloc_fails().empty() || !log.error_runs().empty()) {
-      nodes.push_back(i);
-    }
-  }
-  put_varint(out, nodes.size());
-  const auto& kernels = kernels::active_encode_kernels();
-  std::string body;
-  EncodeArena arena;
-  for (const int i : nodes) {
-    put_varint(out, static_cast<std::uint64_t>(i));
-    body.clear();
-    encode_node_log_into(archive.log(cluster::node_from_index(i)), body,
-                         kernels, &arena);
-    put_varint(out, body.size());
-    out += body;
-  }
-  return out;
-}
-
-CampaignArchive decode_archive(const std::string& bytes) {
-  if (bytes.size() <= 5) throw DecodeError("truncated archive header", bytes.size());
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-    throw DecodeError("bad UNPA magic", 0);
-  if (static_cast<std::uint8_t>(bytes[4]) != kVersion)
-    throw DecodeError("unsupported UNPA version", 4);
-
-  std::size_t pos = 5;
-  CampaignWindow window;
-  window.start = zigzag_decode(get_varint(bytes, pos));
-  window.end = zigzag_decode(get_varint(bytes, pos));
-  CampaignArchive archive(window);
-
-  const std::uint64_t nodes = get_varint(bytes, pos);
-  for (std::uint64_t n = 0; n < nodes; ++n) {
-    const std::size_t frame_pos = pos;
-    const std::uint64_t index = get_varint(bytes, pos);
-    if (index >= static_cast<std::uint64_t>(cluster::kStudyNodeSlots))
-      throw DecodeError("node index out of range", frame_pos);
-    const std::uint64_t size = get_varint(bytes, pos);
-    if (pos + size > bytes.size())
-      throw DecodeError("truncated node log body", pos);
-    std::size_t body_pos = pos;
-    const cluster::NodeId node = cluster::node_from_index(static_cast<int>(index));
-    archive.log(node) = decode_node_log(bytes, body_pos, node);
-    if (body_pos != pos + size)
-      throw DecodeError("node log body size mismatch", body_pos);
-    pos += size;
-  }
-  if (pos != bytes.size())
-    throw DecodeError("trailing bytes after archive", pos);
-  return archive;
-}
-
-void save_archive(const CampaignArchive& archive, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  UNP_REQUIRE(os.good());
-  const std::string bytes = encode_archive(archive);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  UNP_REQUIRE(os.good());
-}
-
-CampaignArchive load_archive(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  UNP_REQUIRE(is.good());
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  return decode_archive(bytes);
 }
 
 }  // namespace unp::telemetry

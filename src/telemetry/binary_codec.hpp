@@ -1,27 +1,25 @@
-// Compact binary serialization of telemetry.
+// Compact binary encoding of one node's telemetry, plus the varint / f64 /
+// zigzag primitives every binary format here is built from.
 //
-// The text codec is the human-facing format; a 13-month campaign archive
-// serialized as text runs to hundreds of MB.  The binary codec stores the
-// same records with varint + delta encoding (timestamps are monotone within
-// a record class, addresses cluster) so whole-campaign archives round-trip
-// through a few MB and load in milliseconds.
+// The text codec is the human-facing format; a 13-month campaign serialized
+// as text runs to hundreds of MB.  The node-log body stores the same records
+// with varint + delta encoding (timestamps are monotone within a record
+// class, addresses cluster), so a whole campaign fits in tens of MB.  The
+// body carries no node index or length: the stream format that frames it
+// (UNPS, telemetry/archive_io) supplies both.
 //
 // Format (little-endian, varint = LEB128):
 //
-//   file   := magic "UNPA" u8 version payload
-//   payload:= varint node_count { varint node_index node_log } *
 //   node_log := section(START) section(END) section(ALLOCFAIL) section(RUNS)
-//   section := varint count { record } *
+//   section  := varint count { record } *
 //
 // Timestamps are delta-encoded within each section; temperatures are raw
 // f64 bits (kNoTemperature encodes the missing reading, as in the structs).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/require.hpp"
 #include "telemetry/archive.hpp"
@@ -96,16 +94,5 @@ void encode_node_log_into(const NodeLog& log, std::string& out,
 /// Inverse of encode_node_log.
 [[nodiscard]] NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
                                       cluster::NodeId node);
-
-/// Serialize a whole campaign archive.
-[[nodiscard]] std::string encode_archive(const CampaignArchive& archive);
-
-/// Parse an encoded archive; throws DecodeError on malformed input.
-[[nodiscard]] CampaignArchive decode_archive(const std::string& bytes);
-
-/// Convenience file I/O (binary mode).  Throws ContractViolation on I/O or
-/// format errors.
-void save_archive(const CampaignArchive& archive, const std::string& path);
-[[nodiscard]] CampaignArchive load_archive(const std::string& path);
 
 }  // namespace unp::telemetry

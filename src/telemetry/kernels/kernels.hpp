@@ -51,7 +51,7 @@ using EncodeVarintsFn = void (*)(const std::uint64_t* values, std::size_t count,
 /// varint(zigzag(values[i] - prev)) with prev starting at `base`, in
 /// wraparound u64 arithmetic — the same bits as the signed
 /// zigzag_encode(int64 delta) the scalar writers computed.  This is the
-/// encoder of the UNPA/UNPS timestamp sections and the UNPF first_seen /
+/// encoder of the node-log body timestamp sections and the UNPF first_seen /
 /// address columns.
 using EncodeZigzagDeltasFn = void (*)(const std::uint64_t* values,
                                       std::size_t count, std::uint64_t base,
@@ -84,11 +84,11 @@ void kernel_append(std::string& out, const char* data, std::size_t size);
 [[nodiscard]] std::uint64_t encode_growth_count() noexcept;
 void reset_encode_growth_count() noexcept;
 
-/// Block-buffered single-value writer for interleaved sections (the UNPA
-/// record codec mixes timestamps, varint fields, and raw f64 temperature
-/// bytes per record, so batch kernels cannot run; this writer gives those
-/// sections the branch-free encode_varint fast path plus one append per
-/// ~half-KiB block instead of one push_back per byte).  Call flush() (or
+/// Block-buffered single-value writer for interleaved sections (the
+/// node-log body codec mixes timestamps, varint fields, and raw f64
+/// temperature bytes per record, so batch kernels cannot run; this writer
+/// gives those sections the branch-free encode_varint fast path plus one
+/// append per ~half-KiB block instead of one push_back per byte).  Call flush() (or
 /// destroy the writer) before touching `out` directly.
 class VarintWriter {
  public:

@@ -8,10 +8,11 @@
 //                 u64 fingerprint          (campaign cache key; 0 = unknown)
 //                 <UNPS record stream>     (telemetry/archive_io framing)
 //
-// The UNPS payload is written by the ordinary ArchiveWriter, so a shard
-// holds exactly the frames its owned nodes would occupy in the monolithic
-// stream — ascending node index, empty frames elided, end frame carrying
-// the shard's frame count.
+// The UNPS payload is written by the ordinary ArchiveWriter and read back
+// by one ArchiveReader per shard, so a shard holds exactly the frames its
+// owned nodes would occupy in the monolithic stream — ascending node index,
+// empty frames elided, end frame carrying the shard's frame count — and
+// the merge itself parses no UNPS framing.
 //
 // ShardMergeReader opens the K files of one partition and merges them on
 // the canonical sort key of the stream: the node index.  Each shard is
@@ -19,14 +20,10 @@
 // "pop the smallest head" loop — constant memory per shard (one buffered
 // frame), no global sort, no materialized archive.  The merged sequence is
 // byte-identical to the monolithic stream: `merge_shard_archives` copies
-// the winning frame bodies verbatim into a single UNPS file, and `drain`
+// the winning frame bodies verbatim through an ArchiveWriter, and `drain`
 // replays the merged frames through any RecordSink (StreamingExtractor,
-// the policy engine, StoreBuilder) with full framing.
-//
-// The merge is resumable: `cursors()` snapshots each shard's byte offset
-// and frame count after any number of `next()` calls, and the
-// cursor-taking constructor re-opens the files and seeks back to exactly
-// that state.
+// the policy engine, StoreBuilder) with full framing.  A merge always runs
+// from the start of every shard; there is no resume.
 //
 // Decode failures are re-anchored to the failing shard: every DecodeError
 // carries "shard I" plus the byte offset within that shard's file.
@@ -35,6 +32,8 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,16 +61,6 @@ void write_shard_header(std::ostream& os, const ShardHeader& header);
 /// UNPS payload.  Throws DecodeError on malformed input.
 [[nodiscard]] ShardHeader read_shard_header(std::istream& is);
 
-/// Resume point of one shard within a merge: the byte offset of the next
-/// unread frame and the number of frames already consumed.
-struct ShardCursor {
-  std::uint32_t shard_index = 0;
-  std::uint64_t byte_offset = 0;  ///< into the shard file
-  std::uint64_t frames_read = 0;
-
-  friend bool operator==(const ShardCursor&, const ShardCursor&) = default;
-};
-
 /// Bounded-memory K-way merge over one partition's shard archives.
 class ShardMergeReader {
  public:
@@ -80,11 +69,6 @@ class ShardMergeReader {
   /// fingerprint and campaign window.  Throws DecodeError / ContractViolation
   /// on malformed or mismatched inputs.
   explicit ShardMergeReader(const std::vector<std::string>& paths);
-
-  /// Re-open `paths` and resume from a `cursors()` snapshot (one cursor per
-  /// shard, any order).
-  ShardMergeReader(const std::vector<std::string>& paths,
-                   const std::vector<ShardCursor>& cursors);
 
   [[nodiscard]] const CampaignWindow& window() const noexcept { return window_; }
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return fingerprint_; }
@@ -108,33 +92,27 @@ class ShardMergeReader {
   /// RecordSink framing, one bulk on_node_log per frame.
   void drain(RecordSink& sink);
 
-  /// Resume snapshot: the position of every shard, ascending shard index.
-  [[nodiscard]] std::vector<ShardCursor> cursors() const;
-
  private:
   struct Shard {
     std::string path;
     std::ifstream file;
     ShardHeader header;
-    CampaignWindow window{};
-    std::uint64_t offset = 0;       ///< bytes consumed of the file
-    std::uint64_t frames_read = 0;  ///< frames consumed (excl. end frame)
+    /// Reads `file` from just past the UNPH prefix; holds a pointer to
+    /// `file`, hence shards live behind unique_ptr at stable addresses.
+    std::optional<ArchiveReader> reader;
     // One buffered frame (constant memory per shard).
     bool has_head = false;
-    bool done = false;
     std::uint64_t head_index = 0;
-    std::uint64_t last_index = 0;   ///< node index of the last frame read
-    std::uint64_t head_offset = 0;  ///< file offset of the buffered frame
-    std::uint64_t end_offset = 0;   ///< file offset of the end frame
     std::string head_body;
   };
 
-  void open_shards(const std::vector<std::string>& paths);
+  /// Buffer the shard's next frame (no-op once it is drained), prefixing
+  /// any DecodeError with the shard index.
   void fill_head(Shard& shard);
   /// Shard holding the smallest head node index, or nullptr when drained.
   Shard* min_head();
 
-  std::vector<Shard> shards_;  ///< ascending shard index
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< ascending shard index
   CampaignWindow window_{};
   std::uint64_t fingerprint_ = 0;
   std::uint64_t merged_ = 0;
@@ -142,7 +120,7 @@ class ShardMergeReader {
 
 /// Merge shard archives into one monolithic UNPS stream, byte-identical to
 /// the stream a monolithic campaign run would spill: frame bodies are
-/// copied verbatim in merged order under a fresh header/end-frame.
+/// copied verbatim in merged order through an ArchiveWriter.
 void merge_shard_archives(const std::vector<std::string>& paths,
                           std::ostream& os);
 

@@ -56,7 +56,7 @@ struct EncodeArena {
   std::vector<std::uint64_t> scratch;
 };
 
-/// A node's whole log plus its (lazily produced) UNPA body encoding.
+/// A node's whole log plus its (lazily produced) node-log body encoding.
 ///
 /// The bulk streaming path hands one of these per node to sinks instead of
 /// replaying records one virtual call at a time.  Byte-oriented sinks
@@ -83,7 +83,7 @@ class EncodedNodeLog {
   [[nodiscard]] cluster::NodeId node() const noexcept { return node_; }
   [[nodiscard]] const NodeLog& log() const noexcept { return *log_; }
 
-  /// The UNPA node-log body (encode_node_log bytes).  Encodes on first call,
+  /// The node-log body (encode_node_log bytes).  Encodes on first call,
   /// then returns the cached bytes.
   [[nodiscard]] const std::string& bytes();
 

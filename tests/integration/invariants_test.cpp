@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "analysis/extraction.hpp"
 #include "analysis/grouping.hpp"
 #include "sim/campaign.hpp"
-#include "telemetry/binary_codec.hpp"
+#include "telemetry/archive_io.hpp"
 
 namespace unp {
 namespace {
@@ -105,24 +106,6 @@ TEST(Invariants, ObservedValueAlwaysDiffersFromExpected) {
   }
 }
 
-TEST(Invariants, BinaryArchiveRoundTripsTheWholeCampaign) {
-  const std::string bytes = telemetry::encode_archive(campaign().archive);
-  const telemetry::CampaignArchive loaded = telemetry::decode_archive(bytes);
-  EXPECT_EQ(loaded.total_raw_errors(), campaign().archive.total_raw_errors());
-  EXPECT_DOUBLE_EQ(loaded.total_monitored_hours(),
-                   campaign().archive.total_monitored_hours());
-
-  // The analysis pipeline must be insensitive to the round trip.
-  const auto a = analysis::extract_faults(campaign().archive);
-  const auto b = analysis::extract_faults(loaded);
-  ASSERT_EQ(a.faults.size(), b.faults.size());
-  for (std::size_t k = 0; k < a.faults.size(); k += 997) {
-    EXPECT_EQ(a.faults[k].first_seen, b.faults[k].first_seen);
-    EXPECT_EQ(a.faults[k].virtual_address, b.faults[k].virtual_address);
-    EXPECT_EQ(a.faults[k].raw_logs, b.faults[k].raw_logs);
-  }
-}
-
 TEST(Invariants, GroupingConservesFaults) {
   const analysis::ExtractionResult extraction =
       analysis::extract_faults(campaign().archive);
@@ -148,9 +131,10 @@ TEST(Invariants, FullCampaignThreadParity) {
   EXPECT_DOUBLE_EQ(parallel.total_terabyte_hours(),
                    campaign().total_terabyte_hours());
   EXPECT_EQ(parallel.summary.ground_truth.size(), campaign().summary.ground_truth.size());
-  const std::string a = telemetry::encode_archive(parallel.archive);
-  const std::string b = telemetry::encode_archive(campaign().archive);
-  EXPECT_EQ(a, b);  // byte-for-byte identical telemetry
+  std::ostringstream a(std::ios::binary), b(std::ios::binary);
+  telemetry::save_archive_stream(parallel.archive, a);
+  telemetry::save_archive_stream(campaign().archive, b);
+  EXPECT_TRUE(a.view() == b.view());  // byte-for-byte identical telemetry
 }
 
 TEST(Invariants, MonitoredHoursNeverExceedWallClock) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,7 +18,7 @@
 #include "scanner/sim_backend.hpp"
 #include "sim/campaign.hpp"
 #include "sim/session_sim.hpp"
-#include "telemetry/binary_codec.hpp"
+#include "telemetry/archive_io.hpp"
 
 namespace unp::sim {
 namespace {
@@ -142,8 +143,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
                          ::testing::Range<std::uint64_t>(1, 25));
 
 // Campaign-level determinism: thread counts {1, 2, 8} must produce
-// byte-identical archives (compared through the canonical binary encoding)
-// and identical accounting, including the block-streamed sink emission.
+// byte-identical archives (compared through their UNPS streams) and
+// identical accounting, including the block-streamed sink emission.
 TEST(CampaignThreadEquivalence, ArchivesAndAccountingAreByteIdentical) {
   CampaignConfig config;
   config.seed = 7;
@@ -151,13 +152,15 @@ TEST(CampaignThreadEquivalence, ArchivesAndAccountingAreByteIdentical) {
   config.window.end = from_civil_utc({2015, 9, 22, 0, 0, 0});
 
   const CampaignResult reference = run_campaign(config, 1);
-  const std::string reference_bytes =
-      telemetry::encode_archive(reference.archive);
+  std::ostringstream reference_bytes(std::ios::binary);
+  telemetry::save_archive_stream(reference.archive, reference_bytes);
   EXPECT_GT(reference.archive.total_raw_errors(), 0u);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const CampaignResult other = run_campaign(config, threads);
-    EXPECT_EQ(telemetry::encode_archive(other.archive), reference_bytes)
+    std::ostringstream bytes(std::ios::binary);
+    telemetry::save_archive_stream(other.archive, bytes);
+    EXPECT_TRUE(bytes.view() == reference_bytes.view())
         << threads << " threads";
 
     ASSERT_EQ(other.summary.accounting.size(), reference.summary.accounting.size());

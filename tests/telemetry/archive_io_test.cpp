@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <vector>
 
@@ -79,18 +78,9 @@ TEST(ArchiveStream, NodeByNodeIteration) {
   EXPECT_FALSE(reader.next(node, log));  // stays done
 }
 
-TEST(ArchiveStream, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "unp_stream_test.unps").string();
-  CampaignArchive archive;
-  archive.log({7, 3}) = sample_log({7, 3});
-  archive.log({62, 14}) = sample_log({62, 14});
-  save_archive_stream(archive, path);
-  const CampaignArchive loaded = load_archive_stream(path);
-  EXPECT_EQ(loaded.log({7, 3}).starts(), archive.log({7, 3}).starts());
-  EXPECT_EQ(loaded.log({62, 14}).error_runs(), archive.log({62, 14}).error_runs());
-  EXPECT_EQ(loaded.total_raw_errors(), archive.total_raw_errors());
-  std::filesystem::remove(path);
+TEST(ArchiveStream, MissingFileThrows) {
+  EXPECT_THROW((void)load_archive_stream("/nonexistent/unp.unps"),
+               ContractViolation);
 }
 
 TEST(ArchiveStream, RejectsCorruptMagicAndVersion) {
@@ -168,20 +158,13 @@ std::string stream_with_frames(const std::vector<int>& indices,
   std::ostringstream os(std::ios::binary);
   ArchiveWriter writer(os);
   writer.begin_campaign(CampaignWindow{});
-  writer.finish();
-  std::string bytes = os.str();
-  bytes.resize(bytes.size() - 3);  // drop the empty stream's end frame
   for (const int index : indices) {
-    offsets.push_back(bytes.size());
-    const std::string body =
-        encode_node_log(sample_log(cluster::node_from_index(index)));
-    put_varint(bytes, static_cast<std::uint64_t>(index));
-    put_varint(bytes, body.size());
-    bytes += body;
+    offsets.push_back(static_cast<std::size_t>(os.tellp()));
+    writer.write_frame(static_cast<std::uint64_t>(index),
+                       encode_node_log(sample_log(cluster::node_from_index(index))));
   }
-  put_varint(bytes, static_cast<std::uint64_t>(cluster::kStudyNodeSlots));
-  put_varint(bytes, indices.size());
-  return bytes;
+  writer.finish();
+  return os.str();
 }
 
 // The format requires ascending node indices; a duplicated or descending
@@ -215,6 +198,30 @@ TEST(ArchiveStream, RejectsDuplicateAndDescendingFrames) {
   reader.drain(archive);
   EXPECT_EQ(reader.frames_read(), 3u);
   EXPECT_EQ(archive.total_raw_errors(), 3u * 42u);
+}
+
+// A corrupt body size must end in a truncation DecodeError at the body's
+// offset once the bytes run out, never in an allocation of the declared
+// size (2^40 bytes would throw std::bad_alloc, 2^62 std::length_error).
+TEST(ArchiveStream, LyingBodySizeIsRejectedWithoutAllocatingIt) {
+  for (const int bits : {40, 62}) {
+    std::vector<std::size_t> offsets;
+    std::string bytes = stream_with_frames({17, 200}, offsets);
+    std::string lie;
+    put_varint(lie, std::uint64_t{1} << bits);
+    // Frame 17: a one-byte index, then a one-byte size (bodies < 128 B).
+    bytes.replace(offsets.front() + 1, 1, lie);
+    std::istringstream is(bytes, std::ios::binary);
+    CampaignArchive archive;
+    try {
+      ArchiveReader(is).drain(archive);
+      ADD_FAILURE() << "2^" << bits << " body size accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.byte_offset(), offsets.front() + 1 + lie.size());
+      EXPECT_NE(e.detail().find("truncated block"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ArchiveStream, ByteLayoutMatchesHandEncodedLiteral) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 
 #include "common/require.hpp"
@@ -172,48 +170,6 @@ TEST(BinaryCodec, NodeLogRoundTripExact) {
   EXPECT_EQ(parsed.ends(), original.ends());
   EXPECT_EQ(parsed.alloc_fails(), original.alloc_fails());
   EXPECT_EQ(parsed.error_runs(), original.error_runs());
-}
-
-TEST(BinaryCodec, ArchiveRoundTrip) {
-  CampaignArchive archive;
-  archive.log({7, 3}) = sample_log({7, 3});
-  archive.log({62, 14}) = sample_log({62, 14});
-  const std::string bytes = encode_archive(archive);
-  const CampaignArchive parsed = decode_archive(bytes);
-  EXPECT_EQ(parsed.window().start, archive.window().start);
-  EXPECT_EQ(parsed.log({7, 3}).error_runs(), archive.log({7, 3}).error_runs());
-  EXPECT_EQ(parsed.log({62, 14}).starts(), archive.log({62, 14}).starts());
-  EXPECT_EQ(parsed.log({0, 0}).starts().size(), 0u);
-  EXPECT_EQ(parsed.total_raw_errors(), archive.total_raw_errors());
-}
-
-TEST(BinaryCodec, RejectsCorruptHeader) {
-  CampaignArchive archive;
-  archive.log({1, 1}) = sample_log({1, 1});
-  std::string bytes = encode_archive(archive);
-  std::string bad = bytes;
-  bad[0] = 'X';
-  EXPECT_THROW((void)decode_archive(bad), ContractViolation);
-  bad = bytes;
-  bad[4] = 99;  // unknown version
-  EXPECT_THROW((void)decode_archive(bad), ContractViolation);
-  bad = bytes.substr(0, bytes.size() - 3);  // truncated
-  EXPECT_THROW((void)decode_archive(bad), ContractViolation);
-}
-
-TEST(BinaryCodec, FileSaveLoad) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "unp_archive_test.bin").string();
-  CampaignArchive archive;
-  archive.log({5, 5}) = sample_log({5, 5});
-  save_archive(archive, path);
-  const CampaignArchive loaded = load_archive(path);
-  EXPECT_EQ(loaded.log({5, 5}).error_runs(), archive.log({5, 5}).error_runs());
-  std::filesystem::remove(path);
-}
-
-TEST(BinaryCodec, MissingFileThrows) {
-  EXPECT_THROW((void)load_archive("/nonexistent/unp.bin"), ContractViolation);
 }
 
 TEST(BinaryCodec, DeltaEncodingIsCompact) {

@@ -88,6 +88,32 @@ void read_cache_header(std::istream& is, std::uint64_t expected) {
 
 // --- ground truth / accounting sections ---------------------------------
 
+// Fewest bytes each tail record can encode to: every varint takes at least
+// one byte, an event at least one word fault.
+constexpr std::size_t kMinWordBytes = 3;
+constexpr std::size_t kMinEventBytes = 6 + kMinWordBytes;
+constexpr std::size_t kMinAccountingBytes = 1 + 8 + 8 + 1;
+
+/// Read a record count and reject one the remaining bytes cannot hold, so
+/// a lying count ends in DecodeError rather than a giant reserve.
+std::uint64_t get_count(const std::string& in, std::size_t& pos,
+                        std::size_t min_record_bytes, const char* what) {
+  const std::size_t at = pos;
+  const std::uint64_t count = telemetry::get_varint(in, pos);
+  if (count > (in.size() - pos) / min_record_bytes)
+    throw telemetry::DecodeError(
+        std::string(what) + " count exceeds the bytes left", at);
+  return count;
+}
+
+cluster::NodeId get_node(const std::string& in, std::size_t& pos) {
+  const std::size_t at = pos;
+  const std::uint64_t index = telemetry::get_varint(in, pos);
+  if (index >= static_cast<std::uint64_t>(cluster::kStudyNodeSlots))
+    throw telemetry::DecodeError("node index out of range", at);
+  return cluster::node_from_index(static_cast<int>(index));
+}
+
 void encode_ground_truth(std::string& out,
                          const std::vector<faults::FaultEvent>& events) {
   telemetry::put_varint(out, events.size());
@@ -112,28 +138,34 @@ void encode_ground_truth(std::string& out,
 
 std::vector<faults::FaultEvent> decode_ground_truth(const std::string& in,
                                                     std::size_t& pos) {
-  const std::uint64_t count = telemetry::get_varint(in, pos);
+  const std::uint64_t count =
+      get_count(in, pos, kMinEventBytes, "ground-truth");
   std::vector<faults::FaultEvent> events;
   events.reserve(count);
   TimePoint previous = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     faults::FaultEvent ev;
-    previous += telemetry::zigzag_decode(telemetry::get_varint(in, pos));
+    previous = telemetry::add_wrapping(
+        previous, telemetry::zigzag_decode(telemetry::get_varint(in, pos)));
     ev.time = previous;
-    const std::uint64_t index = telemetry::get_varint(in, pos);
-    UNP_REQUIRE(index < static_cast<std::uint64_t>(cluster::kStudyNodeSlots));
-    ev.node = cluster::node_from_index(static_cast<int>(index));
-    UNP_REQUIRE(pos + 2 <= in.size());
-    const auto mechanism = static_cast<std::uint8_t>(in[pos++]);
-    UNP_REQUIRE(mechanism <= static_cast<std::uint8_t>(faults::Mechanism::kRowhammer));
+    ev.node = get_node(in, pos);
+    if (pos + 2 > in.size())
+      throw telemetry::DecodeError("truncated fault event", pos);
+    const auto mechanism = static_cast<std::uint8_t>(in[pos]);
+    if (mechanism > static_cast<std::uint8_t>(faults::Mechanism::kRowhammer))
+      throw telemetry::DecodeError("bad fault mechanism", pos);
     ev.mechanism = static_cast<faults::Mechanism>(mechanism);
-    const auto persistence = static_cast<std::uint8_t>(in[pos++]);
-    UNP_REQUIRE(persistence <= static_cast<std::uint8_t>(faults::Persistence::kStuck));
+    const auto persistence = static_cast<std::uint8_t>(in[pos + 1]);
+    if (persistence > static_cast<std::uint8_t>(faults::Persistence::kStuck))
+      throw telemetry::DecodeError("bad fault persistence", pos + 1);
     ev.persistence = static_cast<faults::Persistence>(persistence);
-    ev.active_until =
-        ev.time + telemetry::zigzag_decode(telemetry::get_varint(in, pos));
-    const std::uint64_t words = telemetry::get_varint(in, pos);
-    UNP_REQUIRE(words >= 1);
+    pos += 2;
+    ev.active_until = telemetry::add_wrapping(
+        ev.time, telemetry::zigzag_decode(telemetry::get_varint(in, pos)));
+    const std::size_t words_at = pos;
+    const std::uint64_t words = get_count(in, pos, kMinWordBytes, "word-fault");
+    if (words == 0)
+      throw telemetry::DecodeError("fault event without words", words_at);
     ev.words.reserve(words);
     for (std::uint64_t w = 0; w < words; ++w) {
       faults::WordFault wf;
@@ -163,14 +195,13 @@ void encode_accounting(std::string& out,
 
 std::vector<sim::NodeAccounting> decode_accounting(const std::string& in,
                                                    std::size_t& pos) {
-  const std::uint64_t count = telemetry::get_varint(in, pos);
+  const std::uint64_t count =
+      get_count(in, pos, kMinAccountingBytes, "accounting");
   std::vector<sim::NodeAccounting> accounting;
   accounting.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     sim::NodeAccounting a;
-    const std::uint64_t index = telemetry::get_varint(in, pos);
-    UNP_REQUIRE(index < static_cast<std::uint64_t>(cluster::kStudyNodeSlots));
-    a.node = cluster::node_from_index(static_cast<int>(index));
+    a.node = get_node(in, pos);
     a.scanned_hours = telemetry::get_f64(in, pos);
     a.terabyte_hours = telemetry::get_f64(in, pos);
     a.sessions = telemetry::get_varint(in, pos);
@@ -178,6 +209,25 @@ std::vector<sim::NodeAccounting> decode_accounting(const std::string& in,
   }
   return accounting;
 }
+
+}  // namespace
+
+void encode_campaign_tail(const sim::CampaignSummary& summary,
+                          std::string& out) {
+  encode_ground_truth(out, summary.ground_truth);
+  encode_accounting(out, summary.accounting);
+}
+
+void decode_campaign_tail(const std::string& in,
+                          sim::CampaignSummary& summary) {
+  std::size_t pos = 0;
+  summary.ground_truth = decode_ground_truth(in, pos);
+  summary.accounting = decode_accounting(in, pos);
+  if (pos != in.size())
+    throw telemetry::DecodeError("trailing bytes after the campaign tail", pos);
+}
+
+namespace {
 
 // --- load / store -------------------------------------------------------
 
@@ -210,10 +260,7 @@ bool load_cached_campaign(const std::string& path,
 
     const std::string rest((std::istreambuf_iterator<char>(is)),
                            std::istreambuf_iterator<char>());
-    std::size_t pos = 0;
-    result.summary.ground_truth = decode_ground_truth(rest, pos);
-    result.summary.accounting = decode_accounting(rest, pos);
-    UNP_REQUIRE(pos == rest.size());
+    decode_campaign_tail(rest, result.summary);
   } catch (const ContractViolation&) {
     result = empty_campaign(config);
     return false;
@@ -268,8 +315,7 @@ sim::CampaignSummary simulate_and_spill(
 
   if (writer && os.good()) {
     std::string sections;
-    encode_ground_truth(sections, summary.ground_truth);
-    encode_accounting(sections, summary.accounting);
+    encode_campaign_tail(summary, sections);
     os.write(sections.data(), static_cast<std::streamsize>(sections.size()));
     os.close();
     if (os.good()) {

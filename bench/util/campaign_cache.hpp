@@ -92,6 +92,17 @@ StreamStats stream_campaign(const sim::CampaignConfig& config,
                             const std::vector<telemetry::RecordSink*>& sinks,
                             std::size_t threads);
 
+/// The UNPC tail that follows the archive stream: the fleet ground truth
+/// then the per-node accounting of `summary` (topology is not stored).
+void encode_campaign_tail(const sim::CampaignSummary& summary,
+                          std::string& out);
+
+/// Inverse of encode_campaign_tail over all of `in`, filling `summary`'s
+/// ground truth and accounting.  Throws telemetry::DecodeError on corrupt
+/// bytes: a count the remaining bytes cannot hold, an out-of-range field,
+/// truncation, or trailing bytes.  Time deltas sum in wraparound arithmetic.
+void decode_campaign_tail(const std::string& in, sim::CampaignSummary& summary);
+
 /// Standard bench header: experiment id, paper reference, and the shape the
 /// paper reports (so every bench output is self-describing).
 void print_header(const std::string& experiment, const std::string& paper_shape,

@@ -54,11 +54,26 @@ std::vector<FaultRecord> collapse_node_log(cluster::NodeId node,
     flush();
   }
 
-  std::sort(out.begin(), out.end(), [](const FaultRecord& a, const FaultRecord& b) {
-    if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-    return a.virtual_address < b.virtual_address;
-  });
+  sort_canonical(out);
   return out;
+}
+
+bool is_pathological(std::uint64_t node_raw, std::uint64_t total_raw,
+                     const ExtractionConfig& config) noexcept {
+  return node_raw >= config.pathological_min_raw &&
+         static_cast<double>(node_raw) >
+             config.pathological_raw_fraction * static_cast<double>(total_raw);
+}
+
+void sort_canonical(std::vector<FaultRecord>& faults) {
+  std::sort(faults.begin(), faults.end(),
+            [](const FaultRecord& a, const FaultRecord& b) {
+              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
+              const int na = cluster::node_index(a.node);
+              const int nb = cluster::node_index(b.node);
+              if (na != nb) return na < nb;
+              return a.virtual_address < b.virtual_address;
+            });
 }
 
 ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
@@ -72,12 +87,7 @@ ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
     const std::uint64_t raw = log.raw_error_count();
     if (raw == 0) continue;
 
-    const bool pathological =
-        raw >= config.pathological_min_raw &&
-        static_cast<double>(raw) >
-            config.pathological_raw_fraction *
-                static_cast<double>(result.total_raw_logs);
-    if (pathological) {
+    if (is_pathological(raw, result.total_raw_logs, config)) {
       result.removed_nodes.push_back(node);
       result.removed_raw_logs += raw;
       continue;
@@ -88,14 +98,7 @@ ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
                          node_faults.end());
   }
 
-  std::sort(result.faults.begin(), result.faults.end(),
-            [](const FaultRecord& a, const FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              const int na = cluster::node_index(a.node);
-              const int nb = cluster::node_index(b.node);
-              if (na != nb) return na < nb;
-              return a.virtual_address < b.virtual_address;
-            });
+  sort_canonical(result.faults);
   return result;
 }
 

@@ -81,12 +81,23 @@ struct ExtractionResult {
   }
 };
 
+/// Rule 1's predicate: a node holding `node_raw` of the campaign's
+/// `total_raw` raw logs is pathological.
+[[nodiscard]] bool is_pathological(std::uint64_t node_raw,
+                                   std::uint64_t total_raw,
+                                   const ExtractionConfig& config) noexcept;
+
+/// Sort faults into the canonical (time, node, address) order.
+void sort_canonical(std::vector<FaultRecord>& faults);
+
 /// Run the full extraction over a campaign archive.
 [[nodiscard]] ExtractionResult extract_faults(
     const telemetry::CampaignArchive& archive,
     const ExtractionConfig& config = ExtractionConfig{});
 
-/// Collapse one node's error runs into independent faults (rule 2 only).
+/// Collapse one node's error runs into independent faults (rule 2 only),
+/// in canonical order.  No two share (time, address): same-address runs
+/// starting together always merge.
 [[nodiscard]] std::vector<FaultRecord> collapse_node_log(
     cluster::NodeId node, const telemetry::NodeLog& log,
     std::int64_t merge_window_s);

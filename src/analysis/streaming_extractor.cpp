@@ -1,7 +1,5 @@
 #include "analysis/streaming_extractor.hpp"
 
-#include <algorithm>
-
 #include "common/require.hpp"
 #include "telemetry/archive.hpp"
 
@@ -98,11 +96,7 @@ ExtractionResult StreamingExtractor::finish() {
   result.total_raw_logs = raw_total_;
   for (std::size_t i = 0; i < collapsed_.size(); ++i) {
     const std::uint64_t raw = raw_per_node_[i];
-    const bool pathological =
-        raw >= config_.pathological_min_raw &&
-        static_cast<double>(raw) >
-            config_.pathological_raw_fraction *
-                static_cast<double>(result.total_raw_logs);
+    const bool pathological = is_pathological(raw, raw_total_, config_);
     // Kept filter candidates, and anything streamed without an end_node
     // frame, collapse here.  A removed node is freed uncollapsed unless an
     // observer is still owed its faults.
@@ -120,14 +114,7 @@ ExtractionResult StreamingExtractor::finish() {
                          collapsed_[i].end());
   }
 
-  std::sort(result.faults.begin(), result.faults.end(),
-            [](const FaultRecord& a, const FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              const int na = cluster::node_index(a.node);
-              const int nb = cluster::node_index(b.node);
-              if (na != nb) return na < nb;
-              return a.virtual_address < b.virtual_address;
-            });
+  sort_canonical(result.faults);
   return result;
 }
 

@@ -1,12 +1,13 @@
 // Shared runtime SIMD dispatch: which instruction set the process uses.
 //
-// Two subsystems carry per-ISA kernel sets — the scanner's memory-sweep
-// kernels (src/scanner/kernels) and the store's column-decode kernels
-// (src/store/kernels).  Both must agree on the answer to "which ISA runs
-// here?", honour the same UNP_KERNEL=scalar|sse2|avx2|neon override, and
-// latch the decision exactly once per process, so the detection and
-// resolution logic lives in this dependency-free home rather than being
-// duplicated per kernel family.
+// Exactly two kernel families carry per-ISA sets — the scanner's
+// memory-sweep kernels (src/scanner/kernels) and the store's column-decode
+// kernels (src/store/kernels).  The telemetry varint encoder is one scalar
+// loop and never consults this module.  Both families must agree on the
+// answer to "which ISA runs here?", honour the same
+// UNP_KERNEL=scalar|sse2|avx2|neon override, and latch the decision
+// exactly once per process, so the detection and resolution logic lives in
+// this dependency-free home rather than being duplicated per family.
 //
 // Kernel *sets* stay with their subsystems; this module only answers the
 // ISA question:

@@ -11,20 +11,6 @@ namespace unp::policy {
 
 namespace {
 
-void sort_canonical(std::vector<analysis::FaultRecord>& faults) {
-  std::sort(faults.begin(), faults.end(),
-            [](const analysis::FaultRecord& a, const analysis::FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              return a.virtual_address < b.virtual_address;
-            });
-}
-
-std::uint64_t raw_log_count(const telemetry::NodeLog& log) {
-  std::uint64_t raw = 0;
-  for (const auto& run : log.error_runs()) raw += run.count;
-  return raw;
-}
-
 std::uint64_t row_key(std::uint32_t bank, std::uint64_t row) noexcept {
   return (static_cast<std::uint64_t>(bank) << 48) | row;
 }
@@ -107,7 +93,6 @@ NodeMitigation mitigate_node(const HammerLoopConfig& config,
                            overheating, session_seed);
     std::vector<analysis::FaultRecord> faults = analysis::collapse_node_log(
         node, log, config.extraction.merge_window_s);
-    sort_canonical(faults);
     if (out.rounds == 1) out.open_observed = faults.size();
     out.closed_observed = faults.size();
 
@@ -204,19 +189,14 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
         cc.session, nodes[i], plans[i],
         per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))],
         cluster::Topology::is_overheating_slot(nodes[i]), session_seed);
-    raw[i] = raw_log_count(log);
+    raw[i] = log.raw_error_count();
   });
   HammerMitigationResult result;
   std::uint64_t raw_total = 0;
   for (std::size_t i = 0; i < n; ++i) raw_total += raw[i];
   std::vector<bool> excluded(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    const bool pathological =
-        raw[i] >= config.extraction.pathological_min_raw &&
-        static_cast<double>(raw[i]) >
-            config.extraction.pathological_raw_fraction *
-                static_cast<double>(raw_total);
-    if (pathological) {
+    if (analysis::is_pathological(raw[i], raw_total, config.extraction)) {
       excluded[i] = true;
       result.excluded_nodes.push_back(nodes[i]);
     }

@@ -18,20 +18,6 @@ std::uint64_t page_of_word(std::uint64_t word_index) noexcept {
   return word_index >> 9;
 }
 
-void sort_canonical(std::vector<analysis::FaultRecord>& faults) {
-  std::sort(faults.begin(), faults.end(),
-            [](const analysis::FaultRecord& a, const analysis::FaultRecord& b) {
-              if (a.first_seen != b.first_seen) return a.first_seen < b.first_seen;
-              return a.virtual_address < b.virtual_address;
-            });
-}
-
-std::uint64_t raw_log_count(const telemetry::NodeLog& log) {
-  std::uint64_t raw = 0;
-  for (const auto& run : log.error_runs()) raw += run.count;
-  return raw;
-}
-
 /// Everything one node's closed loop produced.
 struct NodeOutcome {
   std::vector<Actuation> actuations;
@@ -63,7 +49,6 @@ NodeOutcome run_node_loop(const ClosedLoopConfig& config,
         config.campaign.session, node, plan, events, overheating, session_seed);
     faults = analysis::collapse_node_log(node, log,
                                          config.extraction.merge_window_s);
-    sort_canonical(faults);
 
     if (static_cast<int>(out.actuations.size()) >=
         config.max_actuations_per_node) {
@@ -200,10 +185,9 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
         cc.session, node, plans[i],
         per_node[static_cast<std::size_t>(cluster::node_index(node))],
         cluster::Topology::is_overheating_slot(node), session_seed);
-    raw[i] = raw_log_count(log);
+    raw[i] = log.raw_error_count();
     open_faults[i] =
         analysis::collapse_node_log(node, log, config.extraction.merge_window_s);
-    sort_canonical(open_faults[i]);
   });
 
   // Exclusions, resolved exactly as the extraction + regime analyses do:
@@ -213,12 +197,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   for (std::size_t i = 0; i < n; ++i) raw_total += raw[i];
   std::vector<bool> excluded(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    const bool pathological =
-        raw[i] >= config.extraction.pathological_min_raw &&
-        static_cast<double>(raw[i]) >
-            config.extraction.pathological_raw_fraction *
-                static_cast<double>(raw_total);
-    if (pathological) {
+    if (analysis::is_pathological(raw[i], raw_total, config.extraction)) {
       excluded[i] = true;
       result.excluded_nodes.push_back(nodes[i]);
     }

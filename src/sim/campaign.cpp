@@ -8,7 +8,6 @@
 #include "common/thread_pool.hpp"
 #include "sim/shard.hpp"
 #include "telemetry/binary_codec.hpp"
-#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::sim {
 
@@ -77,8 +76,7 @@ namespace {
 struct NodeSlot {
   telemetry::NodeLog log;
   SessionSimArena sim;
-  std::string encoded;         ///< pre-encoded node-log body
-  telemetry::EncodeArena enc;  ///< gather scratch for the batch kernels
+  std::string encoded;  ///< pre-encoded node-log body
 };
 
 }  // namespace
@@ -185,8 +183,6 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
 
   const std::uint64_t session_seed = campaign_session_seed(config);
   const std::size_t block = std::max<std::size_t>(threads * 8, 32);
-  const telemetry::kernels::EncodeKernels& encode =
-      telemetry::kernels::active_encode_kernels();
   // Pre-encode node-log bodies in the workers only when some sink will
   // actually consume bytes; record-routing sinks never pay for encoding.
   bool wants_encoded = false;
@@ -210,7 +206,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
           s.log);
       if (wants_encoded) {
         s.encoded.clear();
-        telemetry::encode_node_log_into(s.log, s.encoded, encode, &s.enc);
+        telemetry::encode_node_log_into(s.log, s.encoded);
       }
     };
     if (pool) {
@@ -225,8 +221,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       // One EncodedNodeLog shared across sinks: the body is encoded at most
       // once per node (already done in the worker if any sink wants bytes)
       // and spliced — never re-encoded, never re-copied per sink.
-      telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, encode, &s.enc,
-                                        wants_encoded);
+      telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, wants_encoded);
       for (auto* sink : sinks) {
         sink->begin_node(node);
         sink->on_node_log(enc_log);

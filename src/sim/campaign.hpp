@@ -107,10 +107,9 @@ struct CampaignResult {
 /// as soon as each node block completes; only a bounded block of node logs
 /// is ever resident.  Each node reaches every sink as one bulk
 /// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the
-/// node-log body is encoded once per node in the simulation workers with the active
-/// encode kernels and shared by every sink.  `threads` > 1 parallelizes
-/// planning and session simulation; the emitted stream is bit-identical for
-/// any thread count and any encode kernel set.
+/// node-log body is encoded once per node in the simulation workers and
+/// shared by every sink.  `threads` > 1 parallelizes planning and session
+/// simulation; the emitted stream is bit-identical for any thread count.
 CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
     const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1);

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "common/require.hpp"
-#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::store {
 
@@ -69,10 +68,7 @@ void StoreBuilder::flush_segment() {
   zone.offset = data_.size();
   // Encode straight into the data section — no per-segment body string to
   // allocate and copy.
-  encode_segment_into(pending_, zone, data_, arena_,
-                      encode_ != nullptr
-                          ? *encode_
-                          : telemetry::kernels::active_encode_kernels());
+  encode_segment_into(pending_, zone, data_, arena_);
   zones_.push_back(zone);
   pending_.clear();
 }

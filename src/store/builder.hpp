@@ -58,13 +58,6 @@ class StoreBuilder final : public analysis::FaultSink {
   void set_extraction_meta(StoredExtractionMeta meta);
   void set_window(const CampaignWindow& window) noexcept { window_ = window; }
 
-  /// Encode kernel set used for segment columns (byte-identical output for
-  /// every set; default is the process-wide active set).  The perf gate uses
-  /// this to compare scalar vs vector store builds in one process.
-  void set_encode_kernels(const telemetry::kernels::EncodeKernels& encode) noexcept {
-    encode_ = &encode;
-  }
-
   [[nodiscard]] std::uint64_t rows_written() const noexcept { return rows_; }
   [[nodiscard]] std::size_t segments_written() const noexcept {
     return zones_.size();
@@ -90,8 +83,7 @@ class StoreBuilder final : public analysis::FaultSink {
   std::vector<analysis::FaultRecord> pending_;  ///< rows of the open segment
   std::vector<SegmentZone> zones_;
   std::string data_;  ///< concatenated encoded segment bodies
-  SegmentEncodeArena arena_;  ///< reused across flushed segments
-  const telemetry::kernels::EncodeKernels* encode_ = nullptr;
+  SegmentScratch arena_;  ///< reused across flushed segments
   std::uint64_t rows_ = 0;
   bool stream_open_ = false;
 };

@@ -12,6 +12,8 @@ namespace {
 
 using telemetry::get_f64;
 using telemetry::get_varint;
+using telemetry::kernels::encode_varints;
+using telemetry::kernels::encode_zigzag_deltas;
 using telemetry::put_f64;
 using telemetry::put_varint;
 using telemetry::zigzag_decode;
@@ -121,8 +123,7 @@ void unpack_bits(std::string_view in, std::size_t pos, std::size_t end,
 
 void encode_segment_into(std::span<const analysis::FaultRecord> rows,
                          SegmentZone& zone, std::string& out,
-                         SegmentEncodeArena& arena,
-                         const telemetry::kernels::EncodeKernels& encode) {
+                         SegmentScratch& arena) {
   UNP_REQUIRE(!rows.empty());
   zone.rows = static_cast<std::uint32_t>(rows.size());
 
@@ -178,7 +179,7 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
       values.push_back(d - previous);  // ascending: deltas >= 0
       previous = d;
     }
-    encode.encode_varints(values.data(), values.size(), column);
+    encode_varints(values.data(), values.size(), column);
     values.clear();
     for (const auto& f : rows) {
       const auto it = std::lower_bound(
@@ -189,12 +190,12 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
     pack_bits(column, values, index_width(dict.size()));
     append_column(out, column);
   }
-  {  // first_seen: zigzag delta varints (fused gather + batch kernel)
+  {  // first_seen: zigzag delta varints
     column.clear();
     values.clear();
     for (const auto& f : rows)
       values.push_back(static_cast<std::uint64_t>(f.first_seen));
-    encode.encode_zigzag_deltas(values.data(), values.size(), 0, column);
+    encode_zigzag_deltas(values.data(), values.size(), 0, column);
     append_column(out, column);
   }
   {  // last_seen: non-negative offset from first_seen
@@ -204,21 +205,21 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
       UNP_REQUIRE(f.last_seen >= f.first_seen);
       values.push_back(static_cast<std::uint64_t>(f.last_seen - f.first_seen));
     }
-    encode.encode_varints(values.data(), values.size(), column);
+    encode_varints(values.data(), values.size(), column);
     append_column(out, column);
   }
   {  // raw_logs
     column.clear();
     values.clear();
     for (const auto& f : rows) values.push_back(f.raw_logs);
-    encode.encode_varints(values.data(), values.size(), column);
+    encode_varints(values.data(), values.size(), column);
     append_column(out, column);
   }
   {  // address: zigzag delta varints
     column.clear();
     values.clear();
     for (const auto& f : rows) values.push_back(f.virtual_address);
-    encode.encode_zigzag_deltas(values.data(), values.size(), 0, column);
+    encode_zigzag_deltas(values.data(), values.size(), 0, column);
     append_column(out, column);
   }
   {  // expected
@@ -226,7 +227,7 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
     values.clear();
     for (const auto& f : rows)
       values.push_back(static_cast<std::uint64_t>(f.expected));
-    encode.encode_varints(values.data(), values.size(), column);
+    encode_varints(values.data(), values.size(), column);
     append_column(out, column);
   }
   {  // actual
@@ -234,7 +235,7 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
     values.clear();
     for (const auto& f : rows)
       values.push_back(static_cast<std::uint64_t>(f.actual));
-    encode.encode_varints(values.data(), values.size(), column);
+    encode_varints(values.data(), values.size(), column);
     append_column(out, column);
   }
   {  // temperature: presence bitmap + raw f64 bits of present readings
@@ -264,9 +265,8 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
 std::string encode_segment(std::span<const analysis::FaultRecord> rows,
                            SegmentZone& zone) {
   std::string out;
-  SegmentEncodeArena arena;
-  encode_segment_into(rows, zone, out, arena,
-                      telemetry::kernels::active_encode_kernels());
+  SegmentScratch arena;
+  encode_segment_into(rows, zone, out, arena);
   return out;
 }
 

@@ -138,10 +138,10 @@ void unpack_bits(std::string_view in, std::size_t pos, std::size_t end,
 
 // --- segment codec --------------------------------------------------------
 
-/// Reusable scratch for segment encoding: the gather buffers the batch
-/// encode kernels read from and the per-column body buffer.  One arena per
-/// builder; capacity persists across segments.
-struct SegmentEncodeArena {
+/// Reusable scratch for segment encoding: the gathered column values and
+/// the per-column body buffer.  One arena per builder; capacity persists
+/// across segments.
+struct SegmentScratch {
   std::vector<std::uint64_t> values;  ///< gathered column values
   std::vector<std::uint32_t> dict;    ///< node dictionary scratch
   std::string column;                 ///< reused column-body buffer
@@ -153,14 +153,12 @@ struct SegmentEncodeArena {
     std::span<const analysis::FaultRecord> rows, SegmentZone& zone);
 
 /// Hot-path form of encode_segment: append the segment body to `out`
-/// directly (no body string to copy), running the varint columns through an
-/// explicit telemetry encode kernel set.  Sets zone.size to the body length;
+/// directly (no body string to copy).  Sets zone.size to the body length;
 /// zone.offset is left to the caller.  Output is byte-identical to
-/// encode_segment for every kernel set.
+/// encode_segment.
 void encode_segment_into(std::span<const analysis::FaultRecord> rows,
                          SegmentZone& zone, std::string& out,
-                         SegmentEncodeArena& arena,
-                         const telemetry::kernels::EncodeKernels& encode);
+                         SegmentScratch& arena);
 
 /// Decode the columns selected by `columns` from the segment body at
 /// [pos, pos + zone.size) of `bytes`.  Unselected columns are skipped via

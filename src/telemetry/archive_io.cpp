@@ -8,7 +8,6 @@
 
 #include "common/require.hpp"
 #include "telemetry/binary_codec.hpp"
-#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::telemetry {
 
@@ -79,11 +78,6 @@ std::uint64_t read_varint(std::istream& is) {
   }
 }
 
-ArchiveWriter::ArchiveWriter(std::ostream& os,
-                             const kernels::EncodeKernels* encode)
-    : os_(&os),
-      encode_(encode != nullptr ? encode : &kernels::active_encode_kernels()) {}
-
 void ArchiveWriter::begin_campaign(const CampaignWindow& window) {
   UNP_REQUIRE(!header_written_);
   os_->write(kStreamMagic, sizeof kStreamMagic);
@@ -141,7 +135,7 @@ void ArchiveWriter::end_node(cluster::NodeId node) {
   }
   if (pending_.empty()) return;  // empty frames are elided
   body_.clear();
-  encode_node_log_into(pending_, body_, *encode_, &arena_);
+  encode_node_log_into(pending_, body_);
   write_frame(static_cast<std::uint64_t>(cluster::node_index(node)), body_);
   pending_.clear();
 }
@@ -254,14 +248,12 @@ void drain_frames(
   cluster::NodeId node;
   NodeLog log;
   std::string scratch;
-  EncodeArena arena;
-  const auto& kernels = kernels::active_encode_kernels();
   while (next(node, log)) {
     sink.begin_node(node);
     // Bulk delivery: record-oriented sinks read the decoded log in place
     // (or replay it), byte-oriented sinks re-encode once into the reused
     // scratch buffer.
-    EncodedNodeLog enc(node, log, scratch, kernels, &arena);
+    EncodedNodeLog enc(node, log, scratch);
     sink.on_node_log(enc);
     sink.end_node(node);
   }
@@ -272,12 +264,10 @@ void save_archive_stream(const CampaignArchive& archive, std::ostream& os) {
   ArchiveWriter writer(os);
   writer.begin_campaign(archive.window());
   std::string scratch;
-  EncodeArena arena;
-  const auto& kernels = kernels::active_encode_kernels();
   for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
     const cluster::NodeId node = cluster::node_from_index(i);
     writer.begin_node(node);
-    EncodedNodeLog enc(node, archive.log(node), scratch, kernels, &arena);
+    EncodedNodeLog enc(node, archive.log(node), scratch);
     writer.on_node_log(enc);
     writer.end_node(node);
   }

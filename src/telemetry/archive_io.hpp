@@ -55,10 +55,7 @@ void write_varint(std::ostream& os, std::uint64_t value);
 class ArchiveWriter final : public RecordSink {
  public:
   /// Writes to `os` (binary mode), starting at its current position.
-  /// `encode` selects the encode kernel set (byte-identical output across
-  /// sets); defaults to the process-wide active set.
-  explicit ArchiveWriter(std::ostream& os,
-                         const kernels::EncodeKernels* encode = nullptr);
+  explicit ArchiveWriter(std::ostream& os) : os_(&os) {}
 
   void begin_campaign(const CampaignWindow& window) override;
   void begin_node(cluster::NodeId node) override;
@@ -89,10 +86,8 @@ class ArchiveWriter final : public RecordSink {
 
  private:
   std::ostream* os_;
-  const kernels::EncodeKernels* encode_;
   NodeLog pending_;      ///< records of the currently open node frame
   std::string body_;     ///< reused frame-body encode buffer
-  EncodeArena arena_;    ///< reused gather scratch for batch kernels
   bool node_open_ = false;
   bool bulk_ = false;    ///< current frame arrived via on_node_log
   bool header_written_ = false;

@@ -19,13 +19,12 @@ double get_temp(const std::string& in, std::size_t& pos) {
   return flag == 0 ? kNoTemperature : get_f64(in, pos);
 }
 
-/// Delta-encoded timestamp reader per section (the encode side runs through
-/// the kernel-backed encode_node_log_into).
+/// Delta-encoded timestamp reader per section.
 struct TimeDelta {
   TimePoint previous = 0;
 
   TimePoint get(const std::string& in, std::size_t& pos) {
-    previous += zigzag_decode(get_varint(in, pos));
+    previous = add_wrapping(previous, zigzag_decode(get_varint(in, pos)));
     return previous;
   }
 };
@@ -33,11 +32,8 @@ struct TimeDelta {
 }  // namespace
 
 void put_varint(std::string& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
+  char bytes[10];
+  out.append(bytes, kernels::encode_varint(value, bytes));
 }
 
 void put_f64(std::string& out, double value) {
@@ -88,13 +84,11 @@ std::size_t node_log_encoded_bound(const NodeLog& log) noexcept {
          log.error_runs().size() * (6 * 10 + 9 + 10);
 }
 
-void encode_node_log_into(const NodeLog& log, std::string& out,
-                          const kernels::EncodeKernels& kernels,
-                          EncodeArena* arena) {
+void encode_node_log_into(const NodeLog& log, std::string& out) {
   // Pre-size to the record-count bound so no append below reallocates.
   out.reserve(out.size() + node_log_encoded_bound(log));
 
-  kernels::VarintWriter w(out, kernels);
+  kernels::VarintWriter w(out);
   const auto temp = [&w](double celsius) {
     if (!has_temperature(celsius)) {
       w.byte('\0');
@@ -123,25 +117,12 @@ void encode_node_log_into(const NodeLog& log, std::string& out,
       temp(r.temperature_c);
     }
   }
-  {  // ALLOCFAILs — a pure timestamp run, the one section the fused
-     // zigzag-delta batch kernel can take whole.  Bytes match the writer
-     // loop exactly (the batch kernel is the same delta chain from base 0).
-    const auto& fails = log.alloc_fails();
-    w.varint(fails.size());
-    if (arena != nullptr && fails.size() >= 4) {
-      auto& times = arena->scratch;
-      times.clear();
-      times.reserve(fails.size());
-      for (const auto& r : fails)
-        times.push_back(static_cast<std::uint64_t>(r.time));
-      w.flush();  // order the buffered bytes before the direct append
-      kernels.encode_zigzag_deltas(times.data(), times.size(), 0, out);
-    } else {
-      TimePoint previous = 0;
-      for (const auto& r : fails) {
-        w.varint(zigzag_encode(r.time - previous));
-        previous = r.time;
-      }
+  {  // ALLOCFAILs
+    w.varint(log.alloc_fails().size());
+    TimePoint previous = 0;
+    for (const auto& r : log.alloc_fails()) {
+      w.varint(zigzag_encode(r.time - previous));
+      previous = r.time;
     }
   }
   {  // ERROR runs
@@ -164,7 +145,7 @@ void encode_node_log_into(const NodeLog& log, std::string& out,
 
 std::string encode_node_log(const NodeLog& log) {
   std::string out;
-  encode_node_log_into(log, out, kernels::active_encode_kernels());
+  encode_node_log_into(log, out);
   return out;
 }
 

@@ -70,26 +70,25 @@ void put_f64(std::string& out, double value);
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-namespace kernels {
-struct EncodeKernels;
-}  // namespace kernels
+/// `a + b` in wraparound arithmetic: decoders sum deltas read from
+/// untrusted bytes, where a signed add could overflow.
+[[nodiscard]] constexpr std::int64_t add_wrapping(std::int64_t a,
+                                                  std::int64_t b) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
 
 /// Tight upper bound on encode_node_log's output size, from record counts
 /// alone (every field is at most a 10-byte varint or a 9-byte temperature).
-/// Buffers reserved to this bound never reallocate mid-encode — asserted by
-/// the encode growth counter in debug tests.
+/// Buffers reserved to this bound never reallocate mid-encode.
 [[nodiscard]] std::size_t node_log_encoded_bound(const NodeLog& log) noexcept;
 
 /// Serialize one node log (without the node index framing).
 [[nodiscard]] std::string encode_node_log(const NodeLog& log);
 
-/// Append encode_node_log's bytes to `out` using an explicit kernel set —
-/// the hot-path form: the caller reuses `out` (and optionally `arena`, which
-/// enables the batched ALLOCFAIL timestamp encode) across nodes.  Output is
-/// byte-identical for every kernel set.
-void encode_node_log_into(const NodeLog& log, std::string& out,
-                          const kernels::EncodeKernels& kernels,
-                          EncodeArena* arena = nullptr);
+/// Append encode_node_log's bytes to `out` — the hot-path form: the caller
+/// reuses `out` across nodes.
+void encode_node_log_into(const NodeLog& log, std::string& out);
 
 /// Inverse of encode_node_log.
 [[nodiscard]] NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,

@@ -19,7 +19,7 @@ void RecordSink::on_node_log(EncodedNodeLog& log) {
 const std::string& EncodedNodeLog::bytes() {
   if (!encoded_) {
     scratch_->clear();
-    encode_node_log_into(*log_, *scratch_, *kernels_, arena_);
+    encode_node_log_into(*log_, *scratch_);
     encoded_ = true;
   }
   return *scratch_;

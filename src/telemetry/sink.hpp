@@ -49,13 +49,6 @@ namespace kernels {
 struct EncodeKernels;
 }  // namespace kernels
 
-/// Reusable scratch for the encode hot path: gather buffers the batch
-/// kernels read from.  One arena per producer thread; capacity persists
-/// across node logs so steady-state encoding allocates nothing.
-struct EncodeArena {
-  std::vector<std::uint64_t> scratch;
-};
-
 /// A node's whole log plus its (lazily produced) node-log body encoding.
 ///
 /// The bulk streaming path hands one of these per node to sinks instead of
@@ -69,16 +62,14 @@ class EncodedNodeLog {
  public:
   /// `scratch` is caller-owned storage for the encoded body (an arena slot
   /// reused across nodes); `pre_encoded` asserts it already holds exactly
-  /// the body for `log` under `kernels`.
+  /// the body for `log`.
   EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
-                 const kernels::EncodeKernels& kernels,
-                 EncodeArena* arena = nullptr, bool pre_encoded = false) noexcept
-      : node_(node),
-        log_(&log),
-        scratch_(&scratch),
-        kernels_(&kernels),
-        arena_(arena),
-        encoded_(pre_encoded) {}
+                 bool pre_encoded = false) noexcept
+      : node_(node), log_(&log), scratch_(&scratch), encoded_(pre_encoded) {}
+  /// The same, for callers that still name the encode set (there is one).
+  EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
+                 const kernels::EncodeKernels& /*encode*/) noexcept
+      : EncodedNodeLog(node, log, scratch) {}
 
   [[nodiscard]] cluster::NodeId node() const noexcept { return node_; }
   [[nodiscard]] const NodeLog& log() const noexcept { return *log_; }
@@ -95,8 +86,6 @@ class EncodedNodeLog {
   cluster::NodeId node_;
   const NodeLog* log_;
   std::string* scratch_;
-  const kernels::EncodeKernels* kernels_;
-  EncodeArena* arena_;
   bool encoded_;
 };
 

@@ -20,7 +20,6 @@
 #include "common/thread_pool.hpp"
 #include "dram/address_map.hpp"
 #include "sim/campaign.hpp"
-#include "telemetry/kernels/kernels.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::analysis {
@@ -242,8 +241,7 @@ void expect_scan_profile_matches_archive(bool bulk) {
     const cluster::NodeId node = cluster::node_from_index(i);
     scan.begin_node(node);
     if (bulk) {
-      telemetry::EncodedNodeLog enc(node, campaign.archive.log(node), scratch,
-                                    telemetry::kernels::active_encode_kernels());
+      telemetry::EncodedNodeLog enc(node, campaign.archive.log(node), scratch);
       scan.on_node_log(enc);
     } else {
       telemetry::replay_node_log(campaign.archive.log(node), scan);

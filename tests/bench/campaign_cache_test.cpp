@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/extraction.hpp"
 #include "common/civil_time.hpp"
 #include "sim/campaign.hpp"
+#include "telemetry/binary_codec.hpp"
 
 namespace unp::bench {
 namespace {
@@ -92,6 +97,120 @@ TEST(CampaignCacheSpill, AtomicWriteLeavesNoTempFiles) {
 
   ::unsetenv("UNP_CACHE_DIR");
   std::filesystem::remove_all(dir);
+}
+
+// The UNPC tail (ground truth + accounting) is read from a file anyone can
+// write: every corrupt count or delta must end in DecodeError, which the
+// cache treats as "fall back to simulation", never in an allocation
+// failure or signed overflow.
+sim::CampaignSummary two_day_summary() {
+  sim::CampaignConfig config;
+  config.window = {from_civil_utc({2015, 3, 1, 0, 0, 0}),
+                   from_civil_utc({2015, 3, 3, 0, 0, 0})};
+  return sim::run_campaign_streaming(config, {}, 2);
+}
+
+std::string tail_of(const sim::CampaignSummary& summary) {
+  std::string out;
+  encode_campaign_tail(summary, out);
+  return out;
+}
+
+TEST(CampaignTail, RoundTrips) {
+  const sim::CampaignSummary summary = two_day_summary();
+  ASSERT_FALSE(summary.ground_truth.empty());
+  ASSERT_FALSE(summary.accounting.empty());
+  const std::string tail = tail_of(summary);
+
+  sim::CampaignSummary decoded;
+  decode_campaign_tail(tail, decoded);
+  EXPECT_EQ(decoded.ground_truth.size(), summary.ground_truth.size());
+  EXPECT_EQ(decoded.accounting.size(), summary.accounting.size());
+  EXPECT_EQ(tail_of(decoded), tail);
+
+  sim::CampaignSummary sink;
+  EXPECT_THROW(decode_campaign_tail(tail + '\0', sink), telemetry::DecodeError);
+  EXPECT_THROW(decode_campaign_tail(tail.substr(0, tail.size() - 1), sink),
+               telemetry::DecodeError);
+}
+
+TEST(CampaignTail, LyingCountsAreDecodeErrors) {
+  sim::CampaignSummary summary = two_day_summary();
+  ASSERT_FALSE(summary.ground_truth.empty());
+  const std::string tail = tail_of(summary);
+  constexpr std::uint64_t kLie = std::uint64_t{1} << 40;
+
+  // Replace the leading varint of `bytes` with `count`.
+  const auto with_count = [](const std::string& bytes, std::uint64_t count) {
+    std::size_t pos = 0;
+    (void)telemetry::get_varint(bytes, pos);
+    std::string out;
+    telemetry::put_varint(out, count);
+    return out + bytes.substr(pos);
+  };
+
+  sim::CampaignSummary sink;
+  // Ground-truth event count.
+  EXPECT_THROW(decode_campaign_tail(with_count(tail, kLie), sink),
+               telemetry::DecodeError);
+  EXPECT_THROW(decode_campaign_tail(
+                   with_count(tail, std::numeric_limits<std::uint64_t>::max()),
+                   sink),
+               telemetry::DecodeError);
+
+  // The accounting count, behind an empty ground truth.
+  summary.ground_truth.clear();
+  const std::string accounting_only = tail_of(summary);
+  EXPECT_THROW(decode_campaign_tail(with_count(accounting_only, kLie), sink),
+               telemetry::DecodeError);
+}
+
+/// A hand-built tail: one event per entry of `deltas` (time delta,
+/// active_until delta) on node 0 with `words` declared and one word
+/// present, then an empty accounting section.
+using Deltas = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+std::string event_tail(const Deltas& deltas, std::uint64_t words) {
+  std::string out;
+  telemetry::put_varint(out, deltas.size());
+  for (const auto& [time_delta, until_delta] : deltas) {
+    telemetry::put_varint(out, telemetry::zigzag_encode(time_delta));
+    telemetry::put_varint(out, 0);  // node index
+    out.push_back('\0');            // mechanism
+    out.push_back('\0');            // persistence
+    telemetry::put_varint(out, telemetry::zigzag_encode(until_delta));
+    telemetry::put_varint(out, words);
+    telemetry::put_varint(out, 7);  // word index
+    telemetry::put_varint(out, 1);  // affected mask
+    telemetry::put_varint(out, 1);  // stuck value
+  }
+  telemetry::put_varint(out, 0);  // accounting entries
+  return out;
+}
+
+TEST(CampaignTail, LyingWordCountIsDecodeError) {
+  sim::CampaignSummary summary;
+  decode_campaign_tail(event_tail({{1000, 60}}, 1), summary);
+  ASSERT_EQ(summary.ground_truth.size(), 1u);
+  EXPECT_EQ(summary.ground_truth.front().time, 1000);
+  EXPECT_EQ(summary.ground_truth.front().active_until, 1060);
+  const std::uint64_t lie = std::uint64_t{1} << 40;
+  EXPECT_THROW(decode_campaign_tail(event_tail({{1000, 60}}, lie), summary),
+               telemetry::DecodeError);
+  EXPECT_THROW(decode_campaign_tail(event_tail({{1000, 60}}, 0), summary),
+               telemetry::DecodeError);
+}
+
+TEST(CampaignTail, TimeDeltasWrapInsteadOfOverflowing) {
+  // Two INT64_MAX steps overflow a signed running sum; the decoder sums in
+  // wraparound arithmetic, so the result is defined: -2 after two steps.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  sim::CampaignSummary summary;
+  decode_campaign_tail(event_tail({{kMax, kMax}, {kMax, kMax}}, 1), summary);
+  ASSERT_EQ(summary.ground_truth.size(), 2u);
+  EXPECT_EQ(summary.ground_truth[0].time, kMax);
+  EXPECT_EQ(summary.ground_truth[1].time, -2);
+  EXPECT_EQ(summary.ground_truth[1].active_until, kMax - 2);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "common/require.hpp"
 #include "telemetry/binary_codec.hpp"
-#include "telemetry/kernels/kernels.hpp"
 
 namespace unp::telemetry {
 namespace {
@@ -288,7 +287,7 @@ TEST(ArchiveStream, ByteLayoutMatchesHandEncodedLiteral) {
     writer.end_node(cluster::node_from_index(5));
     writer.begin_node(node);
     std::string scratch;
-    EncodedNodeLog enc(node, log, scratch, kernels::active_encode_kernels());
+    EncodedNodeLog enc(node, log, scratch);
     if (bulk) {
       writer.on_node_log(enc);
     } else {

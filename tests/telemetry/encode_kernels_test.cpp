@@ -1,9 +1,8 @@
-// Encode kernel equivalence: every supported ISA's varint / zigzag-delta
-// encode kernels must emit bytes identical to the put_varint scalar oracle —
-// across all head/tail residues of the blocked loops, at every LEB128
-// length boundary (the 2^7k edges), and through the block-buffered
-// VarintWriter.  Also pins the growth-counter contract: encoding into a
-// buffer pre-sized from node_log_encoded_bound never reallocates.
+// The varint encoder against put_varint and the LEB128 definition: every
+// length boundary (the 2^7k edges), every residue of VarintWriter's
+// 512-byte block spill, the zig-zag delta chains, and the pre-sizing
+// contract (a buffer reserved from node_log_encoded_bound never
+// reallocates while a node log is encoded into it).
 #include "telemetry/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -13,14 +12,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/simd_dispatch.hpp"
 #include "telemetry/archive.hpp"
 #include "telemetry/binary_codec.hpp"
 
 namespace unp::telemetry::kernels {
 namespace {
-
-std::vector<Isa> isas() { return simd::supported_isas(); }
 
 /// Every LEB128 length boundary: 2^(7k) - 1, 2^(7k), 2^(7k) + 1 for each
 /// group count, plus the 10-byte extremes.
@@ -62,85 +58,65 @@ std::string oracle_bytes(const std::vector<std::uint64_t>& values) {
   return out;
 }
 
-TEST(EncodeKernelsTest, EveryIsaIsRegisteredAndSelfConsistent) {
-  for (const Isa isa : isas()) {
-    const EncodeKernels& k = encode_kernels_for(isa);
-    EXPECT_EQ(k.isa, isa);
-    EXPECT_NE(k.encode_varint, nullptr);
-    EXPECT_NE(k.encode_varints, nullptr);
-    EXPECT_NE(k.encode_zigzag_deltas, nullptr);
+/// LEB128 from its definition: the minimal number of 7-bit groups, least
+/// significant first, the high bit set on every byte but the last.
+std::string leb128(std::uint64_t v) {
+  int groups = 1;
+  while (groups < 10 && (v >> (7 * groups)) != 0) ++groups;
+  std::string out;
+  for (int g = 0; g < groups; ++g) {
+    const auto payload = static_cast<unsigned char>((v >> (7 * g)) & 0x7F);
+    out.push_back(static_cast<char>(g + 1 < groups ? payload | 0x80 : payload));
   }
-  const EncodeKernels& active = active_encode_kernels();
-  EXPECT_TRUE(simd::is_supported(active.isa));
+  return out;
 }
 
-TEST(EncodeKernelsTest, EncodeVarintMatchesPutVarintAtEveryLengthBoundary) {
+TEST(EncodeKernelsTest, EncodeVarintMatchesLeb128AtEveryLengthBoundary) {
+  std::string expect_all;
   for (const std::uint64_t v : boundary_values()) {
-    std::string expect;
-    put_varint(expect, v);
-    for (const Isa isa : isas()) {
-      char buffer[16];
-      std::memset(buffer, 0x5A, sizeof buffer);
-      const std::size_t len = encode_kernels_for(isa).encode_varint(v, buffer);
-      ASSERT_EQ(len, expect.size()) << simd::to_string(isa) << " value " << v;
-      EXPECT_EQ(std::string(buffer, len), expect)
-          << simd::to_string(isa) << " value " << v;
-    }
-  }
-}
+    const std::string expect = leb128(v);
+    expect_all += expect;
 
-TEST(EncodeKernelsTest, EncodeVarintsMatchesOracleOnEveryResidue) {
-  // Counts 0..40 cover every head/tail residue of the 8-wide packed-run
-  // check and the 512-byte block spill; 3000 exercises multiple spills.
-  for (std::size_t count = 0; count <= 40; ++count) {
-    const auto values = mixed_values(count, count * 31 + 7);
-    const std::string expect = oracle_bytes(values);
-    for (const Isa isa : isas()) {
-      std::string got;
-      encode_kernels_for(isa).encode_varints(values.data(), values.size(), got);
-      EXPECT_EQ(got, expect) << simd::to_string(isa) << " count " << count;
-    }
-  }
-  const auto values = mixed_values(3000, 99);
-  const std::string expect = oracle_bytes(values);
-  for (const Isa isa : isas()) {
-    std::string got;
-    encode_kernels_for(isa).encode_varints(values.data(), values.size(), got);
-    EXPECT_EQ(got, expect) << simd::to_string(isa);
-  }
-}
+    char buffer[10];
+    const std::size_t len = encode_varint(v, buffer);
+    EXPECT_EQ(std::string(buffer, len), expect) << "value " << v;
 
-TEST(EncodeKernelsTest, EncodeVarintsPacksBoundaryRuns) {
-  // All-small runs at lengths straddling the 8-value packed store, and a
-  // boundary-value stream stressing every encoded length back to back.
-  for (const std::size_t count : {std::size_t{7}, std::size_t{8},
-                                  std::size_t{9}, std::size_t{16},
-                                  std::size_t{17}}) {
-    std::vector<std::uint64_t> small(count);
-    for (std::size_t i = 0; i < count; ++i) small[i] = i % 128;
-    const std::string expect = oracle_bytes(small);
-    for (const Isa isa : isas()) {
-      std::string got;
-      encode_kernels_for(isa).encode_varints(small.data(), small.size(), got);
-      EXPECT_EQ(got, expect) << simd::to_string(isa) << " count " << count;
-    }
+    std::string put;
+    put_varint(put, v);
+    EXPECT_EQ(put, expect) << "value " << v;
+    std::size_t pos = 0;
+    EXPECT_EQ(get_varint(put, pos), v);
+    EXPECT_EQ(pos, put.size());
   }
   const auto edges = boundary_values();
-  const std::string expect = oracle_bytes(edges);
-  for (const Isa isa : isas()) {
-    std::string got;
-    encode_kernels_for(isa).encode_varints(edges.data(), edges.size(), got);
-    EXPECT_EQ(got, expect) << simd::to_string(isa);
+  std::string got;
+  encode_varints(edges.data(), edges.size(), got);
+  EXPECT_EQ(got, expect_all);
+}
+
+TEST(EncodeKernelsTest, EncodeVarintsMatchesPutVarintOnEveryResidue) {
+  // Counts 0..40 cover short runs; 3000 values cross the writer's
+  // 512-byte block spill many times at varying offsets.
+  for (std::size_t count = 0; count <= 40; ++count) {
+    const auto values = mixed_values(count, count * 31 + 7);
+    std::string got = "prefix";  // appends, never overwrites
+    encode_varints(values.data(), values.size(), got);
+    EXPECT_EQ(got, "prefix" + oracle_bytes(values)) << "count " << count;
   }
+  const auto values = mixed_values(3000, 99);
+  std::string got;
+  encode_varints(values.data(), values.size(), got);
+  EXPECT_EQ(got, oracle_bytes(values));
 }
 
 TEST(EncodeKernelsTest, EncodeZigzagDeltasMatchesSignedScalarChain) {
   Xoshiro256 rng(2024);
+  std::vector<std::vector<std::uint64_t>> chains;
   for (const std::size_t count :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
         std::size_t{9}, std::size_t{33}, std::size_t{1000}}) {
-    // Random walk with small steps (packed-run path), regressions (negative
-    // deltas), and occasional huge jumps (multi-byte and wraparound cases).
+    // Random walk with small steps, regressions (negative deltas), and
+    // occasional huge jumps (multi-byte and wraparound cases).
     std::vector<std::uint64_t> values(count);
     std::uint64_t v = 1'440'000'000;
     for (std::size_t i = 0; i < count; ++i) {
@@ -153,9 +129,22 @@ TEST(EncodeKernelsTest, EncodeZigzagDeltasMatchesSignedScalarChain) {
         v = rng.next();  // arbitrary jump, including wraparound deltas
       values[i] = v;
     }
-    const std::uint64_t base = count % 2 == 0 ? 0 : 1'439'999'000;
+    chains.push_back(std::move(values));
+  }
+  {  // A chain whose zig-zag deltas land on every 2^7k length boundary.
+    std::vector<std::uint64_t> values;
+    std::uint64_t v = 0;
+    for (const std::uint64_t zz : boundary_values()) {
+      v += static_cast<std::uint64_t>(zigzag_decode(zz));
+      values.push_back(v);
+    }
+    chains.push_back(std::move(values));
+  }
 
-    // Oracle: the original signed delta chain the section writers ran.
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    const auto& values = chains[c];
+    const std::uint64_t base = c % 2 == 0 ? 0 : 1'439'999'000;
+    // Oracle: the signed delta chain the section writers run.
     std::string expect;
     std::uint64_t previous = base;
     for (const std::uint64_t value : values) {
@@ -163,36 +152,32 @@ TEST(EncodeKernelsTest, EncodeZigzagDeltasMatchesSignedScalarChain) {
                  zigzag_encode(static_cast<std::int64_t>(value - previous)));
       previous = value;
     }
-
-    for (const Isa isa : isas()) {
-      std::string got;
-      encode_kernels_for(isa).encode_zigzag_deltas(values.data(), values.size(),
-                                                   base, got);
-      EXPECT_EQ(got, expect) << simd::to_string(isa) << " count " << count;
-    }
+    std::string got;
+    encode_zigzag_deltas(values.data(), values.size(), base, got);
+    EXPECT_EQ(got, expect) << "chain " << c;
   }
 }
 
 TEST(EncodeKernelsTest, VarintWriterMatchesDirectAppends) {
-  const auto values = mixed_values(700, 5);
-  for (const Isa isa : isas()) {
-    std::string expect;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      put_varint(expect, values[i]);
-      if (i % 5 == 0) expect.push_back('\1');
-      if (i % 7 == 0) put_f64(expect, static_cast<double>(values[i]) * 0.25);
-    }
-    std::string got;
-    {
-      VarintWriter w(got, encode_kernels_for(isa));
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        w.varint(values[i]);
-        if (i % 5 == 0) w.byte('\1');
-        if (i % 7 == 0) w.f64(static_cast<double>(values[i]) * 0.25);
-      }
-    }  // destructor flushes
-    EXPECT_EQ(got, expect) << simd::to_string(isa);
+  auto values = mixed_values(700, 5);
+  const auto edges = boundary_values();
+  values.insert(values.end(), edges.begin(), edges.end());
+  std::string expect;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    put_varint(expect, values[i]);
+    if (i % 5 == 0) expect.push_back('\1');
+    if (i % 7 == 0) put_f64(expect, static_cast<double>(values[i]) * 0.25);
   }
+  std::string got;
+  {
+    VarintWriter w(got);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      w.varint(values[i]);
+      if (i % 5 == 0) w.byte('\1');
+      if (i % 7 == 0) w.f64(static_cast<double>(values[i]) * 0.25);
+    }
+  }  // destructor flushes
+  EXPECT_EQ(got, expect);
 }
 
 NodeLog busy_log(cluster::NodeId node, std::uint64_t seed) {
@@ -230,34 +215,19 @@ TEST(EncodeKernelsTest, NodeLogBoundPreSizingNeverReallocates) {
   const std::string expect = encode_node_log(log);
   ASSERT_LE(expect.size(), bound);
 
-  for (const Isa isa : isas()) {
-    std::string out;
-    EncodeArena arena;
-    arena.scratch.reserve(1024);
-    // Warm the buffer once (first reserve is an expected allocation), then
-    // assert the steady-state contract: reuse never grows the buffer.
-    encode_node_log_into(log, out, encode_kernels_for(isa), &arena);
-    EXPECT_EQ(out, expect) << simd::to_string(isa);
-    reset_encode_growth_count();
-    for (int round = 0; round < 3; ++round) {
-      out.clear();
-      encode_node_log_into(log, out, encode_kernels_for(isa), &arena);
-    }
-    EXPECT_EQ(encode_growth_count(), 0u) << simd::to_string(isa);
-    EXPECT_EQ(out, expect) << simd::to_string(isa);
+  // A buffer reserved to the bound (behind a prefix, as frame writers
+  // append) keeps its storage through the whole encode: every append
+  // below the bound fits, so the data pointer and capacity never move.
+  for (const std::size_t prefix : {std::size_t{0}, std::size_t{13}}) {
+    std::string out(prefix, 'x');
+    out.reserve(prefix + bound);
+    const char* data = out.data();
+    const std::size_t capacity = out.capacity();
+    encode_node_log_into(log, out);
+    EXPECT_EQ(out.data(), data) << "prefix " << prefix;
+    EXPECT_EQ(out.capacity(), capacity) << "prefix " << prefix;
+    EXPECT_EQ(out.substr(prefix), expect) << "prefix " << prefix;
   }
-}
-
-TEST(EncodeKernelsTest, GrowthCounterSeesUnreservedAppends) {
-  // Sanity-check the instrument itself: a deliberately unreserved
-  // destination must register growth.
-  const auto values = mixed_values(5000, 1);
-  reset_encode_growth_count();
-  std::string out;
-  out.shrink_to_fit();
-  active_encode_kernels().encode_varints(values.data(), values.size(), out);
-  EXPECT_GT(encode_growth_count(), 0u);
-  reset_encode_growth_count();
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ int main() {
     analysis::ExtractionConfig config;
     config.merge_window_s = window_s;
     const analysis::ExtractionResult result =
-        analysis::extract_faults(data.campaign->archive, config);
+        analysis::extract_faults(data.archive, config);
     std::uint64_t raw = 0;
     for (const auto& f : result.faults) raw += f.raw_logs;
     table.add_row({std::to_string(window_s) + " s",

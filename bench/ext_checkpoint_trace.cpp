@@ -22,7 +22,7 @@ int main() {
       "bursty fault trace");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.campaign->archive.window();
+  const CampaignWindow& window = data.archive.window();
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
       data.extraction.faults, window);
 

@@ -12,6 +12,7 @@
 
 #include "analysis/diagnosis.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "util/campaign_cache.hpp"
 
 int main() {
@@ -24,9 +25,13 @@ int main() {
   const bench::CampaignData& data = bench::default_data();
   const auto fleet = analysis::diagnose_fleet(data.extraction.faults);
 
-  // Ground truth: dominant mechanism per node from the simulator.
+  // Ground truth: dominant mechanism per node, re-derived from the default
+  // campaign's plan (the cache stores only the record stream).
+  ThreadPool pool(sim::default_campaign_threads());
+  const sim::CampaignPlan plan =
+      sim::plan_campaign(sim::CampaignConfig{}, &pool);
   std::map<int, std::map<faults::Mechanism, std::uint64_t>> truth;
-  for (const auto& ev : data.campaign->summary.ground_truth) {
+  for (const auto& ev : plan.ground_truth) {
     ++truth[cluster::node_index(ev.node)][ev.mechanism];
   }
   auto dominant_mechanism = [&](cluster::NodeId node) -> const char* {

@@ -18,8 +18,10 @@ int main() {
       "avoiding the few loud nodes collapses the memory-error job-kill rate");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.campaign->archive.window();
-  const auto& fleet = data.campaign->summary.topology.monitored_nodes();
+  const CampaignWindow& window = data.archive.window();
+  const cluster::Topology topology =
+      sim::campaign_topology(sim::CampaignConfig{});
+  const auto& fleet = topology.monitored_nodes();
 
   TextTable table({"Job size (nodes)", "Policy", "Jobs", "Killed", "Kill rate",
                    "Node-hours lost"});

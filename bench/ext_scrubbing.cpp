@@ -23,7 +23,7 @@ int main() {
 
   const bench::CampaignData& data = bench::default_data();
   const analysis::HeadlineStats stats =
-      analysis::headline_stats(data.campaign->archive, data.extraction);
+      analysis::headline_stats(data.archive, data.extraction);
 
   // Fleet-average single-bit rate per node-hour (dominated by the loud
   // nodes; that is the point).

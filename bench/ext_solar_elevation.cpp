@@ -20,7 +20,7 @@ int main() {
       "exposure-normalized rates must rise monotonically with the sun");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.campaign->archive.window();
+  const CampaignWindow& window = data.archive.window();
 
   // Elevation bands: night, low, mid, high sun.
   const double edges[] = {-90.0, 0.0, 20.0, 40.0, 90.0};

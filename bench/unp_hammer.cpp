@@ -120,10 +120,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
       if (!cli.long_in(i, "--episodes", 0, 100, n)) return false;
       opts.episodes = static_cast<int>(n);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      long n = 0;
-      if (!cli.long_in(i, "--threads", 1, bench::CliParser::kNoUpperBound, n))
-        return false;
-      opts.threads = static_cast<std::size_t>(n);
+      if (!cli.threads(i, opts.threads)) return false;
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       const char* v = cli.next_value(i, "--cache-dir");
       if (!v) return false;

@@ -109,10 +109,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--seed") == 0) {
       if (!cli.u64(i, "--seed", opts.seed)) return false;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      long n = 0;
-      if (!cli.long_in(i, "--threads", 1, bench::CliParser::kNoUpperBound, n))
-        return false;
-      opts.threads = static_cast<std::size_t>(n);
+      if (!cli.threads(i, opts.threads)) return false;
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       const char* v = cli.next_value(i, "--cache-dir");
       if (!v) return false;

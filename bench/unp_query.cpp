@@ -112,9 +112,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--stats") == 0) {
       opts.stats = true;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      long n = 0;
-      if (!cli.long_in(i, "--threads", 1, 4096, n)) return false;
-      opts.threads = static_cast<std::size_t>(n);
+      if (!cli.threads(i, opts.threads)) return false;
     } else if (std::strcmp(arg, "--seed") == 0) {
       if (!cli.u64(i, "--seed", opts.seed)) return false;
     } else if (std::strcmp(arg, "--merge-window") == 0) {

@@ -60,7 +60,7 @@ struct Options {
   long connect = -1;  ///< >= 0 selects client mode
   std::vector<std::string> requests;
   std::string workload_path;
-  long threads = 1;
+  std::size_t threads = 1;
   long repeat = 1;
 };
 
@@ -122,7 +122,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
       if (!v) return false;
       opts.workload_path = v;
     } else if (std::strcmp(arg, "--threads") == 0) {
-      if (!cli.long_in(i, "--threads", 1, 1024, opts.threads)) return false;
+      if (!cli.threads(i, opts.threads)) return false;
     } else if (std::strcmp(arg, "--repeat") == 0) {
       if (!cli.long_in(i, "--repeat", 1, 1L << 20, opts.repeat)) return false;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -226,8 +226,7 @@ int run_client(const Options& opts) {
   const std::size_t n = requests.size();
   std::vector<serve::Response> responses(n);
   const std::size_t nthreads =
-      std::min<std::size_t>(static_cast<std::size_t>(opts.threads),
-                            n == 0 ? 1 : n);
+      std::min<std::size_t>(opts.threads, n == 0 ? 1 : n);
 
   std::mutex error_mutex;
   std::vector<std::string> transport_errors;

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,7 +16,6 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "telemetry/archive_io.hpp"
-#include "telemetry/binary_codec.hpp"
 
 namespace unp::bench {
 
@@ -86,164 +84,12 @@ void read_cache_header(std::istream& is, std::uint64_t expected) {
   UNP_REQUIRE(fingerprint == expected);
 }
 
-// --- ground truth / accounting sections ---------------------------------
-
-// Fewest bytes each tail record can encode to: every varint takes at least
-// one byte, an event at least one word fault.
-constexpr std::size_t kMinWordBytes = 3;
-constexpr std::size_t kMinEventBytes = 6 + kMinWordBytes;
-constexpr std::size_t kMinAccountingBytes = 1 + 8 + 8 + 1;
-
-/// Read a record count and reject one the remaining bytes cannot hold, so
-/// a lying count ends in DecodeError rather than a giant reserve.
-std::uint64_t get_count(const std::string& in, std::size_t& pos,
-                        std::size_t min_record_bytes, const char* what) {
-  const std::size_t at = pos;
-  const std::uint64_t count = telemetry::get_varint(in, pos);
-  if (count > (in.size() - pos) / min_record_bytes)
-    throw telemetry::DecodeError(
-        std::string(what) + " count exceeds the bytes left", at);
-  return count;
-}
-
-cluster::NodeId get_node(const std::string& in, std::size_t& pos) {
-  const std::size_t at = pos;
-  const std::uint64_t index = telemetry::get_varint(in, pos);
-  if (index >= static_cast<std::uint64_t>(cluster::kStudyNodeSlots))
-    throw telemetry::DecodeError("node index out of range", at);
-  return cluster::node_from_index(static_cast<int>(index));
-}
-
-void encode_ground_truth(std::string& out,
-                         const std::vector<faults::FaultEvent>& events) {
-  telemetry::put_varint(out, events.size());
-  TimePoint previous = 0;
-  for (const auto& ev : events) {
-    telemetry::put_varint(out, telemetry::zigzag_encode(ev.time - previous));
-    previous = ev.time;
-    telemetry::put_varint(out,
-                          static_cast<std::uint64_t>(cluster::node_index(ev.node)));
-    out.push_back(static_cast<char>(ev.mechanism));
-    out.push_back(static_cast<char>(ev.persistence));
-    telemetry::put_varint(out,
-                          telemetry::zigzag_encode(ev.active_until - ev.time));
-    telemetry::put_varint(out, ev.words.size());
-    for (const auto& wf : ev.words) {
-      telemetry::put_varint(out, wf.word_index);
-      telemetry::put_varint(out, wf.corruption.affected_mask);
-      telemetry::put_varint(out, wf.corruption.stuck_value);
-    }
-  }
-}
-
-std::vector<faults::FaultEvent> decode_ground_truth(const std::string& in,
-                                                    std::size_t& pos) {
-  const std::uint64_t count =
-      get_count(in, pos, kMinEventBytes, "ground-truth");
-  std::vector<faults::FaultEvent> events;
-  events.reserve(count);
-  TimePoint previous = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    faults::FaultEvent ev;
-    previous = telemetry::add_wrapping(
-        previous, telemetry::zigzag_decode(telemetry::get_varint(in, pos)));
-    ev.time = previous;
-    ev.node = get_node(in, pos);
-    if (pos + 2 > in.size())
-      throw telemetry::DecodeError("truncated fault event", pos);
-    const auto mechanism = static_cast<std::uint8_t>(in[pos]);
-    if (mechanism > static_cast<std::uint8_t>(faults::Mechanism::kRowhammer))
-      throw telemetry::DecodeError("bad fault mechanism", pos);
-    ev.mechanism = static_cast<faults::Mechanism>(mechanism);
-    const auto persistence = static_cast<std::uint8_t>(in[pos + 1]);
-    if (persistence > static_cast<std::uint8_t>(faults::Persistence::kStuck))
-      throw telemetry::DecodeError("bad fault persistence", pos + 1);
-    ev.persistence = static_cast<faults::Persistence>(persistence);
-    pos += 2;
-    ev.active_until = telemetry::add_wrapping(
-        ev.time, telemetry::zigzag_decode(telemetry::get_varint(in, pos)));
-    const std::size_t words_at = pos;
-    const std::uint64_t words = get_count(in, pos, kMinWordBytes, "word-fault");
-    if (words == 0)
-      throw telemetry::DecodeError("fault event without words", words_at);
-    ev.words.reserve(words);
-    for (std::uint64_t w = 0; w < words; ++w) {
-      faults::WordFault wf;
-      wf.word_index = telemetry::get_varint(in, pos);
-      wf.corruption.affected_mask =
-          static_cast<Word>(telemetry::get_varint(in, pos));
-      wf.corruption.stuck_value =
-          static_cast<Word>(telemetry::get_varint(in, pos));
-      ev.words.push_back(wf);
-    }
-    events.push_back(std::move(ev));
-  }
-  return events;
-}
-
-void encode_accounting(std::string& out,
-                       const std::vector<sim::NodeAccounting>& accounting) {
-  telemetry::put_varint(out, accounting.size());
-  for (const auto& a : accounting) {
-    telemetry::put_varint(out,
-                          static_cast<std::uint64_t>(cluster::node_index(a.node)));
-    telemetry::put_f64(out, a.scanned_hours);
-    telemetry::put_f64(out, a.terabyte_hours);
-    telemetry::put_varint(out, a.sessions);
-  }
-}
-
-std::vector<sim::NodeAccounting> decode_accounting(const std::string& in,
-                                                   std::size_t& pos) {
-  const std::uint64_t count =
-      get_count(in, pos, kMinAccountingBytes, "accounting");
-  std::vector<sim::NodeAccounting> accounting;
-  accounting.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::NodeAccounting a;
-    a.node = get_node(in, pos);
-    a.scanned_hours = telemetry::get_f64(in, pos);
-    a.terabyte_hours = telemetry::get_f64(in, pos);
-    a.sessions = telemetry::get_varint(in, pos);
-    accounting.push_back(a);
-  }
-  return accounting;
-}
-
-}  // namespace
-
-void encode_campaign_tail(const sim::CampaignSummary& summary,
-                          std::string& out) {
-  encode_ground_truth(out, summary.ground_truth);
-  encode_accounting(out, summary.accounting);
-}
-
-void decode_campaign_tail(const std::string& in,
-                          sim::CampaignSummary& summary) {
-  std::size_t pos = 0;
-  summary.ground_truth = decode_ground_truth(in, pos);
-  summary.accounting = decode_accounting(in, pos);
-  if (pos != in.size())
-    throw telemetry::DecodeError("trailing bytes after the campaign tail", pos);
-}
-
-namespace {
-
 // --- load / store -------------------------------------------------------
 
-sim::CampaignResult empty_campaign(const sim::CampaignConfig& config) {
-  return sim::CampaignResult{
-      sim::CampaignSummary{sim::campaign_topology(config), {}, {}},
-      telemetry::CampaignArchive(config.window)};
-}
-
-/// Reload `result` (archive + ground truth + accounting) from the cache
-/// file; the topology is rebuilt deterministically from the config.  Any
-/// format violation reports failure and falls back to simulation.
-bool load_cached_campaign(const std::string& path,
-                          const sim::CampaignConfig& config,
-                          std::uint64_t fingerprint,
-                          sim::CampaignResult& result) {
+/// Reload `archive` from the cache file.  Any format violation reports
+/// failure, leaving `archive` partly filled, and falls back to simulation.
+bool load_cached_archive(const std::string& path, std::uint64_t fingerprint,
+                         telemetry::CampaignArchive& archive) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) return false;
   try {
@@ -253,19 +99,13 @@ bool load_cached_campaign(const std::string& path,
     // replaying it record-by-record through the sink interface; on the
     // full campaign that halves reload time.
     telemetry::ArchiveReader reader(is);
-    result.archive.begin_campaign(reader.window());
+    archive.begin_campaign(reader.window());
     cluster::NodeId node{};
     telemetry::NodeLog log;
-    while (reader.next(node, log)) result.archive.log(node) = std::move(log);
-
-    const std::string rest((std::istreambuf_iterator<char>(is)),
-                           std::istreambuf_iterator<char>());
-    decode_campaign_tail(rest, result.summary);
+    while (reader.next(node, log)) archive.log(node) = std::move(log);
   } catch (const ContractViolation&) {
-    result = empty_campaign(config);
     return false;
   }
-  result.summary.topology = sim::campaign_topology(config);
   return true;
 }
 
@@ -287,13 +127,12 @@ bool replay_cached_stream(const std::string& path, std::uint64_t fingerprint,
 }
 
 /// Simulate the campaign on `threads` threads, streaming the records to
-/// `sinks` while spilling the stream plus the ground-truth and accounting
-/// sections into the cache file.  Cache write failures degrade to a plain
-/// streaming run.
-sim::CampaignSummary simulate_and_spill(
-    const std::string& path, std::uint64_t fingerprint,
-    const sim::CampaignConfig& config,
-    std::vector<telemetry::RecordSink*> sinks, std::size_t threads) {
+/// `sinks` while spilling the stream into the cache file.  Cache write
+/// failures degrade to a plain streaming run.
+void simulate_and_spill(const std::string& path, std::uint64_t fingerprint,
+                        const sim::CampaignConfig& config,
+                        std::vector<telemetry::RecordSink*> sinks,
+                        std::size_t threads) {
   // Temp name is pid-unique: concurrent bench processes racing on the same
   // cache path each spill a complete private file and rename it into place,
   // so a reader can never observe a torn UNPC file.
@@ -310,13 +149,9 @@ sim::CampaignSummary simulate_and_spill(
   }
   if (writer) sinks.push_back(writer.get());
 
-  sim::CampaignSummary summary =
-      sim::run_campaign_streaming(config, sinks, threads);
+  sim::run_campaign_streaming(config, sinks, threads);
 
   if (writer && os.good()) {
-    std::string sections;
-    encode_campaign_tail(summary, sections);
-    os.write(sections.data(), static_cast<std::streamsize>(sections.size()));
     os.close();
     if (os.good()) {
       std::error_code ec;
@@ -327,35 +162,21 @@ sim::CampaignSummary simulate_and_spill(
     std::error_code ec;
     std::filesystem::remove(tmp, ec);
   }
-  return summary;
 }
 
-/// A pipeline the registry owns: the campaign lives next to the data so
-/// `data.campaign` stays valid for the process lifetime.
-struct PipelineEntry {
-  sim::CampaignResult campaign;
-  CampaignData data;
-};
-
-std::unique_ptr<PipelineEntry> build_pipeline(
+std::unique_ptr<CampaignData> build_pipeline(
     const sim::CampaignConfig& config,
     const analysis::ExtractionConfig& extraction, std::uint64_t fingerprint) {
-  auto entry = std::make_unique<PipelineEntry>(
-      PipelineEntry{empty_campaign(config), {}});
-  sim::CampaignResult& campaign = entry->campaign;
-  CampaignData& d = entry->data;
+  auto d = std::make_unique<CampaignData>();
   const std::string path =
       cache_disabled() ? std::string{} : cache_path_for(fingerprint);
-  if (path.empty() ||
-      !load_cached_campaign(path, config, fingerprint, campaign)) {
-    campaign.summary = simulate_and_spill(path, fingerprint, config,
-                                          {&campaign.archive},
-                                          sim::default_campaign_threads());
+  if (path.empty() || !load_cached_archive(path, fingerprint, d->archive)) {
+    d->archive = telemetry::CampaignArchive(config.window);
+    simulate_and_spill(path, fingerprint, config, {&d->archive},
+                       sim::default_campaign_threads());
   }
-  d.campaign = &campaign;
-  d.extraction = analysis::extract_faults(campaign.archive, extraction);
-  d.groups = analysis::group_simultaneous(d.extraction.faults);
-  return entry;
+  d->extraction = analysis::extract_faults(d->archive, extraction);
+  return d;
 }
 
 }  // namespace
@@ -413,13 +234,13 @@ const CampaignData& default_data() {
 
 const CampaignData& default_data(const analysis::ExtractionConfig& extraction) {
   static std::mutex mutex;
-  static std::map<std::uint64_t, std::unique_ptr<PipelineEntry>> registry;
+  static std::map<std::uint64_t, std::unique_ptr<CampaignData>> registry;
   const sim::CampaignConfig& config = default_config();
   const std::uint64_t fingerprint = campaign_fingerprint(config, extraction);
   const std::lock_guard<std::mutex> lock(mutex);
-  std::unique_ptr<PipelineEntry>& slot = registry[fingerprint];
+  std::unique_ptr<CampaignData>& slot = registry[fingerprint];
   if (!slot) slot = build_pipeline(config, extraction, fingerprint);
-  return slot->data;
+  return *slot;
 }
 
 std::string default_cache_path() {

@@ -2,24 +2,37 @@
 // campaign (seed 42) and extraction, then prints its own view.
 //
 // The campaign is acquired through an on-disk cache: the first bench process
-// simulates it (multithreaded) while spilling the record stream plus ground
-// truth and accounting to a cache file; every later process — unp_report,
-// the ablation/extension benches, the perf gates — replays that file
-// instead of re-simulating seconds of fleet timeline.  Front ends stream it
-// (stream_campaign); default_data() materializes archive and extraction
-// for the benches that need the whole campaign in memory.
+// simulates it (multithreaded) while spilling the record stream to a cache
+// file; every later process — unp_report, the ablation/extension benches,
+// the perf gates — replays that file instead of re-simulating seconds of
+// fleet timeline.  Front ends stream it (stream_campaign); default_data()
+// materializes archive and extraction for the benches that need the whole
+// campaign in memory.
 //
-// Cache file (binary, varint/f64 encodings from telemetry/binary_codec):
+// Cache file:
 //
-//   file := magic "UNPC" u8 version u64 fingerprint
+//   file := magic "UNPC" u8 version u64 fingerprint      (13 bytes)
 //           <archive stream, telemetry/archive_io format>
-//           ground_truth_section accounting_section
+//
+// and nothing after the stream's end frame.  The ground truth and the
+// per-node accounting are not stored: sim::plan_campaign recomputes the
+// truth from the config, and the topology comes from
+// sim::campaign_topology.  Files written before the truth left the cache
+// carried it as a tail after the end frame; the version stays 2, so file
+// names, UNPH ensemble ids and UNPF headers are unchanged, and old and new
+// files share one cache dir safely — readers stop at the end frame and
+// ignore an old tail, and an older binary rejects a tail-less file as
+// corrupt and re-simulates.
 //
 // The fingerprint digests the campaign seed, window, topology size, the
-// codec versions AND the extraction configuration, so an analysis run with
-// a non-default merge window can never silently pair with pipeline products
-// cached under the default parameters.  A mismatch (changed config or
-// format) invalidates the file and triggers a fresh simulate-and-rewrite.
+// codec versions, the hammer config when hammer faults are enabled AND the
+// extraction configuration, so an analysis run with a non-default merge
+// window can never silently pair with pipeline products cached under the
+// default parameters.  A mismatch (changed config or format) invalidates
+// the file and triggers a fresh simulate-and-rewrite.  Nothing else of the
+// CampaignConfig is keyed: a stream_campaign caller that changes the
+// availability, planner, fault-model or session fields must not use the
+// cache (the counterfactual studies call sim::run_campaign instead).
 // Location: $UNP_CACHE_DIR (default: the system temp dir) /
 // unp_campaign_<fingerprint>.unpc;  UNP_CAMPAIGN_CACHE=off disables the
 // cache entirely.
@@ -30,17 +43,16 @@
 #include <string>
 
 #include "analysis/extraction.hpp"
-#include "analysis/grouping.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::bench {
 
+/// The default campaign's record archive and its extraction.
 struct CampaignData {
-  const sim::CampaignResult* campaign = nullptr;
+  telemetry::CampaignArchive archive;
   analysis::ExtractionResult extraction;
-  std::vector<analysis::SimultaneousGroup> groups;  ///< over extraction.faults
 };
 
 /// Digest of everything that determines the shared pipeline's products:
@@ -91,17 +103,6 @@ StreamStats stream_campaign(const sim::CampaignConfig& config,
                             const analysis::ExtractionConfig& extraction,
                             const std::vector<telemetry::RecordSink*>& sinks,
                             std::size_t threads);
-
-/// The UNPC tail that follows the archive stream: the fleet ground truth
-/// then the per-node accounting of `summary` (topology is not stored).
-void encode_campaign_tail(const sim::CampaignSummary& summary,
-                          std::string& out);
-
-/// Inverse of encode_campaign_tail over all of `in`, filling `summary`'s
-/// ground truth and accounting.  Throws telemetry::DecodeError on corrupt
-/// bytes: a count the remaining bytes cannot hold, an out-of-range field,
-/// truncation, or trailing bytes.  Time deltas sum in wraparound arithmetic.
-void decode_campaign_tail(const std::string& in, sim::CampaignSummary& summary);
 
 /// Standard bench header: experiment id, paper reference, and the shape the
 /// paper reports (so every bench output is self-describing).

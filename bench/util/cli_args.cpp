@@ -47,6 +47,13 @@ bool CliParser::long_in(int& i, const char* flag, long lo, long hi,
   return false;
 }
 
+bool CliParser::threads(int& i, std::size_t& out) const {
+  long n = 0;
+  if (!long_in(i, "--threads", 1, kMaxThreads, n)) return false;
+  out = static_cast<std::size_t>(n);
+  return true;
+}
+
 bool CliParser::u64(int& i, const char* flag, std::uint64_t& out) const {
   const char* v = next_value(i, flag);
   if (v == nullptr) return false;

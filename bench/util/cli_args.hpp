@@ -1,5 +1,5 @@
 // Shared strict argument parsing for the CLI drivers (unp_report,
-// unp_policy, unp_query, unp_campaign).
+// unp_policy, unp_query, unp_campaign, unp_ecc, unp_hammer, unp_serve).
 //
 // Every driver follows the same contract: malformed input prints one
 // program-prefixed diagnostic to stderr and makes the driver exit 2 without
@@ -8,6 +8,7 @@
 // strtol would.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -37,6 +38,13 @@ class CliParser {
 
   /// next_value parsed as an unsigned 64-bit integer.
   [[nodiscard]] bool u64(int& i, const char* flag, std::uint64_t& out) const;
+
+  /// `--threads` parsed as a count in 1..kMaxThreads.  Each thread is an OS
+  /// thread started up front, so the bound keeps a stray digit from asking
+  /// for millions of them.
+  [[nodiscard]] bool threads(int& i, std::size_t& out) const;
+
+  static constexpr long kMaxThreads = 1024;
 
   static constexpr long kNoUpperBound = std::numeric_limits<long>::max();
   static constexpr long kNoLowerBound = std::numeric_limits<long>::min();

@@ -139,13 +139,6 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
   const dram::mapping::DramMapping mapping(
       dram::mapping::make_mapping_config(cc.faults.hammer.mapping));
 
-  // Open-loop wiring, bit-for-bit the streaming campaign's (campaign.hpp).
-  const cluster::Topology topology = sim::campaign_topology(cc);
-  const cluster::AvailabilityModel availability(sim::campaign_availability(cc));
-  const sched::ScanPlanner planner(sim::campaign_planner_config(cc));
-  const auto& nodes = topology.monitored_nodes();
-  const std::size_t n = nodes.size();
-
   std::unique_ptr<ThreadPool> pool;
   if (config.threads > 1) pool = std::make_unique<ThreadPool>(config.threads);
   auto run_parallel = [&](std::size_t count, auto&& fn) {
@@ -156,38 +149,21 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
     }
   };
 
-  std::vector<sched::ScanPlan> plans(n);
-  run_parallel(n, [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  });
-
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(cc.faults);
-  const std::vector<faults::FaultEvent> ground_truth =
-      suite.generate(contexts, sim::campaign_fault_seed(cc));
-  std::vector<std::vector<faults::FaultEvent>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (const auto& ev : ground_truth) {
-    per_node[static_cast<std::size_t>(cluster::node_index(ev.node))].push_back(
-        ev);
-  }
-  const std::uint64_t session_seed = sim::campaign_session_seed(cc);
+  // The open-loop campaign's own plans and ground truth (campaign.hpp).
+  const sim::CampaignPlan campaign = sim::plan_campaign(cc, pool.get());
+  const auto& nodes = campaign.topology.monitored_nodes();
+  const std::size_t n = nodes.size();
+  const std::vector<sched::ScanPlan>& plans = campaign.plans;
+  std::vector<std::vector<faults::FaultEvent>> events(n);
+  for (std::size_t i = 0; i < n; ++i) events[i] = campaign.events_of(nodes[i]);
+  const std::uint64_t session_seed = campaign.session_seed;
 
   // Pathological exclusion only (see header: no loudest-node exclusion —
   // hammered nodes are loud by design).
   std::vector<std::uint64_t> raw(n, 0);
   run_parallel(n, [&](std::size_t i) {
     const telemetry::NodeLog log = sim::simulate_node(
-        cc.session, nodes[i], plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))],
+        cc.session, nodes[i], plans[i], events[i],
         cluster::Topology::is_overheating_slot(nodes[i]), session_seed);
     raw[i] = log.raw_error_count();
   });
@@ -206,23 +182,18 @@ HammerMitigationResult run_hammer_mitigation(const HammerLoopConfig& config) {
   // yields identical results).
   std::vector<NodeMitigation> outcomes(n);
   run_parallel(n, [&](std::size_t i) {
-    if (excluded[i]) return;
-    const auto& events =
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))];
-    if (events.empty()) return;
-    outcomes[i] = mitigate_node(config, mapping, nodes[i], plans[i], events,
+    if (excluded[i] || events[i].empty()) return;
+    outcomes[i] = mitigate_node(config, mapping, nodes[i], plans[i], events[i],
                                 session_seed);
   });
 
   // Score against ground truth, in node order for determinism.
   for (std::size_t i = 0; i < n; ++i) {
     if (excluded[i]) continue;
-    const auto& events =
-        per_node[static_cast<std::size_t>(cluster::node_index(nodes[i]))];
 
     std::set<std::uint64_t> hammered_rows;
     std::map<std::uint64_t, std::set<std::uint64_t>> dense_words;
-    for (const auto& ev : events) {
+    for (const auto& ev : events[i]) {
       for (const auto& w : ev.words) {
         if (w.word_index >= mapping.total_words()) continue;
         const dram::mapping::DramCoordinate c = mapping.decode(w.word_index);

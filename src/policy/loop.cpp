@@ -135,13 +135,6 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   const sim::CampaignConfig& cc = config.campaign;
   const CampaignWindow& window = cc.window;
 
-  // Open-loop wiring, bit-for-bit the streaming campaign's (campaign.hpp).
-  const cluster::Topology topology = sim::campaign_topology(cc);
-  const cluster::AvailabilityModel availability(sim::campaign_availability(cc));
-  const sched::ScanPlanner planner(sim::campaign_planner_config(cc));
-  const auto& nodes = topology.monitored_nodes();
-  const std::size_t n = nodes.size();
-
   std::unique_ptr<ThreadPool> pool;
   if (config.threads > 1) pool = std::make_unique<ThreadPool>(config.threads);
   auto run_parallel = [&](std::size_t count, auto&& fn) {
@@ -152,29 +145,14 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
     }
   };
 
-  std::vector<sched::ScanPlan> plans(n);
-  run_parallel(n, [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  });
-
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(cc.faults);
-  const std::vector<faults::FaultEvent> ground_truth =
-      suite.generate(contexts, sim::campaign_fault_seed(cc));
-  std::vector<std::vector<faults::FaultEvent>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (const auto& ev : ground_truth) {
-    per_node[static_cast<std::size_t>(cluster::node_index(ev.node))].push_back(ev);
-  }
-  const std::uint64_t session_seed = sim::campaign_session_seed(cc);
+  // The open-loop campaign's own plans and ground truth (campaign.hpp).
+  const sim::CampaignPlan campaign = sim::plan_campaign(cc, pool.get());
+  const auto& nodes = campaign.topology.monitored_nodes();
+  const std::size_t n = nodes.size();
+  const std::vector<sched::ScanPlan>& plans = campaign.plans;
+  std::vector<std::vector<faults::FaultEvent>> events(n);
+  for (std::size_t i = 0; i < n; ++i) events[i] = campaign.events_of(nodes[i]);
+  const std::uint64_t session_seed = campaign.session_seed;
 
   // Open-loop observation: what the unactuated campaign saw per node.
   std::vector<std::vector<analysis::FaultRecord>> open_faults(n);
@@ -182,8 +160,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   run_parallel(n, [&](std::size_t i) {
     const cluster::NodeId node = nodes[i];
     const telemetry::NodeLog log = sim::simulate_node(
-        cc.session, node, plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(node))],
+        cc.session, node, plans[i], events[i],
         cluster::Topology::is_overheating_slot(node), session_seed);
     raw[i] = log.raw_error_count();
     open_faults[i] =
@@ -221,11 +198,8 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   std::vector<NodeOutcome> outcomes(n);
   run_parallel(n, [&](std::size_t i) {
     if (excluded[i] || open_faults[i].empty()) return;
-    const cluster::NodeId node = nodes[i];
-    outcomes[i] = run_node_loop(
-        config, window, node, plans[i],
-        per_node[static_cast<std::size_t>(cluster::node_index(node))],
-        session_seed);
+    outcomes[i] = run_node_loop(config, window, nodes[i], plans[i],
+                                std::move(events[i]), session_seed);
   });
 
   // Fleet aggregation, in node order for determinism.

@@ -177,21 +177,42 @@ void Server::worker_loop() {
 }
 
 void Server::serve_connection(int fd) {
+  // `pending` holds received bytes not yet consumed as lines.  Each recv
+  // searches only its own bytes for newlines (the prefix before them is
+  // known to hold none) and consumed lines are dropped once per recv, so a
+  // connection's cost stays linear in its bytes.
   std::string pending;
   char buf[4096];
+  auto reject_long_line = [&] {
+    (void)send_all(fd, frame_response(false,
+                                      "request line longer than " +
+                                          std::to_string(kMaxRequestLine) +
+                                          " bytes"));
+    (void)::shutdown(fd, SHUT_WR);
+  };
   while (true) {
-    const std::size_t newline = pending.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = pending.substr(0, newline);
-      pending.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      if (!send_all(fd, handle_line(line))) return;
-      continue;
-    }
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n > 0) {
+      std::size_t from = pending.size();
       pending.append(buf, static_cast<std::size_t>(n));
+      std::size_t start = 0;
+      std::size_t newline = 0;
+      while ((newline = pending.find('\n', from)) != std::string::npos) {
+        if (newline - start > kMaxRequestLine) {
+          reject_long_line();
+          return;
+        }
+        std::string line = pending.substr(start, newline - start);
+        start = from = newline + 1;
+        if (!line.empty() && line.back() == '\r') line.pop_back();
+        if (line.empty()) continue;
+        if (!send_all(fd, handle_line(line))) return;
+      }
+      pending.erase(0, start);
+      if (pending.size() > kMaxRequestLine) {
+        reject_long_line();
+        return;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {

@@ -8,6 +8,10 @@
 //   OK <len>\n<body>     — <len> bytes of rendered response
 //   ERR <len>\n<message> — rejected request / render failure
 //
+// A request line longer than Server::kMaxRequestLine bytes gets one ERR
+// frame, then the server closes the connection; each connection buffers at
+// most that much of an unfinished line.
+//
 // All workers share ONE parsed store via shared_ptr<const StoreHandle>:
 // requests snapshot the pointer, so scans proceed lock-free against deeply
 // immutable bytes while an admin `swap` installs a replacement handle.  A
@@ -60,6 +64,10 @@ class Server {
     std::size_t workers = 4;
     std::size_t cache_capacity = 256;  ///< 0 disables the result cache
   };
+
+  /// Longest request line served, in bytes (without the newline).  Lines
+  /// are short predicate strings; this bounds a connection's line buffer.
+  static constexpr std::size_t kMaxRequestLine = 64 * 1024;
 
   Server(Config config, RenderFn render);
   ~Server();

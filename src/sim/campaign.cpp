@@ -29,6 +29,8 @@ cluster::Topology campaign_topology(const CampaignConfig& config) {
   return cluster::Topology(topo_config);
 }
 
+namespace {
+
 cluster::AvailabilityModel::Config campaign_availability(
     const CampaignConfig& config) {
   cluster::AvailabilityModel::Config avail = config.availability;
@@ -67,8 +69,6 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
   return mix64(config.seed, 0x5E55);
 }
 
-namespace {
-
 /// Per-slot scratch for phase 3: everything a worker touches while turning
 /// one node's fault events into (optionally pre-encoded) telemetry.  A slot
 /// is allocated once and reused for every block, so steady-state
@@ -81,6 +81,63 @@ struct NodeSlot {
 
 }  // namespace
 
+std::vector<faults::FaultEvent> CampaignPlan::events_of(
+    cluster::NodeId node) const {
+  std::vector<faults::FaultEvent> events;
+  const auto& indices =
+      node_events[static_cast<std::size_t>(cluster::node_index(node))];
+  events.reserve(indices.size());
+  for (const std::uint32_t e : indices) events.push_back(ground_truth[e]);
+  return events;
+}
+
+CampaignPlan plan_campaign(const CampaignConfig& config, ThreadPool* pool) {
+  CampaignPlan plan{campaign_topology(config), {}, {}, {},
+                    campaign_session_seed(config)};
+
+  const cluster::AvailabilityModel availability(campaign_availability(config));
+  const sched::ScanPlanner planner(campaign_planner_config(config));
+
+  const auto& nodes = plan.topology.monitored_nodes();
+  const std::size_t n = nodes.size();
+
+  // Phase 1: per-node scan plans (parallel, order-independent).
+  plan.plans.resize(n);
+  auto build_plan = [&](std::size_t i) {
+    plan.plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
+  };
+  if (pool) {
+    pool->parallel_for(n, build_plan);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) build_plan(i);
+  }
+
+  // Phase 2: fleet-wide fault generation (sequential; fleet-level streams).
+  std::vector<faults::NodeContext> contexts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    contexts[i].node = nodes[i];
+    contexts[i].plan = &plan.plans[i];
+    contexts[i].scanned_hours = plan.plans[i].scanned_hours();
+    contexts[i].near_overheating_slot =
+        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
+        nodes[i].soc == cluster::kOverheatingSoc + 1;
+  }
+  const faults::FaultModelSuite suite(config.faults);
+  plan.ground_truth = suite.generate(contexts, campaign_fault_seed(config));
+
+  // Partition events per node as index lists into the shared fleet vector —
+  // the events themselves (with their heap word lists) are never copied on
+  // the hot path; simulation workers read them in place.
+  UNP_REQUIRE(plan.ground_truth.size() <= 0xFFFFFFFFull);
+  plan.node_events.resize(static_cast<std::size_t>(cluster::kStudyNodeSlots));
+  for (std::size_t e = 0; e < plan.ground_truth.size(); ++e) {
+    plan.node_events[static_cast<std::size_t>(
+                         cluster::node_index(plan.ground_truth[e].node))]
+        .push_back(static_cast<std::uint32_t>(e));
+  }
+  return plan;
+}
+
 CampaignSummary run_campaign_shard(const CampaignConfig& config,
                                    const ShardSpec& spec,
                                    const std::vector<telemetry::RecordSink*>& sinks,
@@ -89,57 +146,21 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   UNP_REQUIRE(spec.count >= 1);
   UNP_REQUIRE(spec.index >= 0 && spec.index < spec.count);
 
-  CampaignSummary summary{campaign_topology(config), {}, {}};
-
-  const cluster::AvailabilityModel availability(campaign_availability(config));
-  const sched::ScanPlanner planner(campaign_planner_config(config));
-
-  const auto& nodes = summary.topology.monitored_nodes();
-  const std::size_t n = nodes.size();
-
-  // Phase 1: per-node scan plans (parallel, order-independent).  Every shard
-  // builds the plans of the WHOLE fleet: the fleet-wide fault generation
-  // below consumes every node's plan and scanned hours, and re-deriving them
-  // is what keeps each shard's random streams bit-identical to the
-  // monolithic run's.  Planning is cheap next to session simulation, which
-  // is the phase sharding actually divides.
-  std::vector<sched::ScanPlan> plans(n);
-  auto build_plan = [&](std::size_t i) {
-    plans[i] = planner.plan(nodes[i], availability.build(nodes[i]));
-  };
+  // Phases 1-2: scan plans and the fleet-wide fault generation.  Every
+  // shard plans the WHOLE fleet: fault generation consumes every node's plan
+  // and scanned hours, and re-deriving them is what keeps each shard's
+  // random streams bit-identical to the monolithic run's.  Planning is cheap
+  // next to session simulation, which is the phase sharding actually
+  // divides.
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  if (pool) {
-    pool->parallel_for(n, build_plan);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) build_plan(i);
-  }
+  CampaignPlan plan = plan_campaign(config, pool.get());
+  const std::vector<sched::ScanPlan>& plans = plan.plans;
+  const std::vector<faults::FaultEvent>& fleet_truth = plan.ground_truth;
 
-  // Phase 2: fleet-wide fault generation (sequential; fleet-level streams),
-  // identical in every shard for the same campaign seed.
-  std::vector<faults::NodeContext> contexts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contexts[i].node = nodes[i];
-    contexts[i].plan = &plans[i];
-    contexts[i].scanned_hours = plans[i].scanned_hours();
-    contexts[i].near_overheating_slot =
-        nodes[i].soc == cluster::kOverheatingSoc - 1 ||
-        nodes[i].soc == cluster::kOverheatingSoc + 1;
-  }
-  const faults::FaultModelSuite suite(config.faults);
-  std::vector<faults::FaultEvent> fleet_truth =
-      suite.generate(contexts, campaign_fault_seed(config));
-
-  // Partition events per node as index lists into the shared fleet vector —
-  // the events themselves (with their heap word lists) are never copied on
-  // the hot path; workers read them in place.
-  UNP_REQUIRE(fleet_truth.size() <= 0xFFFFFFFFull);
-  std::vector<std::vector<std::uint32_t>> per_node(
-      static_cast<std::size_t>(cluster::kStudyNodeSlots));
-  for (std::size_t e = 0; e < fleet_truth.size(); ++e) {
-    per_node[static_cast<std::size_t>(cluster::node_index(fleet_truth[e].node))]
-        .push_back(static_cast<std::uint32_t>(e));
-  }
+  CampaignSummary summary{std::move(plan.topology), {}, {}};
+  const auto& nodes = summary.topology.monitored_nodes();
+  const std::size_t n = nodes.size();
 
   // Ownership: monitored position j belongs to shard j % count (see
   // shard.hpp).  `owned` holds positions into `nodes`, still ascending.
@@ -181,7 +202,6 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   // the ownership filter preserves that order).
   for (auto* sink : sinks) sink->begin_campaign(config.window);
 
-  const std::uint64_t session_seed = campaign_session_seed(config);
   const std::size_t block = std::max<std::size_t>(threads * 8, 32);
   // Pre-encode node-log bodies in the workers only when some sink will
   // actually consume bytes; record-routing sinks never pay for encoding.
@@ -200,10 +220,10 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       // Zero-copy: simulate straight off the shared fleet-truth events.
       simulate_node_shared_into(
           config.session, node, plans[j],
-          cluster::Topology::is_overheating_slot(node), session_seed,
+          cluster::Topology::is_overheating_slot(node), plan.session_seed,
           fleet_truth,
-          per_node[static_cast<std::size_t>(cluster::node_index(node))], s.sim,
-          s.log);
+          plan.node_events[static_cast<std::size_t>(cluster::node_index(node))],
+          s.sim, s.log);
       if (wants_encoded) {
         s.encoded.clear();
         telemetry::encode_node_log_into(s.log, s.encoded);
@@ -234,7 +254,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   }
 
   for (auto* sink : sinks) sink->end_campaign();
-  if (spec.is_monolithic()) summary.ground_truth = std::move(fleet_truth);
+  if (spec.is_monolithic()) summary.ground_truth = std::move(plan.ground_truth);
   return summary;
 }
 

@@ -15,6 +15,7 @@
 
 #include "cluster/availability.hpp"
 #include "cluster/topology.hpp"
+#include "common/thread_pool.hpp"
 #include "faults/suite.hpp"
 #include "sched/planner.hpp"
 #include "sim/session_sim.hpp"
@@ -81,26 +82,33 @@ struct CampaignResult {
 /// the simulation).
 [[nodiscard]] cluster::Topology campaign_topology(const CampaignConfig& config);
 
-// The exact component wiring run_campaign_streaming uses, exposed so
-// out-of-band drivers (the closed-loop policy runner in src/policy, which
-// must re-simulate individual node timelines under actuated scan plans) can
-// reproduce the open-loop campaign bit-for-bit before layering their cuts.
+/// The open-loop campaign before any session is simulated: every scan plan
+/// and the fleet-wide ground truth, derived from the campaign seed.
+struct CampaignPlan {
+  cluster::Topology topology;
+  /// One plan per node of `topology.monitored_nodes()`, in that order.
+  std::vector<sched::ScanPlan> plans;
+  /// Ground-truth fault events of the whole fleet, sorted by time.
+  std::vector<faults::FaultEvent> ground_truth;
+  /// Indexed by `cluster::node_index`: positions into `ground_truth` of the
+  /// node's events, ascending.
+  std::vector<std::vector<std::uint32_t>> node_events;
+  /// Sub-seed feeding per-node session simulation (simulate_node).
+  std::uint64_t session_seed = 0;
 
-/// Availability config with window + special administrative outages wired.
-[[nodiscard]] cluster::AvailabilityModel::Config campaign_availability(
-    const CampaignConfig& config);
+  /// Owned copy of `node`'s events, in ground-truth order: the mutable
+  /// substrate a closed-loop driver masks between re-simulations.
+  [[nodiscard]] std::vector<faults::FaultEvent> events_of(
+      cluster::NodeId node) const;
+};
 
-/// Planner config with the campaign's derived scheduler seed.
-[[nodiscard]] sched::ScanPlanner::Config campaign_planner_config(
-    const CampaignConfig& config);
-
-/// Sub-seed feeding fault generation (FaultModelSuite::generate).
-[[nodiscard]] std::uint64_t campaign_fault_seed(
-    const CampaignConfig& config) noexcept;
-
-/// Sub-seed feeding per-node session simulation (simulate_node).
-[[nodiscard]] std::uint64_t campaign_session_seed(
-    const CampaignConfig& config) noexcept;
+/// Plan the campaign: topology, availability, scan plans (parallel on
+/// `pool` when non-null) and fleet-wide fault generation.  The one place
+/// those components are wired, so the streaming campaign, its shards and
+/// the closed-loop drivers in src/policy all simulate the same world; the
+/// result is identical for any pool size.
+[[nodiscard]] CampaignPlan plan_campaign(const CampaignConfig& config,
+                                         ThreadPool* pool = nullptr);
 
 /// Stream the campaign through `sinks`.  Per-node records are pushed with
 /// full framing (begin_campaign .. end_campaign, nodes ascending by index)

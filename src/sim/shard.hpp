@@ -3,8 +3,7 @@
 // A shard is a deterministic slice of the monitored fleet.  Every shard
 // re-derives the full campaign environment — topology, availability, scan
 // plans and the fleet-wide fault streams — from the same campaign seed via
-// the same `campaign_fault_seed`/`campaign_session_seed` sub-seed helpers,
-// then simulates sessions only for the nodes it owns.  Because
+// `plan_campaign`, then simulates sessions only for the nodes it owns.  Because
 // `simulate_node` depends only on (config, node, plan, node events,
 // session sub-seed), each owned node's record frame is byte-identical to
 // the frame the monolithic `run_campaign_streaming` would emit.

@@ -300,4 +300,17 @@ TEST(CampaignCli, ShardCountBeyondIntRangeExitsTwo) {
   EXPECT_EQ(run(kCampaign + " --shards 2 --shard 4294967297 --out " + out), 2);
 }
 
+// Every --threads value starts that many OS threads, so each driver bounds
+// it the way unp_serve always has, before any pipeline work.
+TEST(ThreadsCli, CountOverTheBoundExitsTwoNamingTheBound) {
+  for (const std::string& binary :
+       {kReport, kPolicy, kQuery, kEcc, kHammer, kCampaign}) {
+    SCOPED_TRACE(binary);
+    int exit_code = 0;
+    const std::string err = run_stderr(binary + " --threads 1025", exit_code);
+    EXPECT_EQ(exit_code, 2);
+    EXPECT_NE(err.find("--threads expects 1..1024"), std::string::npos) << err;
+  }
+}
+
 }  // namespace

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "analysis/extraction.hpp"
 #include "common/civil_time.hpp"
+#include "sim/campaign.hpp"
 
 namespace unp::policy {
 namespace {
@@ -59,6 +64,35 @@ TEST(ClosedLoop, AccountingIsConsistent) {
   EXPECT_EQ(closed, result.closed_loop_errors);
   EXPECT_EQ(static_cast<std::size_t>(per_node_actuations),
             result.actuations.size());
+}
+
+// The closed loop's open-loop pass is the open-loop campaign: each node the
+// extraction keeps shows up with exactly its extracted fault count, unless
+// the loop excluded it.
+TEST(ClosedLoop, OpenLoopPassMatchesTheExtractedCampaign) {
+  const ClosedLoopConfig config = short_config(2);
+  const ClosedLoopResult result = run_closed_loop(config);
+  const analysis::ExtractionResult extracted = analysis::extract_faults(
+      sim::run_campaign(config.campaign, 2).archive, config.extraction);
+
+  std::map<int, std::uint64_t> extracted_per_node;
+  for (const analysis::FaultRecord& f : extracted.faults)
+    ++extracted_per_node[cluster::node_index(f.node)];
+  ASSERT_FALSE(extracted_per_node.empty());
+
+  std::set<int> excluded;
+  for (const cluster::NodeId node : result.excluded_nodes)
+    excluded.insert(cluster::node_index(node));
+  std::map<int, std::uint64_t> reported;
+  for (const ClosedLoopNodeReport& node : result.per_node)
+    reported[cluster::node_index(node.node)] = node.open_faults;
+
+  for (const auto& [node, count] : extracted_per_node) {
+    if (excluded.contains(node)) continue;
+    SCOPED_TRACE(node);
+    ASSERT_TRUE(reported.contains(node));
+    EXPECT_EQ(reported[node], count);
+  }
 }
 
 TEST(ClosedLoop, DeterministicAcrossRunsAndThreads) {

@@ -6,6 +6,8 @@
 // full query-language byte-identity contract lives with the query_render
 // tests and the perf_serve gate.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -158,6 +160,53 @@ TEST(ServeServerTest, RejectedRequestsBecomeErrResponsesNotDeadServers) {
   EXPECT_TRUE(after.ok);
   EXPECT_EQ(after.body, "20\n");
   (void)::close(fd);
+
+  server->stop();
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
+// A line that never ends must not grow the connection's buffer without
+// bound: past Server::kMaxRequestLine bytes the client gets one ERR frame
+// and EOF, and the worker (the only one here) goes on serving others.
+TEST(ServeServerTest, OverlongRequestLineGetsOneErrAndEof) {
+  const std::string path = write_test_store("serve_long_line.unpf", 30);
+  std::unique_ptr<Server> server;
+  try {
+    server = start_server({path}, /*workers=*/1);
+  } catch (const ContractViolation& e) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << e.what();
+  }
+  const std::uint16_t port = server->port();
+
+  const int fd = connect_local(port);
+  // A server that never answers fails the test instead of hanging it.
+  timeval tv{};
+  tv.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv), 0);
+  // 1 MiB with no newline.  The server stops reading past the limit and
+  // closes with the rest unread, so the send may end early on a reset.
+  const std::string flood(std::size_t{1} << 20, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+    reply.append(buf, static_cast<std::size_t>(n));
+  EXPECT_EQ(n, 0) << "expected EOF after the ERR frame";
+  (void)::close(fd);
+  const std::string message =
+      "request line longer than " + std::to_string(Server::kMaxRequestLine) +
+      " bytes";
+  EXPECT_EQ(reply, frame_response(false, message));
+
+  EXPECT_EQ(ask(port, "ping").body, "pong\n");
+  EXPECT_EQ(ask(port, "since=0").body, "30\n");
 
   server->stop();
   EXPECT_EQ(std::remove(path.c_str()), 0);

@@ -113,5 +113,37 @@ TEST(Campaign, PathologicalNodeStopsAtRemoval) {
   EXPECT_GT(log.raw_error_count(), 1000000u);
 }
 
+/// The streaming campaign simulates exactly the world plan_campaign plans:
+/// same events, same order, every field.
+void expect_plan_truth_matches_stream(const CampaignConfig& config) {
+  const CampaignPlan plan = plan_campaign(config);
+  const CampaignSummary summary = run_campaign_streaming(config, {}, 2);
+  ASSERT_FALSE(plan.ground_truth.empty());
+  ASSERT_EQ(plan.ground_truth.size(), summary.ground_truth.size());
+  for (std::size_t i = 0; i < plan.ground_truth.size(); ++i) {
+    const faults::FaultEvent& a = plan.ground_truth[i];
+    const faults::FaultEvent& b = summary.ground_truth[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(cluster::node_index(a.node), cluster::node_index(b.node));
+    EXPECT_EQ(a.mechanism, b.mechanism);
+    EXPECT_EQ(a.persistence, b.persistence);
+    EXPECT_EQ(a.active_until, b.active_until);
+    EXPECT_EQ(a.words, b.words);
+  }
+}
+
+TEST(CampaignPlan, GroundTruthMatchesTheStreamingCampaign) {
+  expect_plan_truth_matches_stream(short_config());
+}
+
+TEST(CampaignPlan, HammerGroundTruthMatchesTheStreamingCampaign) {
+  CampaignConfig config = short_config(17);
+  config.faults.enable_hammer = true;
+  config.faults.hammer.hammered_node_fraction = 0.10;
+  config.faults.hammer.episodes_per_node_mean = 2.0;
+  expect_plan_truth_matches_stream(config);
+}
+
 }  // namespace
 }  // namespace unp::sim

@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
       "SIMD store decode >= 2x scalar; served responses byte-identical to "
       "unp_query; p50/p99 latency and queries/s under >= 8 client threads");
 
-  (void)bench::default_data();
   if (bench::default_cache_path().empty()) {
     std::printf("campaign cache disabled (UNP_CAMPAIGN_CACHE=off); nothing "
                 "to serve.\n");

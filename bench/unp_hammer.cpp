@@ -93,13 +93,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
         if (name == v) known = true;
       }
       if (!known) {
-        std::string names;
-        for (const std::string& name : dram::mapping::mapping_menu()) {
-          if (!names.empty()) names += " | ";
-          names += name;
-        }
-        std::fprintf(stderr, "unp_hammer: --geometry expects %s, got '%s'\n",
-                     names.c_str(), v);
+        cli.reject_choice("--geometry", v, dram::mapping::mapping_menu());
         return false;
       }
       opts.geometries.emplace_back(v);

@@ -109,13 +109,11 @@ bool parse_args(int argc, char** argv, Options& opts) {
         }
       }
       if (!found) {
-        std::string names;
+        std::vector<std::string> names;
         for (const bench::ExtSection& ext : bench::ext_sections()) {
-          if (!names.empty()) names += " | ";
-          names += ext.name;
+          names.emplace_back(ext.name);
         }
-        std::fprintf(stderr, "unp_report: --ext expects %s, got '%s'\n",
-                     names.c_str(), v);
+        cli.reject_choice("--ext", v, names);
         return false;
       }
       any_section = true;

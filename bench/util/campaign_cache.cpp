@@ -9,9 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -164,21 +162,6 @@ void simulate_and_spill(const std::string& path, std::uint64_t fingerprint,
   }
 }
 
-std::unique_ptr<CampaignData> build_pipeline(
-    const sim::CampaignConfig& config,
-    const analysis::ExtractionConfig& extraction, std::uint64_t fingerprint) {
-  auto d = std::make_unique<CampaignData>();
-  const std::string path =
-      cache_disabled() ? std::string{} : cache_path_for(fingerprint);
-  if (path.empty() || !load_cached_archive(path, fingerprint, d->archive)) {
-    d->archive = telemetry::CampaignArchive(config.window);
-    simulate_and_spill(path, fingerprint, config, {&d->archive},
-                       sim::default_campaign_threads());
-  }
-  d->extraction = analysis::extract_faults(d->archive, extraction);
-  return d;
-}
-
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const sim::CampaignConfig& config,
@@ -229,18 +212,22 @@ std::uint64_t campaign_fingerprint(const sim::CampaignConfig& config,
 }
 
 const CampaignData& default_data() {
-  return default_data(analysis::ExtractionConfig{});
-}
-
-const CampaignData& default_data(const analysis::ExtractionConfig& extraction) {
-  static std::mutex mutex;
-  static std::map<std::uint64_t, std::unique_ptr<CampaignData>> registry;
-  const sim::CampaignConfig& config = default_config();
-  const std::uint64_t fingerprint = campaign_fingerprint(config, extraction);
-  const std::lock_guard<std::mutex> lock(mutex);
-  std::unique_ptr<CampaignData>& slot = registry[fingerprint];
-  if (!slot) slot = build_pipeline(config, extraction, fingerprint);
-  return *slot;
+  static const CampaignData data = [] {
+    const sim::CampaignConfig& config = default_config();
+    const analysis::ExtractionConfig extraction;
+    const std::uint64_t fingerprint = campaign_fingerprint(config, extraction);
+    CampaignData d;
+    const std::string path =
+        cache_disabled() ? std::string{} : cache_path_for(fingerprint);
+    if (path.empty() || !load_cached_archive(path, fingerprint, d.archive)) {
+      d.archive = telemetry::CampaignArchive(config.window);
+      simulate_and_spill(path, fingerprint, config, {&d.archive},
+                         sim::default_campaign_threads());
+    }
+    d.extraction = analysis::extract_faults(d.archive, extraction);
+    return d;
+  }();
+  return data;
 }
 
 std::string default_cache_path() {

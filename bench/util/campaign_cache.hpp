@@ -3,11 +3,11 @@
 //
 // The campaign is acquired through an on-disk cache: the first bench process
 // simulates it (multithreaded) while spilling the record stream to a cache
-// file; every later process — unp_report, the ablation/extension benches,
-// the perf gates — replays that file instead of re-simulating seconds of
-// fleet timeline.  Front ends stream it (stream_campaign); default_data()
-// materializes archive and extraction for the benches that need the whole
-// campaign in memory.
+// file; every later process — unp_report, unp_study, the perf gates —
+// replays that file instead of re-simulating seconds of fleet timeline.
+// Front ends stream it (stream_campaign); default_data() materializes
+// archive and extraction once per process for unp_study's fault-only
+// studies, which need the whole campaign in memory.
 //
 // Cache file:
 //
@@ -32,7 +32,7 @@
 // the file and triggers a fresh simulate-and-rewrite.  Nothing else of the
 // CampaignConfig is keyed: a stream_campaign caller that changes the
 // availability, planner, fault-model or session fields must not use the
-// cache (the counterfactual studies call sim::run_campaign instead).
+// cache (unp_study's counterfactual studies call sim::run_campaign instead).
 // Location: $UNP_CACHE_DIR (default: the system temp dir) /
 // unp_campaign_<fingerprint>.unpc;  UNP_CAMPAIGN_CACHE=off disables the
 // cache entirely.
@@ -74,12 +74,11 @@ struct CampaignData {
     const analysis::ExtractionConfig& extraction,
     const sim::ShardSpec& shard);
 
-/// The default campaign + extraction pipeline, computed once per process
-/// per extraction configuration (cache-reloaded when a valid cache file
-/// exists, else simulated and spilled for the next process).
+/// The default campaign (seed 42) and its default-configuration
+/// extraction, built on first use and shared by every later caller in the
+/// process (reloaded from a valid cache file, else simulated and spilled
+/// for the next process).
 [[nodiscard]] const CampaignData& default_data();
-[[nodiscard]] const CampaignData& default_data(
-    const analysis::ExtractionConfig& extraction);
 
 /// Cache file the default campaign maps to ("" when caching is disabled).
 [[nodiscard]] std::string default_cache_path();
@@ -105,7 +104,7 @@ StreamStats stream_campaign(const sim::CampaignConfig& config,
                             std::size_t threads);
 
 /// Standard bench header: experiment id, paper reference, and the shape the
-/// paper reports (so every bench output is self-describing).
+/// paper reports (so every study and perf-gate output is self-describing).
 void print_header(const std::string& experiment, const std::string& paper_shape,
                   FILE* out = stdout);
 

@@ -54,6 +54,17 @@ bool CliParser::threads(int& i, std::size_t& out) const {
   return true;
 }
 
+void CliParser::reject_choice(const char* flag, const char* value,
+                              const std::vector<std::string>& menu) const {
+  std::string names;
+  for (const std::string& name : menu) {
+    if (!names.empty()) names += " | ";
+    names += name;
+  }
+  std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", program_, flag,
+               names.c_str(), value);
+}
+
 bool CliParser::u64(int& i, const char* flag, std::uint64_t& out) const {
   const char* v = next_value(i, flag);
   if (v == nullptr) return false;

@@ -1,5 +1,6 @@
 // Shared strict argument parsing for the CLI drivers (unp_report,
-// unp_policy, unp_query, unp_campaign, unp_ecc, unp_hammer, unp_serve).
+// unp_policy, unp_query, unp_campaign, unp_ecc, unp_hammer, unp_serve,
+// unp_study, and the live_scan example).
 //
 // Every driver follows the same contract: malformed input prints one
 // program-prefixed diagnostic to stderr and makes the driver exit 2 without
@@ -11,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace unp::bench {
 
@@ -43,6 +46,11 @@ class CliParser {
   /// thread started up front, so the bound keeps a stray digit from asking
   /// for millions of them.
   [[nodiscard]] bool threads(int& i, std::size_t& out) const;
+
+  /// Diagnostic for a value outside a fixed menu: "<program>: <flag>
+  /// expects a | b | c, got '<value>'", so the user learns every valid name.
+  void reject_choice(const char* flag, const char* value,
+                     const std::vector<std::string>& menu) const;
 
   static constexpr long kMaxThreads = 1024;
 

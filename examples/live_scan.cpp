@@ -12,7 +12,6 @@
 //             [--pattern alt|counter] [--inject <faults-per-pass>]
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -21,6 +20,7 @@
 #include "scanner/real_backend.hpp"
 #include "scanner/scanner.hpp"
 #include "telemetry/codec.hpp"
+#include "util/cli_args.hpp"
 
 namespace {
 
@@ -60,26 +60,31 @@ int main(int argc, char** argv) {
   scanner::PatternKind pattern = scanner::PatternKind::kAlternating;
   std::uint64_t inject_per_pass = 0;
 
+  // Bad input exits 2 here, before any thread or allocation: --threads
+  // starts that many OS threads, and --mb is shifted into bytes, so its
+  // bound keeps the shift from overflowing.
+  constexpr long kMaxMegabytes = 1L << 24;  // 16 TiB
+  const bench::CliParser cli("live_scan", argc, argv);
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    long n = 0;
     if (std::strcmp(argv[i], "--mb") == 0) {
-      megabytes = std::strtoull(next("--mb"), nullptr, 10);
+      if (!cli.long_in(i, "--mb", 1, kMaxMegabytes, n)) return 2;
+      megabytes = static_cast<std::uint64_t>(n);
     } else if (std::strcmp(argv[i], "--passes") == 0) {
-      passes = std::strtoull(next("--passes"), nullptr, 10);
+      if (!cli.long_in(i, "--passes", 0, bench::CliParser::kNoUpperBound, n))
+        return 2;
+      passes = static_cast<std::uint64_t>(n);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = std::strtoull(next("--threads"), nullptr, 10);
+      if (!cli.threads(i, threads)) return 2;
     } else if (std::strcmp(argv[i], "--pattern") == 0) {
-      const char* v = next("--pattern");
+      const char* v = cli.next_value(i, "--pattern");
+      if (v == nullptr) return 2;
       pattern = std::strcmp(v, "counter") == 0 ? scanner::PatternKind::kCounter
                                                : scanner::PatternKind::kAlternating;
     } else if (std::strcmp(argv[i], "--inject") == 0) {
-      inject_per_pass = std::strtoull(next("--inject"), nullptr, 10);
+      if (!cli.long_in(i, "--inject", 0, bench::CliParser::kNoUpperBound, n))
+        return 2;
+      inject_per_pass = static_cast<std::uint64_t>(n);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

@@ -17,7 +17,7 @@
 //   kSporadic         a handful of unrelated transients (cosmic background)
 //
 // The simulator knows each node's true mechanism, so the classifier's
-// accuracy is measurable (bench_ext_diagnosis).
+// accuracy is measurable (unp_study ext_diagnosis).
 #pragma once
 
 #include <cstdint>

@@ -50,6 +50,17 @@ const std::string kQuery = UNP_QUERY_BIN;
 const std::string kEcc = UNP_ECC_BIN;
 const std::string kHammer = UNP_HAMMER_BIN;
 const std::string kCampaign = UNP_CAMPAIGN_BIN;
+const std::string kStudy = UNP_STUDY_BIN;
+const std::string kLiveScan = LIVE_SCAN_BIN;
+
+// The study registry in --list order; --all runs them in this order.
+const char* const kStudyNames[] = {
+    "ecc_characterization", "ext_retention",        "ablation_diurnal",
+    "ablation_scrambling",  "ext_altitude",         "ext_component_swap",
+    "seed_sensitivity",     "ablation_dedup",       "ablation_ecc",
+    "ext_checkpoint_trace", "ext_diagnosis",        "ext_placement",
+    "ext_prediction",       "ext_scrubbing",        "ext_solar_elevation",
+    "sdc_isolation",        "ext_overheat_stress"};
 
 TEST(ReportCli, UnknownFlagExitsTwo) {
   EXPECT_EQ(run(kReport + " --frobnicate"), 2);
@@ -298,6 +309,47 @@ TEST(CampaignCli, ShardCountBeyondIntRangeExitsTwo) {
   std::filesystem::create_directories(out);
   EXPECT_EQ(run(kCampaign + " --shards 4294967298 --shard 1 --out " + out), 2);
   EXPECT_EQ(run(kCampaign + " --shards 2 --shard 4294967297 --out " + out), 2);
+}
+
+TEST(StudyCli, ListPrintsEveryStudyNameInOrder) {
+  int exit_code = 0;
+  const std::string out = run_stdout(kStudy + " --list", exit_code);
+  EXPECT_EQ(exit_code, 0);
+  std::string expected;
+  for (const char* name : kStudyNames) expected += std::string(name) + "\n";
+  EXPECT_EQ(out, expected);
+}
+
+TEST(StudyCli, UnknownNameExitsTwoListingTheStudies) {
+  int exit_code = 0;
+  const std::string err = run_stderr(kStudy + " ext_bogus", exit_code);
+  EXPECT_EQ(exit_code, 2);
+  for (const char* name : kStudyNames) {
+    EXPECT_NE(err.find(name), std::string::npos)
+        << "missing '" << name << "' in: " << err;
+  }
+  EXPECT_NE(err.find("ext_bogus"), std::string::npos) << err;
+}
+
+TEST(StudyCli, NoStudyExitsTwo) {
+  EXPECT_EQ(run(kStudy), 2);
+}
+
+TEST(StudyCli, CampaignFreeStudyRuns) {
+  // ext_retention samples the retention model only: no campaign is
+  // simulated or loaded, so it runs in well under a second.
+  int exit_code = 0;
+  const std::string out = run_stdout(kStudy + " ext_retention", exit_code);
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(out.find("Extension - VRT retention model"), std::string::npos)
+      << out;
+}
+
+// Malformed scanner flags are usage errors, refused before the scanner
+// allocates memory or starts a thread.
+TEST(LiveScanCli, MalformedThreadsExitTwo) {
+  EXPECT_EQ(run(kLiveScan + " --threads 0"), 2);
+  EXPECT_EQ(run(kLiveScan + " --threads abc"), 2);
 }
 
 // Every --threads value starts that many OS threads, so each driver bounds

@@ -79,8 +79,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--pattern") == 0) {
       const char* v = cli.next_value(i, "--pattern");
       if (v == nullptr) return 2;
-      pattern = std::strcmp(v, "counter") == 0 ? scanner::PatternKind::kCounter
-                                               : scanner::PatternKind::kAlternating;
+      if (std::strcmp(v, "alt") == 0) {
+        pattern = scanner::PatternKind::kAlternating;
+      } else if (std::strcmp(v, "counter") == 0) {
+        pattern = scanner::PatternKind::kCounter;
+      } else {
+        cli.reject_choice("--pattern", v, {"alt", "counter"});
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--inject") == 0) {
       if (!cli.long_in(i, "--inject", 0, bench::CliParser::kNoUpperBound, n))
         return 2;

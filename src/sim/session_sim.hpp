@@ -40,14 +40,31 @@ struct SessionSimConfig {
   std::uint64_t counter_exact_limit = 4096;
 };
 
-/// Reusable per-worker scratch: the event view the simulator sorts and the
-/// transient/stuck pointer partitions.  Capacity persists across nodes, so a
-/// steady-state campaign worker allocates nothing per node.
+/// Reusable per-worker scratch: the event view the simulator sorts, the
+/// transient/stuck pointer partitions, and the counting-sort indices that
+/// put each session's error runs in check order.  Capacity persists across
+/// nodes, so a steady-state campaign worker allocates nothing per node.
 struct SessionSimArena {
   std::vector<const faults::FaultEvent*> ptrs;  ///< the view actually sorted
   std::vector<const faults::FaultEvent*> transients;
   std::vector<const faults::FaultEvent*> stucks;
+  std::vector<std::uint32_t> run_slots;   ///< per run: check index, then destination
+  std::vector<std::uint32_t> check_tally; ///< per check index: run count, then offset
 };
+
+/// Put the error runs one session just emitted (`runs`, the tail of the
+/// node's log) into time order.  Every run a session emits starts on a
+/// check instant, start + i*period with i >= 1 (transients, both
+/// alternating phases, both counter branches), so a stable counting sort by
+/// check index i is the stable sort by time, in linear time, without
+/// comparing two runs.  The key is a monotone function of the time alone:
+/// runs that tie on time keep their emission order even off the check grid,
+/// so a later stable sort by time (NodeLog::sort_by_time) finishes such a
+/// segment exactly as a stable sort of the emission order would.  Segments
+/// already in order (most) are left untouched.
+void order_session_runs(const sched::ScanSession& session,
+                        std::span<telemetry::ErrorRun> runs,
+                        SessionSimArena& arena);
 
 /// Produce the telemetry a node's scanner would log over its whole plan,
 /// given the fault events assigned to that node (any order).  `overheating`

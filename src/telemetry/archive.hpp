@@ -44,6 +44,11 @@ class NodeLog {
   [[nodiscard]] const std::vector<ErrorRun>& error_runs() const noexcept {
     return error_runs_;
   }
+  /// Mutable view of the runs from position `first` on, so a builder can
+  /// put the segment it just appended in order without copying it out.
+  [[nodiscard]] std::span<ErrorRun> error_runs_from(std::size_t first) noexcept {
+    return std::span<ErrorRun>(error_runs_).subspan(first);
+  }
 
   /// Total number of raw ERROR log lines represented (runs expanded).
   [[nodiscard]] std::uint64_t raw_error_count() const noexcept;

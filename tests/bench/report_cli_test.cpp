@@ -352,6 +352,16 @@ TEST(LiveScanCli, MalformedThreadsExitTwo) {
   EXPECT_EQ(run(kLiveScan + " --threads abc"), 2);
 }
 
+TEST(LiveScanCli, UnknownPatternExitsTwoListingThePatterns) {
+  int exit_code = 0;
+  const std::string err =
+      run_stderr(kLiveScan + " --pattern countr", exit_code);
+  EXPECT_EQ(exit_code, 2);
+  EXPECT_NE(err.find("--pattern expects alt | counter, got 'countr'"),
+            std::string::npos)
+      << err;
+}
+
 // Every --threads value starts that many OS threads, so each driver bounds
 // it the way unp_serve always has, before any pipeline work.
 TEST(ThreadsCli, CountOverTheBoundExitsTwoNamingTheBound) {

@@ -2,12 +2,15 @@
 // byte-identical (UNPS) for every thread count and equal to its records
 // re-encoded through ArchiveWriter, and every sink fed from one run must
 // see the same per-node records no matter which other sinks share the
-// run's single encoded body.
+// run's single encoded body.  The default seed-42 campaign's stream is
+// pinned by size and digest.
 #include "sim/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <streambuf>
 #include <string>
 
 #include "telemetry/archive_io.hpp"
@@ -51,6 +54,98 @@ void expect_same_logs(const telemetry::CampaignArchive& got,
     ASSERT_EQ(got.log(node).alloc_fails(), want.log(node).alloc_fails()) << i;
     ASSERT_EQ(got.log(node).error_runs(), want.log(node).error_runs()) << i;
   }
+}
+
+/// FNV-1a 64 over the little-endian bytes of 64-bit words.
+struct Fnv1a64 {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void word(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      value ^= (v >> (8 * b)) & 0xFF;
+      value *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Output buffer that keeps only the byte count of what is written, so the
+/// ~60 MB campaign stream is never resident.
+class CountingBuf final : public std::streambuf {
+ public:
+  std::uint64_t size = 0;
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++size;
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    size += static_cast<std::uint64_t>(n);
+    return n;
+  }
+};
+
+/// Folds every record field, in stream order, into one digest, except the
+/// temperature values: those are raw doubles from std::sin and a normal
+/// draw, which libm builds may round differently in the last bit (the raw
+/// stream digest has differed between x86-64 hosts at equal size), so only
+/// their presence counts.  Every time, node, address, word, size, run shape
+/// and tie order does.
+class RecordDigest final : public telemetry::RecordSink {
+ public:
+  Fnv1a64 digest;
+
+  void begin_node(cluster::NodeId node) override { id(node); }
+  void on_start(const telemetry::StartRecord& r) override {
+    head(r.time, r.node, r.temperature_c);
+    digest.word(r.allocated_bytes);
+  }
+  void on_end(const telemetry::EndRecord& r) override {
+    head(r.time, r.node, r.temperature_c);
+  }
+  void on_alloc_fail(const telemetry::AllocFailRecord& r) override {
+    digest.word(static_cast<std::uint64_t>(r.time));
+    id(r.node);
+  }
+  void on_error_run(const telemetry::ErrorRun& r) override {
+    head(r.first.time, r.first.node, r.first.temperature_c);
+    digest.word(r.first.virtual_address);
+    digest.word(r.first.physical_page);
+    digest.word(r.first.expected);
+    digest.word(r.first.actual);
+    digest.word(static_cast<std::uint64_t>(r.period_s));
+    digest.word(r.count);
+  }
+
+ private:
+  void id(cluster::NodeId node) {
+    digest.word(static_cast<std::uint64_t>(cluster::node_index(node)));
+  }
+  void head(TimePoint t, cluster::NodeId node, double celsius) {
+    digest.word(static_cast<std::uint64_t>(t));
+    id(node);
+    digest.word(telemetry::has_temperature(celsius) ? 1 : 0);
+  }
+};
+
+TEST(CampaignEmit, DefaultCampaignStreamIsPinned) {
+  // The seed-42 campaign every report is built from.  Its UNPS stream (the
+  // cache file's bytes after the 13-byte UNPC header) is pinned by size,
+  // and its records by a digest of every field but the temperature values:
+  // a change to a random draw, a record, or the order of records that tie
+  // on time moves one of them.  A change that moves them on purpose updates
+  // the pins and says why.
+  constexpr std::uint64_t kPinnedStreamBytes = 60'244'561;
+  constexpr std::uint64_t kPinnedRecordDigest = 0xa9e6d4edd5b868f7ull;
+  CountingBuf buf;
+  std::ostream os(&buf);
+  telemetry::ArchiveWriter writer(os);
+  RecordDigest records;
+  std::vector<telemetry::RecordSink*> sinks{&writer, &records};
+  (void)run_campaign_streaming(CampaignConfig{}, sinks, 4);
+  ASSERT_TRUE(os.good());
+  EXPECT_EQ(buf.size, kPinnedStreamBytes);
+  EXPECT_EQ(records.digest.value, kPinnedRecordDigest)
+      << std::hex << "0x" << records.digest.value;
 }
 
 TEST(CampaignEmit, StreamBytesIdenticalAcrossThreads) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace unp::sim {
 namespace {
 
@@ -241,6 +246,120 @@ TEST(SessionSim, OverheatingNodesRunHot) {
   const auto cool = simulate_node(config, {4, 4}, plan, {}, false, 1);
   EXPECT_GT(hot.starts()[0].temperature_c,
             cool.starts()[0].temperature_c + 15.0);
+}
+
+/// One session's error runs in the shapes simulate_node emits them, each
+/// tagged with a unique address so a permuted tie shows: transients in check
+/// order with ties, alternating stuck faults as phase pairs one check apart,
+/// counter stuck faults as one run per check per word (a words x checks
+/// block, the pathological node's shape), long counter runs, and optionally
+/// runs off the check grid: between checks, before the window, past its end.
+void emit_session_runs(const sched::ScanSession& s, bool off_grid,
+                       RngStream& rng, std::uint64_t& tag,
+                       telemetry::NodeLog& log) {
+  const std::int64_t p = s.pass_period_s;
+  const auto last = static_cast<std::int64_t>(s.iterations()) - 1;
+  ASSERT_GE(last, 2);
+  const auto at = [&](std::int64_t i) { return s.window.start + i * p; };
+  const auto run = [&](TimePoint t, std::int64_t period, std::uint64_t count) {
+    telemetry::ErrorRun r;
+    r.first.time = t;
+    r.first.virtual_address = tag++;
+    r.period_s = count > 1 ? period : 0;
+    r.count = count;
+    log.add_error_run(r);
+  };
+  const auto check = [&] { return rng.uniform_int(1, last); };
+
+  std::int64_t i = 1;
+  for (std::uint64_t k = rng.uniform_u64(6); k > 0; --k) {
+    i = std::min(last, i + rng.uniform_int(0, 3));  // ties on purpose
+    run(at(i), 0, 1);
+  }
+  for (std::uint64_t f = rng.uniform_u64(4); f > 0; --f) {
+    const std::int64_t first = check();
+    const auto words = 1 + rng.uniform_u64(4);
+    if (s.pattern == scanner::PatternKind::kAlternating) {
+      for (std::uint64_t w = 0; w < words; ++w) {
+        if (rng.bernoulli(0.7)) run(at(first), 2 * p, 1 + rng.uniform_u64(9));
+        if (rng.bernoulli(0.7) && first < last)
+          run(at(first + 1), 2 * p, 1 + rng.uniform_u64(9));
+      }
+    } else if (rng.bernoulli(0.5)) {
+      const std::int64_t to = std::min(last, first + rng.uniform_int(0, 5));
+      for (std::uint64_t w = 0; w < words; ++w) {
+        for (std::int64_t c = first; c <= to; ++c) {
+          if (rng.bernoulli(0.8)) run(at(c), 0, 1);
+        }
+      }
+    } else {
+      for (std::uint64_t w = 0; w < words; ++w)
+        run(at(first), p, 2 + rng.uniform_u64(50));
+    }
+  }
+  if (off_grid) {
+    run(at(check()) + rng.uniform_int(1, p - 1), 0, 1);
+    if (rng.bernoulli(0.3)) run(s.window.start - rng.uniform_int(0, 2 * p), 0, 1);
+    if (rng.bernoulli(0.3)) run(s.window.end + rng.uniform_int(0, 2 * p), 0, 1);
+    if (rng.bernoulli(0.5)) run(at(check()), 0, 1);
+  }
+}
+
+TEST(SessionSim, CheckOrderThenSortByTimeEqualsStableSortOracle) {
+  // The per-session counting sort by check index, then the node-wide
+  // sort_by_time guard, must give the exact permutation std::stable_sort by
+  // time gives the emission order: ties, off-grid runs and runs that stray
+  // into a neighbouring session included.
+  RngStream rng(2024);
+  std::uint64_t tag = 0;
+  int off_grid_nodes = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<sched::ScanSession> sessions;
+    TimePoint t = kT0;
+    for (std::uint64_t k = 1 + rng.uniform_u64(4); k > 0; --k) {
+      sched::ScanSession s;
+      s.pass_period_s = rng.uniform_int(2, 90);
+      s.window = {t, t + s.pass_period_s * rng.uniform_int(4, 60) +
+                         rng.uniform_int(0, s.pass_period_s - 1)};
+      s.pattern = rng.bernoulli(0.5) ? scanner::PatternKind::kCounter
+                                     : scanner::PatternKind::kAlternating;
+      sessions.push_back(s);
+      t = s.window.end + rng.uniform_int(0, 200);
+    }
+
+    telemetry::NodeLog log;
+    SessionSimArena arena;
+    bool off_grid_node = false;
+    for (const sched::ScanSession& s : sessions) {
+      const std::size_t begin = log.error_runs().size();
+      const bool off_grid = trial == 0 || rng.bernoulli(0.2);
+      off_grid_node |= off_grid;
+      emit_session_runs(s, off_grid, rng, tag, log);
+      order_session_runs(s, log.error_runs_from(begin), arena);
+      // Each segment leaves in check order: sorted unless it left the grid.
+      const auto seg = log.error_runs_from(begin);
+      if (!off_grid) {
+        EXPECT_TRUE(std::is_sorted(
+            seg.begin(), seg.end(), [](const auto& a, const auto& b) {
+              return a.first.time < b.first.time;
+            }));
+      }
+    }
+    off_grid_nodes += off_grid_node ? 1 : 0;
+
+    // The oracle: the same runs back in emission (tag) order, stable-sorted.
+    std::vector<telemetry::ErrorRun> oracle = log.error_runs();
+    std::sort(oracle.begin(), oracle.end(), [](const auto& a, const auto& b) {
+      return a.first.virtual_address < b.first.virtual_address;
+    });
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first.time < b.first.time;
+                     });
+    log.sort_by_time();
+    ASSERT_EQ(log.error_runs(), oracle) << "trial " << trial;
+  }
+  EXPECT_GT(off_grid_nodes, 30);
 }
 
 }  // namespace

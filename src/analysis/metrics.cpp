@@ -110,40 +110,46 @@ TemperatureProfile temperature_profile(FaultView faults) {
   return analyzer.profile();
 }
 
+DailyTerabyteHours::DailyTerabyteHours(const CampaignWindow& window,
+                                       std::vector<double>& series)
+    : first_day_(BarcelonaClock::local_day_index(window.start)),
+      year_(BarcelonaYear::containing(window.start)),
+      series_(&series) {}
+
+void DailyTerabyteHours::add(const telemetry::StartRecord& start,
+                             const telemetry::EndRecord& end) {
+  // The campaign's first local day and the current UTC year's DST window
+  // are computed once, not per chunk; each chunk's value and the order of
+  // the additions are those of the per-chunk BarcelonaClock formula, so the
+  // doubles come out bit-identical.
+  std::vector<double>& series = *series_;
+  const double tb =
+      static_cast<double>(start.allocated_bytes) / telemetry::kBytesPerTb;
+  TimePoint t = start.time;
+  while (t < end.time) {
+    if (!year_.contains(t)) year_ = BarcelonaYear::containing(t);
+    const std::int64_t local = t + year_.utc_offset(t);
+    const std::int64_t day = day_of_local(local) - first_day_;
+    // End of the local day containing t.
+    const TimePoint local_midnight =
+        t + (kSecondsPerDay - local % kSecondsPerDay);
+    const TimePoint chunk_end = std::min(end.time, local_midnight);
+    if (day >= 0 && static_cast<std::size_t>(day) < series.size()) {
+      series[static_cast<std::size_t>(day)] +=
+          tb * static_cast<double>(chunk_end - t) / kSecondsPerHour;
+    }
+    t = chunk_end;
+  }
+}
+
 void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
                                      const CampaignWindow& window,
                                      std::vector<double>& series) {
-  constexpr double kBytesPerTb = 1099511627776.0;
-  // Pair STARTs with ENDs using the same conservative rule as
-  // NodeLog::monitored_hours, then split each session across local days.
-  std::size_t e = 0;
-  const auto& starts = log.starts();
-  const auto& ends = log.ends();
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    while (e < ends.size() && ends[e].time < starts[s].time) ++e;
-    const TimePoint next_start = s + 1 < starts.size() ? starts[s + 1].time : 0;
-    if (e >= ends.size() ||
-        (s + 1 < starts.size() && ends[e].time > next_start)) {
-      continue;  // END lost
-    }
-    const double tb = static_cast<double>(starts[s].allocated_bytes) / kBytesPerTb;
-    TimePoint t = starts[s].time;
-    const TimePoint session_end = ends[e].time;
-    ++e;
-    while (t < session_end) {
-      const std::int64_t day = window.day_of_campaign(t);
-      // End of the local day containing t.
-      const TimePoint local_midnight =
-          t + (kSecondsPerDay -
-               ((t + BarcelonaClock::utc_offset(t)) % kSecondsPerDay));
-      const TimePoint chunk_end = std::min(session_end, local_midnight);
-      if (day >= 0 && static_cast<std::size_t>(day) < series.size()) {
-        series[static_cast<std::size_t>(day)] +=
-            tb * static_cast<double>(chunk_end - t) / kSecondsPerHour;
-      }
-      t = chunk_end;
-    }
-  }
+  DailyTerabyteHours split(window, series);
+  log.for_each_session(
+      [&](const telemetry::StartRecord& start, const telemetry::EndRecord& end) {
+        split.add(start, end);
+      });
 }
 
 std::vector<double> daily_terabyte_hours(const telemetry::CampaignArchive& archive) {
@@ -266,8 +272,19 @@ void ScanProfileSink::end_node(cluster::NodeId node) {
 
 void ScanProfileSink::add_node(cluster::NodeId node,
                                const telemetry::NodeLog& log) {
-  const double hours = log.monitored_hours();
-  const double tbh = log.terabyte_hours();
+  // One walk over the node's sessions feeds all three products; each sum
+  // adds the same per-session terms in the same order as monitored_hours,
+  // terabyte_hours and accumulate_daily_terabyte_hours.
+  if (daily_tbh_.empty()) daily_tbh_.assign(series_days(window_), 0.0);
+  DailyTerabyteHours split(window_, daily_tbh_);
+  double hours = 0.0;
+  double tbh = 0.0;
+  log.for_each_session(
+      [&](const telemetry::StartRecord& start, const telemetry::EndRecord& end) {
+        hours += telemetry::NodeLog::session_hours(start, end);
+        tbh += telemetry::NodeLog::session_terabyte_hours(start, end);
+        split.add(start, end);
+      });
   hours_.at(static_cast<std::size_t>(node.blade),
             static_cast<std::size_t>(node.soc)) = hours;
   tbh_.at(static_cast<std::size_t>(node.blade),
@@ -278,8 +295,6 @@ void ScanProfileSink::add_node(cluster::NodeId node,
   total_hours_ += hours;
   total_tbh_ += tbh;
   if (hours > 0.0) ++monitored_nodes_;
-  if (daily_tbh_.empty()) daily_tbh_.assign(series_days(window_), 0.0);
-  accumulate_daily_terabyte_hours(log, window_, daily_tbh_);
 }
 
 ErrorsGridAnalyzer::ErrorsGridAnalyzer() : grid_(node_grid()) {}

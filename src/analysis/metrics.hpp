@@ -77,11 +77,26 @@ struct TemperatureProfile {
 
 // --- Daily series (Figs 9-12) --------------------------------------------
 
-/// Accumulate one node's contribution to the per-day terabyte-hour series
-/// (Fig 9): START/END pairs under NodeLog::monitored_hours' conservative
-/// rule, each session split across local-day boundaries.  Shared by the
-/// batch daily_terabyte_hours and the streaming ScanProfileSink so both
-/// paths run identical floating-point arithmetic.
+/// Splits complete sessions across local-day boundaries into a per-day
+/// terabyte-hour series (Fig 9), indexed by campaign day.  It keeps the
+/// campaign's first local day and the current UTC year's DST window, so a
+/// chunk costs no calendar arithmetic.  Shared by the batch
+/// daily_terabyte_hours and the streaming ScanProfileSink so both paths run
+/// identical floating-point arithmetic.
+class DailyTerabyteHours {
+ public:
+  DailyTerabyteHours(const CampaignWindow& window, std::vector<double>& series);
+  /// Add one complete session (see NodeLog::for_each_session).
+  void add(const telemetry::StartRecord& start, const telemetry::EndRecord& end);
+
+ private:
+  std::int64_t first_day_;
+  BarcelonaYear year_;
+  std::vector<double>* series_;
+};
+
+/// Accumulate one node's contribution to the per-day terabyte-hour series:
+/// every complete session of `log` through DailyTerabyteHours.
 void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
                                      const CampaignWindow& window,
                                      std::vector<double>& series);

@@ -2,12 +2,14 @@
 
 #include "common/require.hpp"
 #include "telemetry/archive.hpp"
+#include "telemetry/binary_codec.hpp"
 
 namespace unp::analysis {
 
 StreamingExtractor::StreamingExtractor(ExtractionConfig config)
     : config_(config),
       pending_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
+      pending_bodies_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
       collapsed_(static_cast<std::size_t>(cluster::kStudyNodeSlots)),
       raw_per_node_(static_cast<std::size_t>(cluster::kStudyNodeSlots), 0) {}
 
@@ -15,6 +17,8 @@ void StreamingExtractor::begin_campaign(const CampaignWindow&) {
   // Reset so a partially-fed extractor (torn cache replay that fell back to
   // a fresh simulation pass) starts clean when the stream re-opens.
   pending_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
+  pending_bodies_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots),
+                         {});
   collapsed_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), {});
   raw_per_node_.assign(static_cast<std::size_t>(cluster::kStudyNodeSlots), 0);
   raw_total_ = 0;
@@ -32,6 +36,7 @@ void StreamingExtractor::on_error_run(const telemetry::ErrorRun& r) {
   UNP_REQUIRE(!finished_);
   const auto index =
       static_cast<std::size_t>(cluster::node_index(r.first.node));
+  unpack_body(index);
   pending_[index].add_error_run(r);
   raw_per_node_[index] += r.count;
   raw_total_ += r.count;
@@ -46,10 +51,19 @@ void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
   raw_per_node_[index] += raw;
   raw_total_ += raw;
   if (log.error_runs().empty()) return;
-  if (observer_ || deferred(index)) {
-    // The observer is owed these faults at end_node; a filter candidate
-    // waits for finish().  Either way the runs outlive the producer's log.
+  if (observer_) {
+    // The observer is owed these faults at end_node, so the runs outlive
+    // the producer's log.
+    unpack_body(index);
     pending_[index].add_error_runs(log.error_runs());
+    return;
+  }
+  if (deferred(index)) {
+    // A filter candidate waits for finish(), most likely to be dropped
+    // there: keep its encoded body (node 21-07's is ~42 MB, its runs
+    // ~150 MB) and decode it only if the filter keeps the node.
+    unpack_body(index);
+    pending_bodies_[index] = enc.bytes();
     return;
   }
   add_faults(index,
@@ -65,7 +79,18 @@ bool StreamingExtractor::deferred(std::size_t index) const noexcept {
   return !observer_ && raw_per_node_[index] >= config_.pathological_min_raw;
 }
 
+void StreamingExtractor::unpack_body(std::size_t index) {
+  std::string& body = pending_bodies_[index];
+  if (body.empty()) return;
+  std::size_t pos = 0;
+  const telemetry::NodeLog log = telemetry::decode_node_log(
+      body, pos, cluster::node_from_index(static_cast<int>(index)));
+  std::string().swap(body);
+  pending_[index].add_error_runs(log.error_runs());
+}
+
 void StreamingExtractor::collapse_pending(std::size_t index) {
+  unpack_body(index);
   telemetry::NodeLog& log = pending_[index];
   if (log.error_runs().empty()) return;
   const cluster::NodeId node = cluster::node_from_index(static_cast<int>(index));
@@ -102,6 +127,7 @@ ExtractionResult StreamingExtractor::finish() {
     // observer is still owed its faults.
     if (!pathological || observer_) collapse_pending(i);
     pending_[i] = telemetry::NodeLog{};
+    std::string().swap(pending_bodies_[i]);
     if (raw == 0) continue;
 
     if (pathological) {

@@ -13,11 +13,13 @@
 //   - per-record ERROR runs buffer per node (runs, not expanded raw lines);
 //     when the node's frame closes, a node below pathological_min_raw
 //     collapses and its runs are freed right there, mid-stream;
-//   - a filter candidate (raw >= pathological_min_raw) keeps its runs, one
-//     bulk copy on the bulk feed, and its collapse waits for finish(): the
-//     keep-or-drop decision needs the campaign-wide raw total, and a
-//     candidate the filter removes is freed without ever being collapsed
-//     (node 21-07 of the study writes >98% of all raw logs);
+//   - a filter candidate (raw >= pathological_min_raw) is held until
+//     finish(): the keep-or-drop decision needs the campaign-wide raw
+//     total.  On the bulk feed it keeps the node's encoded body (bytes(),
+//     pre-encoded by the campaign workers or the cache reader; a third of
+//     the size of the runs), on the per-record feed its buffered runs.  A
+//     candidate the filter removes is freed without ever being decoded or
+//     collapsed (node 21-07 of the study writes >98% of all raw logs);
 //   - finish() applies the pathological-node filter, collapses the kept
 //     candidates and performs the final deterministic sort.
 //
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/extraction.hpp"
@@ -81,6 +84,9 @@ class StreamingExtractor final : public telemetry::RecordSink {
   /// True when node `index` is a filter candidate whose collapse waits for
   /// finish().
   [[nodiscard]] bool deferred(std::size_t index) const noexcept;
+  /// Decode node `index`'s held body, if any, onto the end of its pending
+  /// runs (a node's runs are its pending runs, then its held body's).
+  void unpack_body(std::size_t index);
   void collapse_pending(std::size_t index);
   void add_faults(std::size_t index, std::vector<FaultRecord> faults);
 
@@ -88,6 +94,8 @@ class StreamingExtractor final : public telemetry::RecordSink {
   NodeFaultObserver observer_;
   /// Buffered error runs of open frames and of deferred filter candidates.
   std::vector<telemetry::NodeLog> pending_;
+  /// Encoded bodies of filter candidates that arrived on the bulk feed.
+  std::vector<std::string> pending_bodies_;
   /// Collapsed per-node faults awaiting the campaign-wide filter.
   std::vector<std::vector<FaultRecord>> collapsed_;
   std::vector<std::uint64_t> raw_per_node_;

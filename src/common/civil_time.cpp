@@ -74,15 +74,20 @@ std::int64_t last_sunday(int year, int month) noexcept {
   return last_day - weekday_from_days(last_day);
 }
 
+/// DST runs from 01:00 UTC on the last Sunday of March to 01:00 UTC on the
+/// last Sunday of October.
+TimePoint dst_start_of(int year) noexcept {
+  return last_sunday(year, 3) * kSecondsPerDay + 1 * kSecondsPerHour;
+}
+TimePoint dst_end_of(int year) noexcept {
+  return last_sunday(year, 10) * kSecondsPerDay + 1 * kSecondsPerHour;
+}
+
 }  // namespace
 
 std::int64_t BarcelonaClock::utc_offset(TimePoint t) noexcept {
   const int year = to_civil_utc(t).year;
-  const TimePoint dst_start =
-      last_sunday(year, 3) * kSecondsPerDay + 1 * kSecondsPerHour;
-  const TimePoint dst_end =
-      last_sunday(year, 10) * kSecondsPerDay + 1 * kSecondsPerHour;
-  const bool dst = t >= dst_start && t < dst_end;
+  const bool dst = t >= dst_start_of(year) && t < dst_end_of(year);
   return dst ? 2 * kSecondsPerHour : kSecondsPerHour;
 }
 
@@ -98,10 +103,14 @@ double BarcelonaClock::local_hour(TimePoint t) noexcept {
 }
 
 std::int64_t BarcelonaClock::local_day_index(TimePoint t) noexcept {
-  std::int64_t local = t + utc_offset(t);
-  std::int64_t days = local / kSecondsPerDay;
-  if (local % kSecondsPerDay < 0) --days;
-  return days;
+  return day_of_local(t + utc_offset(t));
+}
+
+BarcelonaYear BarcelonaYear::containing(TimePoint t) noexcept {
+  const int year = to_civil_utc(t).year;
+  return {days_from_civil(year, 1, 1) * kSecondsPerDay,
+          days_from_civil(year + 1, 1, 1) * kSecondsPerDay, dst_start_of(year),
+          dst_end_of(year)};
 }
 
 std::string format_iso8601(TimePoint t) {

@@ -72,6 +72,40 @@ class BarcelonaClock {
   [[nodiscard]] static std::int64_t local_day_index(TimePoint t) noexcept;
 };
 
+/// Calendar day count of an instant given in local seconds since the epoch
+/// (floor division by a day).
+[[nodiscard]] constexpr std::int64_t day_of_local(std::int64_t local) noexcept {
+  return local / kSecondsPerDay - (local % kSecondsPerDay < 0 ? 1 : 0);
+}
+
+/// One UTC calendar year of BarcelonaClock's rule: the year's bounds and its
+/// DST window.  A loop over many instants (the per-day terabyte-hour split)
+/// refreshes it only when an instant leaves the year, instead of paying the
+/// calendar arithmetic of BarcelonaClock::utc_offset for every instant; both
+/// answer the same offsets.
+struct BarcelonaYear {
+  TimePoint begin = 0;      ///< first UTC instant of the year
+  TimePoint end = 0;        ///< first UTC instant of the next year
+  TimePoint dst_start = 0;  ///< 01:00 UTC, last Sunday of March
+  TimePoint dst_end = 0;    ///< 01:00 UTC, last Sunday of October
+
+  /// The year containing UTC instant `t`.
+  [[nodiscard]] static BarcelonaYear containing(TimePoint t) noexcept;
+
+  [[nodiscard]] bool contains(TimePoint t) const noexcept {
+    return t >= begin && t < end;
+  }
+  /// BarcelonaClock::utc_offset(t), for `t` inside this year.
+  [[nodiscard]] std::int64_t utc_offset(TimePoint t) const noexcept {
+    return t >= dst_start && t < dst_end ? 2 * kSecondsPerHour
+                                         : kSecondsPerHour;
+  }
+  /// BarcelonaClock::local_day_index(t), for `t` inside this year.
+  [[nodiscard]] std::int64_t local_day_index(TimePoint t) const noexcept {
+    return day_of_local(t + utc_offset(t));
+  }
+};
+
 /// The monitoring campaign window: February 2015 through February 2016
 /// inclusive, as in the paper (Section II-A).
 struct CampaignWindow {

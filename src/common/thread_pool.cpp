@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
+#include <exception>
 
 #include "common/require.hpp"
 
@@ -61,16 +62,26 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
   const std::size_t lanes = std::min(n, thread_count());
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([&next, n, &fn] {
+    submit([&next, &error_mutex, &error, n, &fn] {
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
            i = next.fetch_add(1, std::memory_order_relaxed)) {
-        fn(i);
+        try {
+          fn(i);
+        } catch (...) {
+          // Keep the first failure and hand out no further indices.
+          const std::lock_guard lock(error_mutex);
+          if (!error) error = std::current_exception();
+          next.store(n, std::memory_order_relaxed);
+        }
       }
     });
   }
   wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace unp

@@ -35,7 +35,9 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// `fn` must be safe to invoke concurrently for distinct indices.
+  /// `fn` must be safe to invoke concurrently for distinct indices.  If a
+  /// call throws, no further index starts, and the first exception is
+  /// rethrown here once every lane has returned.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -1,7 +1,12 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
 
 #include "common/require.hpp"
@@ -69,14 +74,136 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
   return mix64(config.seed, 0x5E55);
 }
 
-/// Per-slot scratch for phase 3: everything a worker touches while turning
-/// one node's fault events into (optionally pre-encoded) telemetry.  A slot
-/// is allocated once and reused for every block, so steady-state
-/// simulation+encoding allocates nothing per node.
+/// One resident node log: what a worker fills while turning one node's
+/// fault events into (optionally pre-encoded) telemetry, until the calling
+/// thread has handed it to the sinks.  A ring slot is reused for every
+/// node that maps to it, so steady-state simulation+encoding allocates
+/// nothing per node.
 struct NodeSlot {
   telemetry::NodeLog log;
-  SessionSimArena sim;
   std::string encoded;  ///< pre-encoded node-log body
+  bool done = false;    ///< filled and not yet delivered (pipeline mutex)
+};
+
+/// The ordered pipeline of phase 3.  Workers simulate owned nodes in
+/// dispatch order — the costliest node first, into a slot of its own, then
+/// the rest ascending through a ring of `ring` slots — while the calling
+/// thread delivers nodes in ascending order as soon as each is done.  A
+/// worker takes a ring slot only once the node that used it last has been
+/// delivered, so at most `ring` + 1 logs are resident.
+///
+/// Owned positions are indices into the shard's ascending owned list; a
+/// position's ring rank is its index among the positions other than
+/// `costly`.
+class NodePipeline {
+ public:
+  using Simulate =
+      std::function<void(std::size_t, NodeSlot&, SessionSimArena&)>;
+  using Deliver = std::function<void(std::size_t, NodeSlot&)>;
+
+  NodePipeline(std::size_t owned, std::size_t costly, std::size_t ring)
+      : owned_(owned), costly_(costly), ring_(ring) {}
+
+  /// Run `lanes` workers on `pool` and deliver on the calling thread.  An
+  /// exception from a worker or from `deliver` stops dispatch and is
+  /// rethrown only after every worker has returned, so no slot is touched
+  /// once the pipeline unwinds.
+  void run(ThreadPool& pool, std::size_t lanes, const Simulate& simulate,
+           const Deliver& deliver) {
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      pool.submit([this, &simulate] { work(simulate); });
+    try {
+      for (std::size_t p = 0; p < owned_; ++p) {
+        NodeSlot& slot = slot_of(p);
+        {
+          std::unique_lock lock(mutex_);
+          done_cv_.wait(lock, [&] { return stop_ || slot.done; });
+          if (stop_) break;
+        }
+        deliver(p, slot);
+        {
+          const std::lock_guard lock(mutex_);
+          slot.done = false;
+          if (p != costly_) ++delivered_ranks_;
+        }
+        free_cv_.notify_all();
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    pool.wait_idle();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// The slot owned position `p` fills.
+  [[nodiscard]] NodeSlot& slot_of(std::size_t p) noexcept {
+    return p == costly_ ? costly_slot_ : ring_[rank_of(p) % ring_.size()];
+  }
+
+  [[nodiscard]] std::size_t rank_of(std::size_t p) const noexcept {
+    return p > costly_ ? p - 1 : p;
+  }
+
+  /// Dispatch order: the costliest position, then the others ascending.
+  [[nodiscard]] std::size_t dispatched(std::size_t task) const noexcept {
+    if (task == 0) return costly_;
+    return task - 1 < costly_ ? task - 1 : task;
+  }
+
+  void work(const Simulate& simulate) {
+    SessionSimArena arena;  // this lane's scratch, reused across its nodes
+    for (;;) {
+      std::size_t p = 0;
+      {
+        std::unique_lock lock(mutex_);
+        if (stop_ || next_task_ == owned_) return;
+        p = dispatched(next_task_++);
+        if (p != costly_) {
+          const std::size_t rank = rank_of(p);
+          free_cv_.wait(lock, [&] {
+            return stop_ || rank < delivered_ranks_ + ring_.size();
+          });
+          if (stop_) return;
+        }
+      }
+      NodeSlot& slot = slot_of(p);
+      try {
+        simulate(p, slot, arena);
+      } catch (...) {
+        fail(std::current_exception());
+        return;
+      }
+      {
+        const std::lock_guard lock(mutex_);
+        slot.done = true;
+      }
+      done_cv_.notify_all();
+    }
+  }
+
+  void fail(std::exception_ptr error) {
+    {
+      const std::lock_guard lock(mutex_);
+      if (!error_) error_ = std::move(error);
+      stop_ = true;
+    }
+    done_cv_.notify_all();
+    free_cv_.notify_all();
+  }
+
+  const std::size_t owned_;
+  const std::size_t costly_;
+  std::vector<NodeSlot> ring_;
+  NodeSlot costly_slot_;
+
+  std::mutex mutex_;
+  std::condition_variable done_cv_;  ///< a slot became done, or stop
+  std::condition_variable free_cv_;  ///< a ring slot was delivered, or stop
+  std::size_t next_task_ = 0;
+  std::size_t delivered_ranks_ = 0;
+  bool stop_ = false;
+  std::exception_ptr error_;
 };
 
 }  // namespace
@@ -176,7 +303,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   // The shard summary covers owned nodes only; filtering the time-sorted
   // fleet truth preserves its order, so shard truths interleave back into
   // the monolithic vector.  The monolithic move happens after phase 3 —
-  // workers read events out of fleet_truth until the last block is emitted.
+  // workers read events out of fleet_truth until the last node is simulated.
   if (!spec.is_monolithic()) {
     std::vector<bool> owned_slot(
         static_cast<std::size_t>(cluster::kStudyNodeSlots), false);
@@ -195,62 +322,93 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
   }
 
   // Phase 3: per-node session simulation of the owned nodes, streamed out
-  // block by block.  Workers fill a block of node logs in parallel; the
-  // block is then emitted to every sink in ascending node order and freed,
-  // so at most one block of logs is resident at a time and the stream is
-  // identical for any thread count (monitored_nodes() is index-sorted and
-  // the ownership filter preserves that order).
+  // node by node.  The calling thread hands each node to every sink in
+  // ascending node order (monitored_nodes() is index-sorted and the
+  // ownership filter preserves that order), so the stream is identical for
+  // any thread count; sinks are only ever called from this thread.
   for (auto* sink : sinks) sink->begin_campaign(config.window);
 
-  const std::size_t block = std::max<std::size_t>(threads * 8, 32);
   // Pre-encode node-log bodies in the workers only when some sink will
   // actually consume bytes; record-routing sinks never pay for encoding.
   bool wants_encoded = false;
   for (const auto* sink : sinks)
     wants_encoded = wants_encoded || sink->wants_encoded_node_log();
 
-  std::vector<NodeSlot> slots(std::min(block, owned.size()));
+  const auto events_of = [&](std::size_t p) {
+    return std::span<const std::uint32_t>(plan.node_events[static_cast<
+        std::size_t>(cluster::node_index(nodes[owned[p]]))]);
+  };
+
+  // Every owned node's exact error-run count: it sizes the node's log once
+  // and names the costliest node, which the pipeline dispatches first.
+  std::vector<std::size_t> runs(owned.size());
+  const auto count = [&](std::size_t p) {
+    SessionSimArena arena;
+    runs[p] = count_node_runs(config.session, plans[owned[p]], fleet_truth,
+                              events_of(p), arena);
+  };
+  if (pool) {
+    pool->parallel_for(owned.size(), count);
+  } else {
+    for (std::size_t p = 0; p < owned.size(); ++p) count(p);
+  }
+
   summary.accounting.resize(owned.size());
-  for (std::size_t base = 0; base < owned.size(); base += block) {
-    const std::size_t count = std::min(block, owned.size() - base);
-    auto simulate = [&](std::size_t i) {
-      const std::size_t j = owned[base + i];
-      const cluster::NodeId node = nodes[j];
-      NodeSlot& s = slots[i];
-      // Zero-copy: simulate straight off the shared fleet-truth events.
-      simulate_node_shared_into(
-          config.session, node, plans[j],
-          cluster::Topology::is_overheating_slot(node), plan.session_seed,
-          fleet_truth,
-          plan.node_events[static_cast<std::size_t>(cluster::node_index(node))],
-          s.sim, s.log);
-      if (wants_encoded) {
-        s.encoded.clear();
-        telemetry::encode_node_log_into(s.log, s.encoded);
-      }
-    };
-    if (pool) {
-      pool->parallel_for(count, simulate);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) simulate(i);
+  for (std::size_t p = 0; p < owned.size(); ++p) {
+    const sched::ScanPlan& node_plan = plans[owned[p]];
+    summary.accounting[p] = {nodes[owned[p]], node_plan.scanned_hours(),
+                             node_plan.terabyte_hours(),
+                             node_plan.sessions.size()};
+  }
+
+  const auto simulate = [&](std::size_t p, NodeSlot& slot,
+                            SessionSimArena& arena) {
+    const cluster::NodeId node = nodes[owned[p]];
+    // Zero-copy: simulate straight off the shared fleet-truth events.
+    simulate_node_shared_into(config.session, node, plans[owned[p]],
+                              cluster::Topology::is_overheating_slot(node),
+                              plan.session_seed, fleet_truth, events_of(p),
+                              runs[p], arena, slot.log);
+    if (wants_encoded) {
+      slot.encoded.clear();
+      telemetry::encode_node_log_into(slot.log, slot.encoded);
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j = owned[base + i];
-      const cluster::NodeId node = nodes[j];
-      NodeSlot& s = slots[i];
-      // One EncodedNodeLog shared across sinks: the body is encoded at most
-      // once per node (already done in the worker if any sink wants bytes)
-      // and spliced — never re-encoded, never re-copied per sink.
-      telemetry::EncodedNodeLog enc_log(node, s.log, s.encoded, wants_encoded);
-      for (auto* sink : sinks) {
-        sink->begin_node(node);
-        sink->on_node_log(enc_log);
-        sink->end_node(node);
-      }
-      summary.accounting[base + i] = {node, plans[j].scanned_hours(),
-                                      plans[j].terabyte_hours(),
-                                      plans[j].sessions.size()};
+  };
+  const std::size_t costly = static_cast<std::size_t>(
+      std::max_element(runs.begin(), runs.end()) - runs.begin());
+  const auto deliver = [&](std::size_t p, NodeSlot& slot) {
+    const cluster::NodeId node = nodes[owned[p]];
+    // One EncodedNodeLog shared across sinks: the body is encoded at most
+    // once per node (already done in the worker if any sink wants bytes)
+    // and spliced — never re-encoded, never re-copied per sink.
+    telemetry::EncodedNodeLog enc_log(node, slot.log, slot.encoded,
+                                      wants_encoded);
+    for (auto* sink : sinks) {
+      sink->begin_node(node);
+      sink->on_node_log(enc_log);
+      sink->end_node(node);
     }
+    // The costliest log is an outlier; no later node reuses its capacity.
+    if (p == costly) {
+      slot.log = telemetry::NodeLog{};
+      std::string().swap(slot.encoded);
+    }
+  };
+
+  if (!pool) {
+    NodeSlot slot;
+    SessionSimArena arena;
+    for (std::size_t p = 0; p < owned.size(); ++p) {
+      simulate(p, slot, arena);
+      deliver(p, slot);
+    }
+  } else if (!owned.empty()) {
+    // At most this many logs are resident: the ring plus the costliest's
+    // own slot.
+    const std::size_t resident = std::max<std::size_t>(threads * 8, 32);
+    NodePipeline pipeline(owned.size(), costly,
+                          std::min(resident - 1, owned.size() - 1));
+    pipeline.run(*pool, threads, simulate, deliver);
   }
 
   for (auto* sink : sinks) sink->end_campaign();

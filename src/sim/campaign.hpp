@@ -111,13 +111,18 @@ struct CampaignPlan {
                                          ThreadPool* pool = nullptr);
 
 /// Stream the campaign through `sinks`.  Per-node records are pushed with
-/// full framing (begin_campaign .. end_campaign, nodes ascending by index)
-/// as soon as each node block completes; only a bounded block of node logs
-/// is ever resident.  Each node reaches every sink as one bulk
+/// full framing (begin_campaign .. end_campaign, nodes ascending by index),
+/// each node as soon as it and every earlier node are simulated.  Workers
+/// simulate the node with the most error runs first (count_node_runs) and
+/// the rest ascending, into a bounded ring of slots: at most
+/// max(threads*8, 32) node logs are ever resident.  Sinks are called only
+/// from the calling thread.  Each node reaches every sink as one bulk
 /// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the
 /// node-log body is encoded once per node in the simulation workers and
 /// shared by every sink.  `threads` > 1 parallelizes planning and session
-/// simulation; the emitted stream is bit-identical for any thread count.
+/// simulation, overlapped with delivery; the emitted stream is
+/// bit-identical for any thread count.  An exception from a sink or a
+/// worker reaches the caller after every worker has stopped.
 CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
     const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1);

@@ -57,10 +57,59 @@ ErrorRecord make_error(TimePoint when, cluster::NodeId node,
   return r;
 }
 
-/// Emit the logs of a transient event landing inside `session`.
-void simulate_transient(const sched::ScanSession& session, const FaultEvent& ev,
-                        cluster::NodeId node, const TempSampler& temp,
-                        NodeLog& log) {
+/// Where a node walk's error runs go.  The walk below (walk_transient,
+/// walk_stuck, walk_sessions) is the simulator's one copy of the visibility
+/// rules: it decides which checks see a fault and hands each visible run
+/// (a single log is a run of count 1) to its sink.  RunCounter only tallies
+/// them, so the exact run count comes from the same code that emits the
+/// log, with no record built and no random number drawn.
+struct RunCounter {
+  std::size_t runs = 0;
+
+  void begin_session(const sched::ScanSession& /*session*/) {}
+  void end_session(const sched::ScanSession& /*session*/) {}
+  void run(TimePoint /*when*/, std::uint64_t /*word_index*/,
+           Word /*expected*/, Word /*actual*/, std::int64_t /*period_s*/,
+           std::uint64_t /*count*/) {
+    ++runs;
+  }
+};
+
+/// The emitting sink: builds each record (drawing its temperature sample in
+/// walk order), frames every session with its START/END records and puts
+/// the session's runs in check order as it closes.
+struct LogWriter {
+  cluster::NodeId node;
+  const TempSampler& temp;
+  SessionSimArena& arena;
+  NodeLog& log;
+  std::size_t session_runs = 0;  ///< first run of the open session
+
+  void begin_session(const sched::ScanSession& session) {
+    session_runs = log.error_runs().size();
+    log.add_start({session.window.start, node, session.allocated_bytes,
+                   temp.at(session.window.start)});
+  }
+  void end_session(const sched::ScanSession& session) {
+    order_session_runs(session, log.error_runs_from(session_runs), arena);
+    if (!session.end_lost) {
+      log.add_end({session.window.end, node, temp.at(session.window.end)});
+    }
+  }
+  void run(TimePoint when, std::uint64_t word_index, Word expected,
+           Word actual, std::int64_t period_s, std::uint64_t count) {
+    ErrorRun r;
+    r.first = make_error(when, node, word_index, expected, actual, temp);
+    r.period_s = period_s;
+    r.count = count;
+    log.add_error_run(r);
+  }
+};
+
+/// The checks of a transient event landing inside `session`.
+template <class Sink>
+void walk_transient(const sched::ScanSession& session, const FaultEvent& ev,
+                    Sink& sink) {
   const Pattern pattern(session.pattern);
   const TimePoint start = session.window.start;
   const std::int64_t period = session.pass_period_s;
@@ -74,16 +123,15 @@ void simulate_transient(const sched::ScanSession& session, const FaultEvent& ev,
   for (const auto& wf : ev.words) {
     const Word observed = wf.corruption.apply(expected);
     if (observed != expected) {
-      log.add_error(
-          make_error(check_time, node, wf.word_index, expected, observed, temp));
+      sink.run(check_time, wf.word_index, expected, observed, 0, 1);
     }
   }
 }
 
-/// Emit the run-length logs of a stuck fault over one session.
-void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
-                    cluster::NodeId node, const SessionSimConfig& config,
-                    const TempSampler& temp, NodeLog& log) {
+/// The run-length checks of a stuck fault over one session.
+template <class Sink>
+void walk_stuck(const sched::ScanSession& session, const FaultEvent& ev,
+                const SessionSimConfig& config, Sink& sink) {
   const Pattern pattern(session.pattern);
   const TimePoint start = session.window.start;
   const std::int64_t period = session.pass_period_s;
@@ -122,14 +170,8 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
         if ((i % 2 == 0) != (parity == 0)) ++i;
         if (i > last_check) continue;
         const std::uint64_t count = (last_check - i) / 2 + 1;
-
-        ErrorRun run;
-        run.first = make_error(start + static_cast<std::int64_t>(i) * period,
-                               node, wf.word_index, phase_expected, observed,
-                               temp);
-        run.period_s = count > 1 ? 2 * period : 0;
-        run.count = count;
-        log.add_error_run(run);
+        sink.run(start + static_cast<std::int64_t>(i) * period, wf.word_index,
+                 phase_expected, observed, count > 1 ? 2 * period : 0, count);
       }
     } else {
       // Counter pattern: expected changes every check.
@@ -139,9 +181,8 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
           const Word expected = pattern.written_at(i - 1);
           const Word observed = wf.corruption.apply(expected);
           if (observed != expected) {
-            log.add_error(make_error(start + static_cast<std::int64_t>(i) * period,
-                                     node, wf.word_index, expected, observed,
-                                     temp));
+            sink.run(start + static_cast<std::int64_t>(i) * period,
+                     wf.word_index, expected, observed, 0, 1);
           }
         }
       } else {
@@ -151,15 +192,44 @@ void simulate_stuck(const sched::ScanSession& session, const FaultEvent& ev,
         const Word expected = pattern.written_at(first_check - 1);
         const Word observed = wf.corruption.apply(expected);
         if (observed == expected) continue;
-        ErrorRun run;
-        run.first = make_error(
-            start + static_cast<std::int64_t>(first_check) * period, node,
-            wf.word_index, expected, observed, temp);
-        run.period_s = checks > 1 ? period : 0;
-        run.count = checks;
-        log.add_error_run(run);
+        sink.run(start + static_cast<std::int64_t>(first_check) * period,
+                 wf.word_index, expected, observed, checks > 1 ? period : 0,
+                 checks);
       }
     }
+  }
+}
+
+/// Walk every session of `plan` against the node's time-sorted transients
+/// and its stuck faults.
+template <class Sink>
+void walk_sessions(const SessionSimConfig& config, const sched::ScanPlan& plan,
+                   std::span<const FaultEvent* const> transients,
+                   std::span<const FaultEvent* const> stucks, Sink& sink) {
+  std::size_t next_transient = 0;
+  for (const auto& session : plan.sessions) {
+    sink.begin_session(session);
+
+    // Transients before this session fell into busy (job-owned) time and
+    // were never observable; skip them.
+    while (next_transient < transients.size() &&
+           transients[next_transient]->time < session.window.start) {
+      ++next_transient;
+    }
+    while (next_transient < transients.size() &&
+           transients[next_transient]->time < session.window.end) {
+      walk_transient(session, *transients[next_transient], sink);
+      ++next_transient;
+    }
+
+    for (const FaultEvent* ev : stucks) {
+      if (ev->time < session.window.end &&
+          ev->active_until > session.window.start) {
+        walk_stuck(session, *ev, config, sink);
+      }
+    }
+
+    sink.end_session(session);
   }
 }
 
@@ -235,72 +305,65 @@ void order_session_runs(const sched::ScanSession& session,
 
 namespace {
 
-/// Shared tail of the simulate_node entry points: `arena.ptrs` holds this
-/// node's events (any order) and is sorted in place; everything else is read
-/// through it.  Sorting the pointer view yields the event order sort_events
-/// gives the values (see sort_event_ptrs), without moving any FaultEvent.
+/// Sort `arena.ptrs` (this node's events, any order) in place and split it
+/// into the transient and stuck views the walk reads.  Sorting the pointer
+/// view yields the event order sort_events gives the values (see
+/// sort_event_ptrs), without moving any FaultEvent.
+void partition_events(SessionSimArena& arena) {
+  faults::sort_event_ptrs(arena.ptrs);
+  // A transient belongs to exactly one session; stuck faults (few) are
+  // checked against every session they overlap.
+  arena.transients.clear();
+  arena.stucks.clear();
+  arena.transients.reserve(arena.ptrs.size());
+  for (const FaultEvent* ev : arena.ptrs) {
+    (ev->persistence == Persistence::kTransient ? arena.transients
+                                                : arena.stucks)
+        .push_back(ev);
+  }
+}
+
+void load_events(std::span<const faults::FaultEvent> fleet,
+                 std::span<const std::uint32_t> indices,
+                 SessionSimArena& arena) {
+  arena.ptrs.clear();
+  arena.ptrs.reserve(indices.size());
+  for (const std::uint32_t i : indices) arena.ptrs.push_back(&fleet[i]);
+  partition_events(arena);
+}
+
+std::size_t count_partitioned_runs(const SessionSimConfig& config,
+                                   const sched::ScanPlan& plan,
+                                   const SessionSimArena& arena) {
+  RunCounter counter;
+  walk_sessions(config, plan, arena.transients, arena.stucks, counter);
+  return counter.runs;
+}
+
+/// Shared tail of the simulate_node entry points: `arena` holds this node's
+/// partitioned events and `runs` is their exact run count.  Every record
+/// vector is sized once up front, so even the pathological node's ~160 MB
+/// of runs never regrow.
 void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
                         const sched::ScanPlan& plan, bool overheating,
-                        std::uint64_t seed, SessionSimArena& arena,
-                        telemetry::NodeLog& out) {
+                        std::uint64_t seed, std::size_t runs,
+                        SessionSimArena& arena, telemetry::NodeLog& out) {
   NodeLog& log = out;
   log.clear();
   log.reserve_starts(plan.sessions.size());
   log.reserve_ends(plan.sessions.size());
   log.reserve_alloc_fails(plan.failures.size());
+  log.reserve_error_runs(runs);
   RngStream rng(seed, /*stream_id=*/0x5E55,
                 static_cast<std::uint64_t>(cluster::node_index(node)));
   const TempSampler temp{&config, node, overheating, &rng};
-
-  faults::sort_event_ptrs(arena.ptrs);
-
-  // A transient belongs to exactly one session; stuck faults (few) are
-  // checked against every session they overlap.
-  std::vector<const FaultEvent*>& transients = arena.transients;
-  std::vector<const FaultEvent*>& stucks = arena.stucks;
-  transients.clear();
-  stucks.clear();
-  transients.reserve(arena.ptrs.size());
-  for (const FaultEvent* ev : arena.ptrs) {
-    (ev->persistence == Persistence::kTransient ? transients : stucks)
-        .push_back(ev);
-  }
 
   for (const auto& failure : plan.failures) {
     log.add_alloc_fail({failure.time, node});
   }
 
-  std::size_t next_transient = 0;
-  for (const auto& session : plan.sessions) {
-    const std::size_t session_runs = log.error_runs().size();
-    log.add_start({session.window.start, node, session.allocated_bytes,
-                   temp.at(session.window.start)});
-
-    // Transients before this session fell into busy (job-owned) time and
-    // were never observable; skip them.
-    while (next_transient < transients.size() &&
-           transients[next_transient]->time < session.window.start) {
-      ++next_transient;
-    }
-    while (next_transient < transients.size() &&
-           transients[next_transient]->time < session.window.end) {
-      simulate_transient(session, *transients[next_transient], node, temp, log);
-      ++next_transient;
-    }
-
-    for (const FaultEvent* ev : stucks) {
-      if (ev->time < session.window.end &&
-          ev->active_until > session.window.start) {
-        simulate_stuck(session, *ev, node, config, temp, log);
-      }
-    }
-
-    order_session_runs(session, log.error_runs_from(session_runs), arena);
-
-    if (!session.end_lost) {
-      log.add_end({session.window.end, node, temp.at(session.window.end)});
-    }
-  }
+  LogWriter writer{node, temp, arena, log};
+  walk_sessions(config, plan, arena.transients, arena.stucks, writer);
 
   // Sessions do not overlap, so the node's runs are in time order now; the
   // guard's stable sort runs only if some run left the check grid.
@@ -309,17 +372,25 @@ void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
 
 }  // namespace
 
+std::size_t count_node_runs(const SessionSimConfig& config,
+                            const sched::ScanPlan& plan,
+                            std::span<const faults::FaultEvent> fleet,
+                            std::span<const std::uint32_t> indices,
+                            SessionSimArena& arena) {
+  load_events(fleet, indices, arena);
+  return count_partitioned_runs(config, plan, arena);
+}
+
 void simulate_node_shared_into(const SessionSimConfig& config,
                                cluster::NodeId node,
                                const sched::ScanPlan& plan, bool overheating,
                                std::uint64_t seed,
                                std::span<const faults::FaultEvent> fleet,
                                std::span<const std::uint32_t> indices,
-                               SessionSimArena& arena, telemetry::NodeLog& out) {
-  arena.ptrs.clear();
-  arena.ptrs.reserve(indices.size());
-  for (const std::uint32_t i : indices) arena.ptrs.push_back(&fleet[i]);
-  simulate_node_core(config, node, plan, overheating, seed, arena, out);
+                               std::size_t runs, SessionSimArena& arena,
+                               telemetry::NodeLog& out) {
+  load_events(fleet, indices, arena);
+  simulate_node_core(config, node, plan, overheating, seed, runs, arena, out);
 }
 
 telemetry::NodeLog simulate_node(const SessionSimConfig& config,
@@ -330,8 +401,10 @@ telemetry::NodeLog simulate_node(const SessionSimConfig& config,
   SessionSimArena arena;
   arena.ptrs.reserve(events.size());
   for (const FaultEvent& ev : events) arena.ptrs.push_back(&ev);
+  partition_events(arena);
   NodeLog log;
-  simulate_node_core(config, node, plan, overheating, seed, arena, log);
+  simulate_node_core(config, node, plan, overheating, seed,
+                     count_partitioned_runs(config, plan, arena), arena, log);
   return log;
 }
 

@@ -75,17 +75,30 @@ void order_session_runs(const sched::ScanSession& session,
     const sched::ScanPlan& plan, const std::vector<faults::FaultEvent>& events,
     bool overheating, std::uint64_t seed);
 
+/// The exact number of error runs simulate_node_shared_into emits for the
+/// same inputs.  It runs the simulator's own visibility walk (transient,
+/// alternating-phase and counter checks) with a counting sink: no record is
+/// built and no random number drawn.  The campaign driver dispatches the
+/// costliest node first by it and sizes each node's log from it.
+[[nodiscard]] std::size_t count_node_runs(
+    const SessionSimConfig& config, const sched::ScanPlan& plan,
+    std::span<const faults::FaultEvent> fleet,
+    std::span<const std::uint32_t> indices, SessionSimArena& arena);
+
 /// Arena form, the campaign hot path: the node's events are the `indices`
-/// rows of the shared fleet-truth vector, read in place.  `out` is cleared
-/// and refilled, and only pointer scratch in `arena` is touched, so both
-/// keep their capacity across nodes.  Identical output to simulate_node on
-/// the same events in the same order.
+/// rows of the shared fleet-truth vector, read in place.  `runs` is
+/// count_node_runs of the same inputs, which the caller already has; the
+/// error runs are reserved once from it (a wrong value costs capacity,
+/// never bytes).  `out` is cleared and refilled, and only pointer scratch
+/// in `arena` is touched, so both keep their capacity across nodes.
+/// Identical output to simulate_node on the same events in the same order.
 void simulate_node_shared_into(const SessionSimConfig& config,
                                cluster::NodeId node,
                                const sched::ScanPlan& plan, bool overheating,
                                std::uint64_t seed,
                                std::span<const faults::FaultEvent> fleet,
                                std::span<const std::uint32_t> indices,
-                               SessionSimArena& arena, telemetry::NodeLog& out);
+                               std::size_t runs, SessionSimArena& arena,
+                               telemetry::NodeLog& out);
 
 }  // namespace unp::sim

@@ -11,42 +11,18 @@ std::uint64_t NodeLog::raw_error_count() const noexcept {
 }
 
 double NodeLog::monitored_hours() const noexcept {
-  // Pair each START with the first END after it.  A START superseded by
-  // another START before any END (hard reboot) contributes zero, per the
-  // paper's conservative accounting.
   double hours = 0.0;
-  std::size_t e = 0;
-  for (std::size_t s = 0; s < starts_.size(); ++s) {
-    while (e < ends_.size() && ends_[e].time < starts_[s].time) ++e;
-    const TimePoint next_start =
-        s + 1 < starts_.size() ? starts_[s + 1].time : 0;
-    if (e < ends_.size() &&
-        (s + 1 >= starts_.size() || ends_[e].time <= next_start)) {
-      hours += static_cast<double>(ends_[e].time - starts_[s].time) /
-               kSecondsPerHour;
-      ++e;
-    }
-    // else: reboot case - no matching END before the next START.
-  }
+  for_each_session([&](const StartRecord& start, const EndRecord& end) {
+    hours += session_hours(start, end);
+  });
   return hours;
 }
 
 double NodeLog::terabyte_hours() const noexcept {
-  constexpr double kBytesPerTb = 1099511627776.0;  // 2^40
   double tbh = 0.0;
-  std::size_t e = 0;
-  for (std::size_t s = 0; s < starts_.size(); ++s) {
-    while (e < ends_.size() && ends_[e].time < starts_[s].time) ++e;
-    const TimePoint next_start =
-        s + 1 < starts_.size() ? starts_[s + 1].time : 0;
-    if (e < ends_.size() &&
-        (s + 1 >= starts_.size() || ends_[e].time <= next_start)) {
-      const double hours =
-          static_cast<double>(ends_[e].time - starts_[s].time) / kSecondsPerHour;
-      tbh += hours * static_cast<double>(starts_[s].allocated_bytes) / kBytesPerTb;
-      ++e;
-    }
-  }
+  for_each_session([&](const StartRecord& start, const EndRecord& end) {
+    tbh += session_terabyte_hours(start, end);
+  });
   return tbh;
 }
 

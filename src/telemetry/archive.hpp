@@ -17,6 +17,9 @@
 
 namespace unp::telemetry {
 
+/// Bytes per terabyte (2^40) in every terabyte-hour figure.
+inline constexpr double kBytesPerTb = 1099511627776.0;
+
 /// Time-ordered log of a single node.
 class NodeLog {
  public:
@@ -44,6 +47,9 @@ class NodeLog {
   [[nodiscard]] const std::vector<ErrorRun>& error_runs() const noexcept {
     return error_runs_;
   }
+  [[nodiscard]] std::size_t error_run_capacity() const noexcept {
+    return error_runs_.capacity();
+  }
   /// Mutable view of the runs from position `first` on, so a builder can
   /// put the segment it just appended in order without copying it out.
   [[nodiscard]] std::span<ErrorRun> error_runs_from(std::size_t first) noexcept {
@@ -53,13 +59,41 @@ class NodeLog {
   /// Total number of raw ERROR log lines represented (runs expanded).
   [[nodiscard]] std::uint64_t raw_error_count() const noexcept;
 
-  /// Scanning hours implied by START/END pairing.  Follows the paper's
-  /// conservative rule: a START followed by another START (hard reboot, END
-  /// lost) contributes zero hours.
+  /// Visit every complete session in START order as f(start, end).  Each
+  /// START pairs with the first END at or after it, unless the next START
+  /// comes first: a hard reboot lost the END, and the paper's conservative
+  /// accounting counts that session for nothing.  monitored_hours,
+  /// terabyte_hours and the per-day split of Fig 9 all sum over this walk.
+  template <class F>
+  void for_each_session(F&& f) const {
+    std::size_t e = 0;
+    for (std::size_t s = 0; s < starts_.size(); ++s) {
+      while (e < ends_.size() && ends_[e].time < starts_[s].time) ++e;
+      if (e < ends_.size() && (s + 1 >= starts_.size() ||
+                               ends_[e].time <= starts_[s + 1].time)) {
+        f(starts_[s], ends_[e]);
+        ++e;
+      }
+    }
+  }
+
+  /// Hours of one complete session.
+  [[nodiscard]] static double session_hours(const StartRecord& start,
+                                            const EndRecord& end) noexcept {
+    return static_cast<double>(end.time - start.time) / kSecondsPerHour;
+  }
+  /// Terabyte-hours of one complete session: its hours weighted by its
+  /// allocation size.
+  [[nodiscard]] static double session_terabyte_hours(
+      const StartRecord& start, const EndRecord& end) noexcept {
+    return session_hours(start, end) *
+           static_cast<double>(start.allocated_bytes) / kBytesPerTb;
+  }
+
+  /// Scanning hours over the complete sessions (for_each_session).
   [[nodiscard]] double monitored_hours() const noexcept;
 
-  /// Terabyte-hours scanned, weighting each complete session by its
-  /// allocation size.  Same conservative pairing rule as monitored_hours.
+  /// Terabyte-hours scanned over the complete sessions.
   [[nodiscard]] double terabyte_hours() const noexcept;
 
   /// Sort all record vectors by time (builders normally append in order).

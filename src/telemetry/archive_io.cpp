@@ -223,37 +223,45 @@ NodeLog ArchiveReader::decode_body(cluster::NodeId node,
   return log;
 }
 
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
-  // A fresh body per frame: a buffer kept across frames would hold the
-  // largest body's bytes while sinks consume its decoded log.
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
+                         std::string& body) {
   std::uint64_t index = 0;
-  std::string body;
   if (!next_raw(index, body)) return false;
   node = cluster::node_from_index(static_cast<int>(index));
   log = decode_body(node, body);
   return true;
 }
 
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+  // A fresh body per frame: a buffer kept across frames would hold the
+  // largest body's bytes while sinks consume its decoded log.
+  std::string body;
+  return next(node, log, body);
+}
+
 void ArchiveReader::drain(RecordSink& sink) {
   drain_frames(window_, sink,
-               [this](cluster::NodeId& node, NodeLog& log) {
-                 return next(node, log);
+               [this](cluster::NodeId& node, NodeLog& log, std::string& body) {
+                 return next(node, log, body);
                });
 }
 
-void drain_frames(
-    const CampaignWindow& window, RecordSink& sink,
-    const std::function<bool(cluster::NodeId&, NodeLog&)>& next) {
+void drain_frames(const CampaignWindow& window, RecordSink& sink,
+                  const std::function<bool(cluster::NodeId&, NodeLog&,
+                                           std::string&)>& next) {
   sink.begin_campaign(window);
   cluster::NodeId node;
   NodeLog log;
-  std::string scratch;
-  while (next(node, log)) {
+  for (;;) {
+    // A fresh body per frame, freed with it: a buffer kept across frames
+    // would hold the largest body's bytes while later frames stream.
+    std::string body;
+    if (!next(node, log, body)) break;
     sink.begin_node(node);
     // Bulk delivery: record-oriented sinks read the decoded log in place
-    // (or replay it), byte-oriented sinks re-encode once into the reused
-    // scratch buffer.
-    EncodedNodeLog enc(node, log, scratch);
+    // (or replay it); byte-oriented ones take the frame's body as read,
+    // never re-encoded.
+    EncodedNodeLog enc(node, log, body, /*pre_encoded=*/true);
     sink.on_node_log(enc);
     sink.end_node(node);
   }

@@ -120,6 +120,9 @@ class ArchiveReader {
 
   /// next_raw + decode_body into (node, log).
   [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log);
+  /// The same, also handing out the frame's undecoded body in `body`.
+  [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log,
+                          std::string& body);
 
   /// Push the remaining stream through `sink` with full framing
   /// (begin_campaign .. end_campaign), one bulk on_node_log per frame.
@@ -142,11 +145,13 @@ class ArchiveReader {
   bool done_ = false;
 };
 
-/// Push the frames `next` yields through `sink` with full framing
-/// (begin_campaign .. end_campaign), one bulk on_node_log per frame: the
+/// Push the frames `next` yields (node, decoded log and the frame's body)
+/// through `sink` with full framing (begin_campaign .. end_campaign), one
+/// bulk on_node_log per frame whose bytes() are the body as read: the
 /// delivery loop of ArchiveReader::drain and ShardMergeReader::drain.
 void drain_frames(const CampaignWindow& window, RecordSink& sink,
-                  const std::function<bool(cluster::NodeId&, NodeLog&)>& next);
+                  const std::function<bool(cluster::NodeId&, NodeLog&,
+                                           std::string&)>& next);
 
 /// Spill a materialized archive as one UNPS stream to `os` (binary mode).
 void save_archive_stream(const CampaignArchive& archive, std::ostream& os);

@@ -143,7 +143,8 @@ bool ShardMergeReader::next_raw(std::uint64_t& node_index, std::string& body) {
   return true;
 }
 
-bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
+bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log,
+                            std::string& body) {
   Shard* shard = min_head();
   if (shard == nullptr) return false;
   node = cluster::node_from_index(static_cast<int>(shard->head_index));
@@ -152,15 +153,22 @@ bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
   } catch (const DecodeError& e) {
     throw in_shard(shard->header.shard_index, e);
   }
+  body.swap(shard->head_body);
   ++merged_;
   fill_head(*shard);
   return true;
 }
 
+bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
+  std::string body;
+  return next(node, log, body);
+}
+
 void ShardMergeReader::drain(RecordSink& sink) {
-  drain_frames(window_, sink, [this](cluster::NodeId& node, NodeLog& log) {
-    return next(node, log);
-  });
+  drain_frames(window_, sink,
+               [this](cluster::NodeId& node, NodeLog& log, std::string& body) {
+                 return next(node, log, body);
+               });
 }
 
 void merge_shard_archives(const std::vector<std::string>& paths,

@@ -81,6 +81,8 @@ class ShardMergeReader {
   /// Next merged frame in ascending node-index order; false at end of all
   /// shards (validates every shard's declared frame count).
   bool next(cluster::NodeId& node, NodeLog& log);
+  /// The same, also handing out the frame's undecoded body in `body`.
+  bool next(cluster::NodeId& node, NodeLog& log, std::string& body);
 
   /// Raw-frame variant of next(): hands out the winning frame's encoded
   /// body without decoding it.  merge_shard_archives uses this to copy

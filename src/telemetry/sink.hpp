@@ -54,10 +54,12 @@ struct EncodeKernels;
 /// The bulk streaming path hands one of these per node to sinks instead of
 /// replaying records one virtual call at a time.  Byte-oriented sinks
 /// (ArchiveWriter) splice `bytes()` straight into their frame — the body is
-/// encoded exactly once per node, in the producer worker when the driver
-/// pre-encodes, and never re-encoded per sink.  Record-oriented sinks
-/// (CampaignArchive, extractors) read `log()` and never pay for encoding:
-/// `bytes()` only encodes on first call.
+/// encoded at most once per node, in the producer worker when the campaign
+/// pre-encodes, or not at all when a replay hands over the frame's body as
+/// read (drain_frames), and never re-encoded per sink.  Record-oriented
+/// sinks (CampaignArchive, the extractors) read `log()`; `bytes()` only
+/// encodes on first call, so they pay for encoding only where they ask for
+/// bytes (the streaming extractor holding a filter candidate).
 class EncodedNodeLog {
  public:
   /// `scratch` is caller-owned storage for the encoded body (an arena slot

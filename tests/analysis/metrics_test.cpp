@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace unp::analysis {
 namespace {
@@ -101,6 +107,77 @@ TEST(DailySeries, TerabyteHoursSplitAcrossDays) {
   double total = 0.0;
   for (double v : series) total += v;
   EXPECT_NEAR(total, 4.0 * tb, 1e-9);
+}
+
+/// The per-chunk formula accumulate_daily_terabyte_hours replaced: every
+/// local-day chunk asks BarcelonaClock for its offset and campaign day.
+void per_chunk_daily_terabyte_hours(const telemetry::NodeLog& log,
+                                    const CampaignWindow& window,
+                                    std::vector<double>& series) {
+  constexpr double kBytesPerTb = 1099511627776.0;
+  std::size_t e = 0;
+  const auto& starts = log.starts();
+  const auto& ends = log.ends();
+  for (std::size_t s = 0; s < starts.size(); ++s) {
+    while (e < ends.size() && ends[e].time < starts[s].time) ++e;
+    const TimePoint next_start = s + 1 < starts.size() ? starts[s + 1].time : 0;
+    if (e >= ends.size() ||
+        (s + 1 < starts.size() && ends[e].time > next_start)) {
+      continue;
+    }
+    const double tb = static_cast<double>(starts[s].allocated_bytes) / kBytesPerTb;
+    TimePoint t = starts[s].time;
+    const TimePoint session_end = ends[e].time;
+    ++e;
+    while (t < session_end) {
+      const std::int64_t day = window.day_of_campaign(t);
+      const TimePoint local_midnight =
+          t + (kSecondsPerDay -
+               ((t + BarcelonaClock::utc_offset(t)) % kSecondsPerDay));
+      const TimePoint chunk_end = std::min(session_end, local_midnight);
+      if (day >= 0 && static_cast<std::size_t>(day) < series.size()) {
+        series[static_cast<std::size_t>(day)] +=
+            tb * static_cast<double>(chunk_end - t) / kSecondsPerHour;
+      }
+      t = chunk_end;
+    }
+  }
+}
+
+TEST(DailySeries, TerabyteHoursMatchPerChunkOracleBitwise) {
+  // Sessions of odd sizes and lengths that straddle both 2015 DST switches
+  // and the 2015 -> 2016 year boundary, plus a lost END, on many nodes
+  // accumulated into one series: every double must match bit for bit.
+  const CampaignWindow window;
+  RngStream rng(77);
+  std::vector<double> got(static_cast<std::size_t>(window.duration_days()) + 2);
+  std::vector<double> want(got.size());
+  const TimePoint anchors[] = {from_civil_utc({2015, 3, 29, 1, 0, 0}),
+                               from_civil_utc({2015, 10, 25, 1, 0, 0}),
+                               from_civil_utc({2016, 1, 1, 0, 0, 0}),
+                               window.start, window.end};
+  for (int node = 0; node < 40; ++node) {
+    telemetry::NodeLog log;
+    TimePoint t = anchors[node % 5] - rng.uniform_int(0, 3 * kSecondsPerDay);
+    for (int k = 0; k < 12; ++k) {
+      const TimePoint end = t + rng.uniform_int(1, 5 * kSecondsPerDay);
+      const std::uint64_t bytes = (1 + rng.uniform_u64(4000)) * (1ULL << 20) +
+                                  rng.uniform_u64(4096);
+      log.add_start({t, {1, 1}, bytes, 30.0});
+      if (k != 5) log.add_end({end, {1, 1}, 30.0});
+      t = end + rng.uniform_int(0, kSecondsPerDay);
+    }
+    accumulate_daily_terabyte_hours(log, window, got);
+    per_chunk_daily_terabyte_hours(log, window, want);
+  }
+  double total = 0.0;
+  for (std::size_t d = 0; d < got.size(); ++d) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[d]),
+              std::bit_cast<std::uint64_t>(want[d]))
+        << "day " << d << ": " << got[d] << " vs " << want[d];
+    total += got[d];
+  }
+  EXPECT_GT(total, 0.0);
 }
 
 TEST(DailySeries, ErrorsBucketByDayAndClass) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/require.hpp"
 
 namespace unp {
@@ -70,6 +72,36 @@ TEST(BarcelonaClock, DstTransition2015) {
   const TimePoint oct_after = from_civil_utc({2015, 10, 25, 1, 0, 0});
   EXPECT_EQ(BarcelonaClock::utc_offset(oct_before), 2 * kSecondsPerHour);
   EXPECT_EQ(BarcelonaClock::utc_offset(oct_after), kSecondsPerHour);
+}
+
+TEST(BarcelonaYear, AnswersTheClockOffsetsAndDays) {
+  // Every 37 minutes from mid-2014 to mid-2017, plus each second around
+  // the 2015 switches and the 2015 -> 2016 boundary.
+  std::vector<TimePoint> instants;
+  for (TimePoint t = from_civil_utc({2014, 6, 1, 0, 0, 0});
+       t < from_civil_utc({2017, 6, 1, 0, 0, 0}); t += 37 * kSecondsPerMinute)
+    instants.push_back(t);
+  for (const CivilDateTime c : {CivilDateTime{2015, 3, 29, 1, 0, 0},
+                                CivilDateTime{2015, 10, 25, 1, 0, 0},
+                                CivilDateTime{2016, 1, 1, 0, 0, 0}}) {
+    const TimePoint at = from_civil_utc(c);
+    for (TimePoint t = at - 3 * kSecondsPerHour; t < at + 3 * kSecondsPerHour;
+         ++t)
+      instants.push_back(t);
+  }
+  BarcelonaYear year = BarcelonaYear::containing(instants.front());
+  for (const TimePoint t : instants) {
+    if (!year.contains(t)) year = BarcelonaYear::containing(t);
+    ASSERT_TRUE(year.contains(t)) << t;
+    ASSERT_EQ(year.utc_offset(t), BarcelonaClock::utc_offset(t)) << t;
+    ASSERT_EQ(year.local_day_index(t), BarcelonaClock::local_day_index(t)) << t;
+  }
+  const BarcelonaYear y2015 =
+      BarcelonaYear::containing(from_civil_utc({2015, 7, 1, 0, 0, 0}));
+  EXPECT_EQ(y2015.begin, from_civil_utc({2015, 1, 1, 0, 0, 0}));
+  EXPECT_EQ(y2015.end, from_civil_utc({2016, 1, 1, 0, 0, 0}));
+  EXPECT_EQ(y2015.dst_start, from_civil_utc({2015, 3, 29, 1, 0, 0}));
+  EXPECT_EQ(y2015.dst_end, from_civil_utc({2015, 10, 25, 1, 0, 0}));
 }
 
 TEST(BarcelonaClock, LocalHourWrapsMidnight) {

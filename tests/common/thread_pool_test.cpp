@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/require.hpp"
@@ -62,6 +63,27 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallel_for(10, [&](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryLaneReturns) {
+  ThreadPool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> after_throw{0};
+  EXPECT_THROW(pool.parallel_for(1000,
+                                 [&](std::size_t i) {
+                                   running.fetch_add(1);
+                                   if (i == 17) {
+                                     running.fetch_sub(1);
+                                     throw std::runtime_error("task 17");
+                                   }
+                                   running.fetch_sub(1);
+                                 }),
+               std::runtime_error);
+  // Every lane has returned before the exception reached the caller.
+  EXPECT_EQ(running.load(), 0);
+  // The pool stays usable.
+  pool.parallel_for(8, [&](std::size_t) { after_throw.fetch_add(1); });
+  EXPECT_EQ(after_throw.load(), 8);
 }
 
 TEST(ThreadPool, RequiresAtLeastOneThread) {

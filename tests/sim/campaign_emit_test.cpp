@@ -10,9 +10,12 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <thread>
 
+#include "sim/shard.hpp"
 #include "telemetry/archive_io.hpp"
 
 namespace unp::sim {
@@ -149,10 +152,14 @@ TEST(CampaignEmit, DefaultCampaignStreamIsPinned) {
 }
 
 TEST(CampaignEmit, StreamBytesIdenticalAcrossThreads) {
-  // The campaign pre-encodes bodies in its workers; its stream must be what
-  // ArchiveWriter produces from the same records afterwards.
+  // The campaign pre-encodes bodies in its workers and delivers nodes as
+  // its pipeline completes them, the costliest first; its stream must be
+  // what ArchiveWriter produces from the same records afterwards, for any
+  // thread count.
   std::string expect;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4},
+                                    std::size_t{8}}) {
     std::ostringstream os(std::ios::binary);
     telemetry::ArchiveWriter writer(os);
     telemetry::CampaignArchive archive;
@@ -164,6 +171,165 @@ TEST(CampaignEmit, StreamBytesIdenticalAcrossThreads) {
     EXPECT_EQ(stream, expect) << "threads=" << threads;
     EXPECT_EQ(reencode(archive), stream) << "threads=" << threads;
   }
+
+  // Two shards at 3 threads: each shard's stream is its own records
+  // re-encoded, and the shards' node logs together re-encode to the
+  // monolithic stream.
+  telemetry::CampaignArchive merged(short_config().window);
+  for (int index = 0; index < 2; ++index) {
+    std::ostringstream os(std::ios::binary);
+    telemetry::ArchiveWriter writer(os);
+    telemetry::CampaignArchive archive;
+    std::vector<telemetry::RecordSink*> sinks{&writer, &archive};
+    (void)run_campaign_shard(short_config(), ShardSpec{2, index}, sinks, 3);
+    EXPECT_EQ(reencode(archive), os.str()) << "shard " << index;
+    for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
+      const cluster::NodeId node = cluster::node_from_index(i);
+      if (!archive.log(node).empty()) merged.log(node) = archive.log(node);
+    }
+  }
+  EXPECT_EQ(reencode(merged), expect);
+}
+
+TEST(CampaignEmit, RunCountIsExactOnEveryNode) {
+  // The count that names the costliest node and sizes every log is the
+  // exact number of runs each node emits; a fresh log ends at exactly that
+  // capacity, so no node's log regrows.
+  const CampaignConfig config = short_config();
+  const CampaignPlan plan = plan_campaign(config);
+  const auto& nodes = plan.topology.monitored_nodes();
+  SessionSimArena arena;
+  std::size_t total = 0;
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    const auto& events =
+        plan.node_events[static_cast<std::size_t>(cluster::node_index(nodes[j]))];
+    const std::size_t runs =
+        count_node_runs(config.session, plan.plans[j], plan.ground_truth,
+                        events, arena);
+    telemetry::NodeLog fresh;
+    simulate_node_shared_into(config.session, nodes[j], plan.plans[j],
+                              cluster::Topology::is_overheating_slot(nodes[j]),
+                              plan.session_seed, plan.ground_truth, events,
+                              runs, arena, fresh);
+    ASSERT_EQ(fresh.error_runs().size(), runs) << cluster::node_name(nodes[j]);
+    EXPECT_EQ(fresh.error_run_capacity(), runs) << cluster::node_name(nodes[j]);
+    total += runs;
+  }
+  EXPECT_GT(total, 100u);
+}
+
+/// Records where and in what order the campaign calls it: the thread of
+/// every call, and whether frames open, carry one bulk log and close in
+/// ascending node order.
+class CallRecorder final : public telemetry::RecordSink {
+ public:
+  const std::thread::id caller = std::this_thread::get_id();
+  std::uint64_t calls = 0;
+  std::uint64_t foreign_calls = 0;  ///< calls from any other thread
+  std::uint64_t order_faults = 0;   ///< framing or node-order violations
+  std::uint64_t nodes = 0;
+
+  void begin_campaign(const CampaignWindow&) override { note(); }
+  void begin_node(cluster::NodeId node) override {
+    note();
+    const int index = cluster::node_index(node);
+    if (open_ || index <= last_index_) ++order_faults;
+    open_ = true;
+    logs_ = 0;
+    last_index_ = index;
+  }
+  void on_node_log(telemetry::EncodedNodeLog& log) override {
+    note();
+    if (!open_ || cluster::node_index(log.node()) != last_index_) ++order_faults;
+    ++logs_;
+  }
+  void end_node(cluster::NodeId node) override {
+    note();
+    if (!open_ || cluster::node_index(node) != last_index_ || logs_ != 1)
+      ++order_faults;
+    open_ = false;
+    ++nodes;
+  }
+  void end_campaign() override { note(); }
+  void on_start(const telemetry::StartRecord&) override { ++order_faults; }
+  void on_end(const telemetry::EndRecord&) override { ++order_faults; }
+  void on_alloc_fail(const telemetry::AllocFailRecord&) override {
+    ++order_faults;
+  }
+  void on_error_run(const telemetry::ErrorRun&) override { ++order_faults; }
+
+ private:
+  void note() {
+    ++calls;
+    if (std::this_thread::get_id() != caller) ++foreign_calls;
+  }
+  bool open_ = false;
+  int last_index_ = -1;
+  std::uint64_t logs_ = 0;
+};
+
+TEST(CampaignEmit, SinksAreCalledFromTheCallingThreadInNodeOrder) {
+  // No sink is thread-safe: the pipeline must deliver on the caller's
+  // thread, one frame per node, nodes ascending, with or without a byte
+  // sink asking the workers to pre-encode.
+  for (const bool with_writer : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{8}}) {
+      std::ostringstream os(std::ios::binary);
+      telemetry::ArchiveWriter writer(os);
+      CallRecorder recorder;
+      std::vector<telemetry::RecordSink*> sinks{&recorder};
+      if (with_writer) sinks.push_back(&writer);
+      const CampaignSummary summary =
+          run_campaign_streaming(short_config(), sinks, threads);
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " writer=" << with_writer);
+      EXPECT_EQ(recorder.foreign_calls, 0u);
+      EXPECT_EQ(recorder.order_faults, 0u);
+      EXPECT_EQ(recorder.nodes, summary.accounting.size());
+      EXPECT_EQ(recorder.calls, 3 * recorder.nodes + 2);
+    }
+  }
+}
+
+/// Throws from on_node_log at its `throw_at`-th node and counts the nodes it
+/// saw.
+class ThrowingSink final : public telemetry::RecordSink {
+ public:
+  explicit ThrowingSink(std::uint64_t throw_at) : throw_at_(throw_at) {}
+  std::uint64_t nodes = 0;
+
+  void on_node_log(telemetry::EncodedNodeLog&) override {
+    if (nodes++ == throw_at_) throw std::runtime_error("sink failed");
+  }
+  void on_start(const telemetry::StartRecord&) override {}
+  void on_end(const telemetry::EndRecord&) override {}
+  void on_alloc_fail(const telemetry::AllocFailRecord&) override {}
+  void on_error_run(const telemetry::ErrorRun&) override {}
+
+ private:
+  std::uint64_t throw_at_;
+};
+
+TEST(CampaignEmit, SinkExceptionReachesTheCallerAfterWorkersStop) {
+  // A sink failing mid-stream (first node, inside the ring, past the
+  // costliest node) propagates out of the 4-thread campaign once every
+  // worker has stopped touching the slots; no node is delivered after it,
+  // and the next campaign runs normally.
+  for (const std::uint64_t at : {0u, 17u, 400u}) {
+    std::ostringstream os(std::ios::binary);
+    telemetry::ArchiveWriter writer(os);
+    ThrowingSink sink(at);
+    std::vector<telemetry::RecordSink*> sinks{&sink, &writer};
+    EXPECT_THROW((void)run_campaign_streaming(short_config(), sinks, 4),
+                 std::runtime_error)
+        << "at " << at;
+    EXPECT_EQ(sink.nodes, at + 1) << "at " << at;
+  }
+  telemetry::CampaignArchive archive;
+  std::vector<telemetry::RecordSink*> sinks{&archive};
+  (void)run_campaign_streaming(short_config(), sinks, 4);
+  EXPECT_GT(archive.total_raw_errors(), 0u);
 }
 
 TEST(CampaignEmit, MixedSinksShareOneEncodedBody) {

@@ -305,6 +305,78 @@ void emit_session_runs(const sched::ScanSession& s, bool off_grid,
   }
 }
 
+/// One randomized node's plan: 1-4 sessions of random pass period, length
+/// and pattern, separated by random gaps.
+std::vector<sched::ScanSession> random_sessions(RngStream& rng) {
+  std::vector<sched::ScanSession> sessions;
+  TimePoint t = kT0;
+  for (std::uint64_t k = 1 + rng.uniform_u64(4); k > 0; --k) {
+    sched::ScanSession s;
+    s.pass_period_s = rng.uniform_int(2, 90);
+    s.window = {t, t + s.pass_period_s * rng.uniform_int(4, 60) +
+                       rng.uniform_int(0, s.pass_period_s - 1)};
+    s.pattern = rng.bernoulli(0.5) ? scanner::PatternKind::kCounter
+                                   : scanner::PatternKind::kAlternating;
+    sessions.push_back(s);
+    t = s.window.end + rng.uniform_int(0, 200);
+  }
+  return sessions;
+}
+
+TEST(SessionSim, CountNodeRunsEqualsEmittedRuns) {
+  // The counting walk must predict exactly the runs the emitting walk
+  // appends, on 300 randomized nodes: transients inside, between and
+  // outside sessions, stuck faults healing and starting anywhere, words
+  // visible in one phase, both or neither, and counter runs on both sides
+  // of counter_exact_limit.  A fresh log ends with exactly that capacity.
+  RngStream rng(2025);
+  SessionSimConfig config;
+  config.counter_exact_limit = 12;
+  SessionSimArena arena;
+  std::size_t total = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    sched::ScanPlan plan;
+    plan.sessions = random_sessions(rng);
+    if (rng.bernoulli(0.3)) plan.sessions.back().end_lost = true;
+    const TimePoint from = plan.sessions.front().window.start - 300;
+    const TimePoint to = plan.sessions.back().window.end + 300;
+
+    std::vector<FaultEvent> events;
+    for (std::uint64_t k = rng.uniform_u64(12); k > 0; --k) {
+      FaultEvent ev;
+      ev.time = rng.uniform_int(from, to);
+      ev.node = {4, 4};
+      if (rng.bernoulli(0.4)) {
+        ev.persistence = Persistence::kStuck;
+        ev.active_until = ev.time + rng.uniform_int(1, to - from);
+      }
+      for (std::uint64_t w = 1 + rng.uniform_u64(3); w > 0; --w) {
+        Word mask = Word{1} << rng.uniform_u64(32);
+        if (rng.bernoulli(0.5)) mask |= static_cast<Word>(rng.next_u64());
+        ev.words.push_back(
+            {rng.uniform_u64(1 << 20),
+             dram::WordCorruption{mask, static_cast<Word>(rng.next_u64())}});
+      }
+      events.push_back(std::move(ev));
+    }
+    std::vector<std::uint32_t> indices(events.size());
+    for (std::uint32_t i = 0; i < indices.size(); ++i) indices[i] = i;
+
+    const std::size_t runs =
+        count_node_runs(config, plan, events, indices, arena);
+    telemetry::NodeLog fresh;
+    simulate_node_shared_into(config, {4, 4}, plan, false, 7, events, indices,
+                              runs, arena, fresh);
+    ASSERT_EQ(fresh.error_runs().size(), runs) << "trial " << trial;
+    EXPECT_EQ(fresh.error_run_capacity(), runs) << "trial " << trial;
+    EXPECT_EQ(simulate_node(config, {4, 4}, plan, events, false, 7).error_runs(),
+              fresh.error_runs())
+        << "trial " << trial;
+    total += runs;
+  }
+  EXPECT_GT(total, 2000u);
+}
+
 TEST(SessionSim, CheckOrderThenSortByTimeEqualsStableSortOracle) {
   // The per-session counting sort by check index, then the node-wide
   // sort_by_time guard, must give the exact permutation std::stable_sort by
@@ -314,18 +386,7 @@ TEST(SessionSim, CheckOrderThenSortByTimeEqualsStableSortOracle) {
   std::uint64_t tag = 0;
   int off_grid_nodes = 0;
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<sched::ScanSession> sessions;
-    TimePoint t = kT0;
-    for (std::uint64_t k = 1 + rng.uniform_u64(4); k > 0; --k) {
-      sched::ScanSession s;
-      s.pass_period_s = rng.uniform_int(2, 90);
-      s.window = {t, t + s.pass_period_s * rng.uniform_int(4, 60) +
-                         rng.uniform_int(0, s.pass_period_s - 1)};
-      s.pattern = rng.bernoulli(0.5) ? scanner::PatternKind::kCounter
-                                     : scanner::PatternKind::kAlternating;
-      sessions.push_back(s);
-      t = s.window.end + rng.uniform_int(0, 200);
-    }
+    const std::vector<sched::ScanSession> sessions = random_sessions(rng);
 
     telemetry::NodeLog log;
     SessionSimArena arena;

@@ -14,9 +14,11 @@
 //   --sweep          shorthand for the canonical comparison: the default
 //                    code set, --exhaustive 3 plus --population.
 //
-// All tallies are additive u64 counters over deterministic enumeration
-// orders, so output is bit-identical for any --threads value (asserted by
-// tests/ecc and bench_perf_ecc).
+// Exhaustive tallies are additive u64 counters over a deterministic
+// enumeration order, so they are bit-identical for any --threads value
+// (asserted by tests/ecc and bench_perf_ecc).  The population replay
+// decodes each distinct fault mask once per code on the calling thread;
+// --threads only sizes the exhaustive sweep and the population acquire.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -287,9 +289,10 @@ int run(const Options& opts) {
   for (const auto& f : extraction.faults) masks.push_back(f.flip_mask());
 
   const auto t_replay = std::chrono::steady_clock::now();
+  const ecc::MaskCensus census = ecc::mask_census(masks);
   for (const auto& code : codes) {
     const ecc::PopulationResult result =
-        ecc::evaluate_population(*code, masks, pool);
+        ecc::evaluate_population(*code, census);
     const ecc::VerdictCounts total = result.total();
     std::printf("%s : %llu faults -> %llu correct, %llu miscorrect, "
                 "%llu detected, %llu sdc  (silent %.4f%%)\n",
@@ -300,11 +303,10 @@ int run(const Options& opts) {
                 static_cast<unsigned long long>(total.detect_only),
                 static_cast<unsigned long long>(total.sdc),
                 100.0 * result.silent_fraction());
-    for (int c = 0; c < ecc::kPopulationClassCount; ++c) {
+    for (int c = 0; c < kFlipClassCount; ++c) {
       const auto& counts = result.by_class[static_cast<std::size_t>(c)];
       if (counts.total() == 0) continue;
-      std::printf("  %-8s : %llu faults, %llu silent\n",
-                  ecc::to_string(static_cast<ecc::PopulationClass>(c)),
+      std::printf("  %-8s : %llu faults, %llu silent\n", kFlipClasses[c].name,
                   static_cast<unsigned long long>(counts.total()),
                   static_cast<unsigned long long>(counts.silent()));
     }

@@ -100,22 +100,15 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (std::strcmp(arg, "--ext") == 0) {
       const char* v = cli.next_value(i, "--ext");
       if (!v) return false;
-      bool found = false;
-      for (const bench::ExtSection& ext : bench::ext_sections()) {
-        if (std::strcmp(v, ext.name) == 0) {
-          opts.want[ext.section] = true;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
+      const bench::ExtSection* ext = bench::find_ext_section(v);
+      if (ext == nullptr) {
         std::vector<std::string> names;
-        for (const bench::ExtSection& ext : bench::ext_sections()) {
-          names.emplace_back(ext.name);
-        }
+        for (const bench::ExtSection& e : bench::ext_sections())
+          names.emplace_back(e.name);
         cli.reject_choice("--ext", v, names);
         return false;
       }
+      opts.want[ext->section] = true;
       any_section = true;
     } else if (std::strcmp(arg, "--store") == 0) {
       const char* v = cli.next_value(i, "--store");

@@ -9,7 +9,6 @@
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "dram/mapping/mapping.hpp"
 #include "ecc/engine.hpp"
 #include "ecc/registry.hpp"
@@ -765,15 +764,13 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
   std::vector<Word> masks;
   masks.reserve(extraction.faults.size());
   for (const auto& f : extraction.faults) masks.push_back(f.flip_mask());
+  const ecc::MaskCensus census = ecc::mask_census(masks);
 
-  // One worker keeps the section cheap; the engine's tallies are
-  // thread-count invariant, so this choice cannot change the output.
-  ThreadPool pool(1);
   std::vector<ecc::PopulationResult> results;
   std::vector<ecc::CodeGeometry> geometries;
   for (const auto& spec : ecc::default_code_specs()) {
     const auto code = ecc::make_code(spec);
-    results.push_back(ecc::evaluate_population(*code, masks, pool));
+    results.push_back(ecc::evaluate_population(*code, census));
     geometries.push_back(code->geometry());
   }
 
@@ -796,8 +793,7 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
   TextTable by_class({"Code", "single", "double", "few(3-8)", "many(>8)"});
   for (const auto& r : results) {
     std::vector<std::string> row{r.code};
-    for (int c = 0; c < ecc::kPopulationClassCount; ++c) {
-      const auto& counts = r.by_class[static_cast<std::size_t>(c)];
+    for (const ecc::VerdictCounts& counts : r.by_class) {
       row.push_back(format_count(counts.silent()) + "/" +
                     format_count(counts.total()));
     }

@@ -102,20 +102,16 @@ QueryRequest parse_request(const std::vector<std::string>& tokens) {
       const long n = parse_long_in("fig", value, 1, 13);
       req.want[kFigSections[n - 1]] = true;
       req.any_section = req.any_query_action = true;
-    } else {  // --ext
-      if (value == "temporal") {
-        req.want[kExtTemporal] = true;
-      } else if (value == "markov") {
-        req.want[kExtMarkov] = true;
-      } else if (value == "alignment") {
-        req.want[kExtAlignment] = true;
-      } else if (value == "ecc") {
-        req.want[kExtEcc] = true;
-      } else {
-        throw QueryError("ext",
-                         "expects temporal|markov|alignment|ecc, got '" +
-                             std::string(value) + "'");
+    } else {  // --ext, resolved against the one section registry
+      const ExtSection* ext = find_ext_section(value);
+      if (ext == nullptr) {
+        std::string names;
+        for (const ExtSection& e : ext_sections())
+          names += (names.empty() ? "" : "|") + std::string(e.name);
+        throw QueryError("ext", "expects " + names + ", got '" +
+                                    std::string(value) + "'");
       }
+      req.want[ext->section] = true;
       req.any_section = req.any_query_action = true;
     }
   }
@@ -159,7 +155,9 @@ void print_query_rows(const std::vector<analysis::FaultRecord>& faults,
         static_cast<long long>(f.last_seen),
         static_cast<unsigned long long>(f.raw_logs),
         static_cast<unsigned long long>(f.virtual_address), f.expected,
-        f.actual, bits, store::to_string(store::classify_bits(bits)), temp);
+        f.actual, bits,
+        (std::string(kFlipClasses[flip_class_of(bits)].name) + "-bit").c_str(),
+        temp);
   }
   if (shown < faults.size())
     std::fprintf(out, "... %zu more row(s); raise --limit to list them\n",

@@ -13,6 +13,12 @@ std::span<const ExtSection> ext_sections() noexcept {
   return kExtSections;
 }
 
+const ExtSection* find_ext_section(std::string_view name) noexcept {
+  for (const ExtSection& ext : ext_sections())
+    if (name == ext.name) return &ext;
+  return nullptr;
+}
+
 ReportAnalyzers::ReportAnalyzers(const bool (&wanted)[kSectionCount])
     : address_map_(dram::default_geometry()), alignment_(address_map_) {
   for (int s = 0; s < kSectionCount; ++s) want_[s] = wanted[s];

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "analysis/alignment.hpp"
@@ -60,6 +61,8 @@ struct ExtSection {
 };
 
 [[nodiscard]] std::span<const ExtSection> ext_sections() noexcept;
+/// The registry entry called `name`; nullptr when there is none.
+[[nodiscard]] const ExtSection* find_ext_section(std::string_view name) noexcept;
 
 /// `--fig N` (1..13) to Section mapping.
 inline constexpr Section kFigSections[] = {kFig01, kFig02, kFig03, kFig04,

@@ -30,6 +30,29 @@ using Word = std::uint32_t;
   return std::popcount(expected ^ observed);
 }
 
+/// One corruption-multiplicity class: faults whose flipped-bit count lies
+/// in [min_bits, max_bits].  The UNPF store packs a fault's class index two
+/// bits per row and the ECC population replay tallies verdicts per class,
+/// so kFlipClasses is the one place the 1 | 2 | 3-8 | 9+ boundaries live.
+struct FlipClass {
+  const char* name;
+  int min_bits;
+  int max_bits;
+};
+
+/// Indexed by class code (0..3, the stored 2-bit value); ascending,
+/// contiguous, covering 1..32.
+inline constexpr FlipClass kFlipClasses[] = {
+    {"single", 1, 1}, {"double", 2, 2}, {"few", 3, 8}, {"many", 9, 32}};
+inline constexpr int kFlipClassCount = sizeof kFlipClasses / sizeof kFlipClasses[0];
+
+/// Class code of a fault with `flipped_bits` flips (0 counts as single).
+[[nodiscard]] constexpr int flip_class_of(int flipped_bits) noexcept {
+  int c = 0;
+  while (c + 1 < kFlipClassCount && flipped_bits > kFlipClasses[c].max_bits) ++c;
+  return c;
+}
+
 /// Bits that flipped from 1 to 0 (cell lost charge).
 [[nodiscard]] inline Word one_to_zero_mask(Word expected, Word observed) noexcept {
   return expected & ~observed;

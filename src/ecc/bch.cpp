@@ -1,11 +1,43 @@
 #include "ecc/bch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "common/require.hpp"
 
 namespace unp::ecc {
+namespace {
+
+/// True when the locator `c` (coefficients low to high, degree 1..16) has
+/// deg(c) distinct roots in the field, i.e. c divides x^(2^m) - x.  Only
+/// then can the Chien search succeed, so every other locator fails after
+/// m squarings mod c instead of a scan over all 2^m - 1 field elements.
+bool splits_into_distinct_roots(const GaloisField& field,
+                                const std::vector<std::uint32_t>& c) {
+  const std::size_t deg = c.size() - 1;
+  const std::uint32_t lead_inv = field.inv(c.back());
+  using Poly = std::array<std::uint32_t, 32>;
+  const auto reduce = [&](Poly& r) {  // r mod c, for deg(r) < 2 deg(c)
+    for (std::size_t i = 2 * deg; i-- > deg;) {
+      const std::uint32_t q = field.mul(r[i], lead_inv);
+      for (std::size_t k = 0; k <= deg; ++k) r[i - deg + k] ^= field.mul(q, c[k]);
+    }
+  };
+  Poly x{};
+  x[1] = 1;
+  reduce(x);
+  Poly r = x;
+  for (int i = 0; i < field.m(); ++i) {  // r := r^2 mod c; in GF(2^m)[x]
+    Poly square{};                       // squaring is term-by-term
+    for (std::size_t k = 0; k < deg; ++k) square[2 * k] = field.mul(r[k], r[k]);
+    reduce(square);
+    r = square;
+  }
+  return r == x;
+}
+
+}  // namespace
 
 int bch_parity_bits(int m, int correct_bits) {
   const int n = (1 << m) - 1;
@@ -25,7 +57,8 @@ BchDecoder::BchDecoder(int m, int shortened_bits, int correct_bits)
       shortened_bits_(shortened_bits),
       t_(correct_bits),
       parity_bits_(bch_parity_bits(m, correct_bits)) {
-  UNP_REQUIRE(correct_bits >= 1 && 2 * correct_bits < field_.n());
+  UNP_REQUIRE(correct_bits >= 1 && correct_bits <= 16 &&
+              2 * correct_bits < field_.n());
   UNP_REQUIRE(shortened_bits >= 1 && shortened_bits <= field_.n());
 }
 
@@ -95,7 +128,8 @@ BchDecoder::Result BchDecoder::decode(std::span<const int> error_bits) const {
   }
   while (!c.empty() && c.back() == 0) c.pop_back();
   const int degree = static_cast<int>(c.size()) - 1;
-  if (big_l > t_ || degree != big_l) {
+  if (big_l > t_ || degree != big_l ||
+      !splits_into_distinct_roots(field_, c)) {
     res.status = Status::kFailed;
     return res;
   }

@@ -42,12 +42,12 @@ struct VerdictCounts {
   std::uint64_t detect_only = 0;
   std::uint64_t sdc = 0;
 
-  void add(Verdict v) noexcept {
+  void add(Verdict v, std::uint64_t n = 1) noexcept {
     switch (v) {
-      case Verdict::kCorrect: ++correct; break;
-      case Verdict::kMiscorrect: ++miscorrect; break;
-      case Verdict::kDetectOnly: ++detect_only; break;
-      case Verdict::kSdc: ++sdc; break;
+      case Verdict::kCorrect: correct += n; break;
+      case Verdict::kMiscorrect: miscorrect += n; break;
+      case Verdict::kDetectOnly: detect_only += n; break;
+      case Verdict::kSdc: sdc += n; break;
     }
   }
   void add(const VerdictCounts& o) noexcept {

@@ -1,6 +1,7 @@
 #include "ecc/engine.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/require.hpp"
 
@@ -116,14 +117,19 @@ ExhaustiveResult evaluate_exhaustive(const Code& code, int max_weight,
   return result;
 }
 
-const char* to_string(PopulationClass c) noexcept {
-  switch (c) {
-    case PopulationClass::kSingleBit: return "single";
-    case PopulationClass::kDoubleBit: return "double";
-    case PopulationClass::kFewBit: return "few";
-    case PopulationClass::kManyBit: return "many";
+MaskCensus mask_census(std::span<const Word> masks) {
+  // Populations repeat a few dozen masks thousands of times: count in a
+  // hash map, then order the few distinct entries.
+  std::unordered_map<Word, std::uint64_t> counts;
+  for (const Word mask : masks) {
+    if (mask != 0) ++counts[mask];  // zero: no corruption to evaluate
   }
-  return "unknown";
+  MaskCensus census;
+  census.reserve(counts.size());
+  for (const auto& [mask, count] : counts) census.push_back({mask, count});
+  std::sort(census.begin(), census.end(),
+            [](const MaskCount& a, const MaskCount& b) { return a.mask < b.mask; });
+  return census;
 }
 
 VerdictCounts PopulationResult::total() const noexcept {
@@ -139,46 +145,19 @@ double PopulationResult::silent_fraction() const noexcept {
 }
 
 PopulationResult evaluate_population(const Code& code,
-                                     std::span<const Word> masks,
-                                     ThreadPool& pool) {
+                                     const MaskCensus& census) {
   // Scanner masks occupy 32 bits; the code's data field must hold them.
   UNP_REQUIRE(code.geometry().data_bits >= 32);
 
   PopulationResult result;
   result.code = std::string(code.name());
-
-  const std::size_t stripes =
-      std::max<std::size_t>(1, std::min(masks.size(), pool.thread_count() * 4));
-  const std::size_t per_stripe = masks.size() / stripes;
-  const std::size_t remainder = masks.size() % stripes;
-
-  struct StripeTally {
-    std::array<VerdictCounts, kPopulationClassCount> by_class;
-    std::uint64_t faults = 0;
-  };
-  std::vector<StripeTally> tallies(stripes);
-  pool.parallel_for(stripes, [&](std::size_t s) {
-    const std::size_t first = s * per_stripe + std::min(s, remainder);
-    const std::size_t span = per_stripe + (s < remainder ? 1 : 0);
-    StripeTally local;
-    for (std::size_t i = first; i < first + span; ++i) {
-      const Word mask = masks[i];
-      if (mask == 0) continue;  // no corruption to evaluate
-      const std::vector<int> bits = set_bit_positions(mask);
-      const PopulationClass cls =
-          classify_population_bits(static_cast<int>(bits.size()));
-      local.by_class[static_cast<std::size_t>(cls)].add(code.evaluate(bits));
-      ++local.faults;
-    }
-    tallies[s] = local;
-  });
-
-  for (const StripeTally& t : tallies) {
-    result.faults += t.faults;
-    for (int c = 0; c < kPopulationClassCount; ++c) {
-      result.by_class[static_cast<std::size_t>(c)].add(
-          t.by_class[static_cast<std::size_t>(c)]);
-    }
+  for (const MaskCount& entry : census) {
+    const std::vector<int> bits = set_bit_positions(entry.mask);
+    VerdictCounts& tally =
+        result.by_class[static_cast<std::size_t>(
+            flip_class_of(static_cast<int>(bits.size())))];
+    tally.add(code.evaluate(bits), entry.count);
+    result.faults += entry.count;
   }
   return result;
 }

@@ -13,10 +13,11 @@
 //
 //   * evaluate_population — replay the study's extracted fault masks
 //     (32-bit scanner words, embedded at codeword position 0 upward)
-//     through the code, tallied per corruption-multiplicity class.  The
-//     class boundaries deliberately mirror store::format.hpp's FaultClass
-//     (ecc stays a leaf library and cannot include store; the ecc tests
-//     assert the two bucketings agree).
+//     through the code, tallied per corruption-multiplicity class
+//     (common/bitops.hpp's kFlipClasses, the same classes the store packs).
+//     Every Code is linear, so a verdict depends on the mask alone: the
+//     population arrives as a MaskCensus of distinct masks with counts,
+//     and each distinct mask is decoded once per code.
 #pragma once
 
 #include <array>
@@ -77,30 +78,24 @@ struct ExhaustiveResult {
 // ---------------------------------------------------------------------------
 // Population replay.
 
-/// Corruption-multiplicity buckets.  Must stay numerically identical to
-/// store::FaultClass / store::classify_bits (asserted by tests/ecc).
-enum class PopulationClass : std::uint8_t {
-  kSingleBit = 0,  ///< exactly 1 flipped bit
-  kDoubleBit = 1,  ///< exactly 2
-  kFewBit = 2,     ///< 3..8
-  kManyBit = 3,    ///< > 8
+/// One distinct nonzero flip mask and the number of faults carrying it.
+struct MaskCount {
+  Word mask = 0;
+  std::uint64_t count = 0;
 };
-inline constexpr int kPopulationClassCount = 4;
 
-[[nodiscard]] constexpr PopulationClass classify_population_bits(
-    int flipped_bits) noexcept {
-  if (flipped_bits <= 1) return PopulationClass::kSingleBit;
-  if (flipped_bits == 2) return PopulationClass::kDoubleBit;
-  if (flipped_bits <= 8) return PopulationClass::kFewBit;
-  return PopulationClass::kManyBit;
-}
+/// A fault population reduced to its distinct flip masks: (mask, count)
+/// pairs in ascending mask order, zero masks (no corruption) dropped.
+/// Build it once per population and pass it to every code.
+using MaskCensus = std::vector<MaskCount>;
 
-[[nodiscard]] const char* to_string(PopulationClass c) noexcept;
+[[nodiscard]] MaskCensus mask_census(std::span<const Word> masks);
 
 struct PopulationResult {
   std::string code;
-  std::uint64_t faults = 0;  ///< evaluated masks (zero masks are skipped)
-  std::array<VerdictCounts, kPopulationClassCount> by_class;
+  std::uint64_t faults = 0;  ///< faults in the census (nonzero masks)
+  /// Indexed by flip-class code (kFlipClasses).
+  std::array<VerdictCounts, kFlipClassCount> by_class;
 
   [[nodiscard]] VerdictCounts total() const noexcept;
   /// Fraction of faults that would reach the application silently wrong.
@@ -110,12 +105,11 @@ struct PopulationResult {
                          const PopulationResult&) = default;
 };
 
-/// Replay extracted fault flip-masks through the code.  Masks embed at
-/// codeword bit 0 upward (the scanner-word convention of code.hpp); zero
-/// masks (no corruption) are skipped.  The tally is additive, so results
-/// are thread-count invariant.
+/// Replay a fault population's flip masks through the code: each census
+/// entry is decoded once and its count added to its class's tally.  Masks
+/// embed at codeword bit 0 upward (the scanner-word convention of
+/// code.hpp).
 [[nodiscard]] PopulationResult evaluate_population(const Code& code,
-                                                   std::span<const Word> masks,
-                                                   ThreadPool& pool);
+                                                   const MaskCensus& census);
 
 }  // namespace unp::ecc

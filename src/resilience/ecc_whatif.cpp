@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdlib>
 
-#include "common/thread_pool.hpp"
 #include "ecc/registry.hpp"
 
 namespace unp::resilience {
@@ -12,29 +11,27 @@ EccWhatIf ecc_what_if(const std::vector<analysis::FaultRecord>& faults) {
   std::vector<Word> masks;
   masks.reserve(faults.size());
   for (const auto& f : faults) masks.push_back(f.flip_mask());
+  const ecc::MaskCensus census = ecc::mask_census(masks);
 
   EccWhatIf result;
-  for (const Word mask : masks) {
-    if (mask == 0) continue;
-    result.parity.add(std::popcount(mask) % 2 == 1 ? ecc::Verdict::kDetectOnly
-                                                   : ecc::Verdict::kSdc);
+  for (const ecc::MaskCount& entry : census) {
+    result.parity.add(std::popcount(entry.mask) % 2 == 1
+                          ? ecc::Verdict::kDetectOnly
+                          : ecc::Verdict::kSdc,
+                      entry.count);
   }
-
-  // The engine's tallies are thread-count invariant; one worker suffices.
-  ThreadPool pool(1);
-  result.secded =
-      ecc::evaluate_population(*ecc::make_code("secded72"), masks, pool);
+  result.secded = ecc::evaluate_population(*ecc::make_code("secded72"), census);
   result.chipkill =
-      ecc::evaluate_population(*ecc::make_code("chipkill"), masks, pool);
+      ecc::evaluate_population(*ecc::make_code("chipkill"), census);
 
-  const auto class_total = [&](ecc::PopulationClass c) {
-    return result.secded.by_class[static_cast<std::size_t>(c)].total();
+  const auto in_class = [&](int flipped_bits) {
+    return result.secded.by_class[static_cast<std::size_t>(
+        flip_class_of(flipped_bits))].total();
   };
-  result.double_bit_faults = class_total(ecc::PopulationClass::kDoubleBit);
-  result.beyond_secded_guarantee = class_total(ecc::PopulationClass::kFewBit) +
-                                   class_total(ecc::PopulationClass::kManyBit);
-  result.multibit_faults =
-      result.double_bit_faults + result.beyond_secded_guarantee;
+  result.double_bit_faults = in_class(2);
+  result.multibit_faults = result.secded.faults - in_class(1);
+  result.beyond_secded_guarantee =
+      result.multibit_faults - result.double_bit_faults;
   return result;
 }
 

@@ -77,16 +77,6 @@ void unpack_bits_checked(std::string_view in, std::size_t pos, std::size_t end,
 
 }  // namespace
 
-const char* to_string(FaultClass c) noexcept {
-  switch (c) {
-    case FaultClass::kSingleBit: return "single-bit";
-    case FaultClass::kDoubleBit: return "double-bit";
-    case FaultClass::kFewBit: return "few-bit";
-    case FaultClass::kManyBit: return "many-bit";
-  }
-  return "?";
-}
-
 void pack_bits(std::string& out, std::span<const std::uint64_t> values,
                int width) {
   UNP_REQUIRE(width >= 0 && width <= 64);
@@ -254,7 +244,7 @@ void encode_segment_into(std::span<const analysis::FaultRecord> rows,
     column.clear();
     values.clear();
     for (const auto& f : rows)
-      values.push_back(static_cast<std::uint64_t>(classify_bits(f.flipped_bits())));
+      values.push_back(static_cast<std::uint64_t>(flip_class_of(f.flipped_bits())));
     pack_bits(column, values, 2);
     append_column(out, column);
   }

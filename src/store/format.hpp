@@ -36,8 +36,9 @@
 //   actual      varint per row        }
 //   temperature presence bitmap (1 bit per row; 0 = exact kNoTemperature),
 //               then raw f64 bits for each present row
-//   class       bit-packed 2-bit FaultClass per row (redundant with the
-//               pattern pair, but lets multiplicity predicates run without
+//   class       bit-packed 2-bit flip-class code per row (the kFlipClasses
+//               index of common/bitops.hpp; redundant with the pattern
+//               pair, but lets multiplicity predicates run without
 //               decoding two full varint columns)
 //
 // Every zone entry stores min/max per filterable column, enabling segment
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "analysis/extraction.hpp"
+#include "common/bitops.hpp"
 #include "common/civil_time.hpp"
 #include "common/histogram.hpp"
 #include "store/kernels/kernels.hpp"
@@ -68,22 +70,8 @@ inline constexpr std::uint8_t kStoreVersion = 1;
 /// (dictionary, zone entry) stays negligible.
 inline constexpr std::size_t kDefaultSegmentRows = 1024;
 
-/// Coarse corruption-multiplicity class, bit-packed two bits per row.
-enum class FaultClass : std::uint8_t {
-  kSingleBit = 0,  ///< exactly 1 flipped bit
-  kDoubleBit = 1,  ///< exactly 2
-  kFewBit = 2,     ///< 3..8
-  kManyBit = 3,    ///< > 8
-};
-
-[[nodiscard]] constexpr FaultClass classify_bits(int flipped_bits) noexcept {
-  if (flipped_bits <= 1) return FaultClass::kSingleBit;
-  if (flipped_bits == 2) return FaultClass::kDoubleBit;
-  if (flipped_bits <= 8) return FaultClass::kFewBit;
-  return FaultClass::kManyBit;
-}
-
-[[nodiscard]] const char* to_string(FaultClass c) noexcept;
+// The class column's 2-bit codes must cover exactly the flip-class table.
+static_assert(kFlipClassCount == 4);
 
 /// Which columns a scan must materialize.  kColPattern covers the
 /// expected/actual pair (they are only meaningful together).
@@ -121,7 +109,7 @@ struct SegmentColumns {
   std::vector<Word> expected;
   std::vector<Word> actual;
   std::vector<double> temperature;
-  std::vector<std::uint8_t> fault_class;  ///< FaultClass codes
+  std::vector<std::uint8_t> fault_class;  ///< flip-class codes (0..3)
 };
 
 // --- bit packing (LSB first) ---------------------------------------------

@@ -58,7 +58,8 @@ using MaskRangeI64Fn = void (*)(const std::int64_t* v, std::size_t n,
                                 std::int64_t lo, std::int64_t hi,
                                 std::uint8_t* mask);
 
-/// mask[i] &= (allowed >> codes[i]) & 1; codes are 2-bit FaultClass values.
+/// mask[i] &= (allowed >> codes[i]) & 1; codes are 2-bit flip-class
+/// codes (kFlipClasses indices).
 using MaskClassFn = void (*)(const std::uint8_t* codes, std::size_t n,
                              std::uint8_t allowed, std::uint8_t* mask);
 

@@ -13,28 +13,16 @@ std::uint32_t Query::required_columns() const {
   return columns;
 }
 
-std::optional<std::pair<FaultClass, FaultClass>> Query::class_range()
-    const noexcept {
-  std::optional<FaultClass> lo;
-  if (min_bits <= 1)
-    lo = FaultClass::kSingleBit;
-  else if (min_bits == 2)
-    lo = FaultClass::kDoubleBit;
-  else if (min_bits == 3)
-    lo = FaultClass::kFewBit;
-  else if (min_bits == 9)
-    lo = FaultClass::kManyBit;
-
-  std::optional<FaultClass> hi;
-  if (max_bits >= 32)
-    hi = FaultClass::kManyBit;
-  else if (max_bits == 8)
-    hi = FaultClass::kFewBit;
-  else if (max_bits == 2)
-    hi = FaultClass::kDoubleBit;
-  else if (max_bits == 1)
-    hi = FaultClass::kSingleBit;
-
+std::optional<std::pair<int, int>> Query::class_range() const noexcept {
+  std::optional<int> lo;
+  std::optional<int> hi;
+  for (int c = 0; c < kFlipClassCount; ++c) {
+    if (min_bits == kFlipClasses[c].min_bits || (c == 0 && min_bits <= 1))
+      lo = c;
+    if (max_bits == kFlipClasses[c].max_bits ||
+        (c == kFlipClassCount - 1 && max_bits >= 32))
+      hi = c;
+  }
   if (!lo || !hi || *lo > *hi) return std::nullopt;
   return std::pair{*lo, *hi};
 }

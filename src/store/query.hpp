@@ -27,20 +27,6 @@
 
 namespace unp::store {
 
-/// Smallest flipped-bit count inside a class.  For a class-aligned query
-/// (class_range() engaged), evaluating the bit-count predicate on this
-/// representative is exactly equivalent to evaluating it on the true count,
-/// so scans can run off the 2-bit class column alone.
-[[nodiscard]] constexpr int representative_bits(FaultClass c) noexcept {
-  switch (c) {
-    case FaultClass::kSingleBit: return 1;
-    case FaultClass::kDoubleBit: return 2;
-    case FaultClass::kFewBit: return 3;
-    case FaultClass::kManyBit: return 9;
-  }
-  return 1;
-}
-
 struct Query {
   /// Half-open time range [since, until) over first_seen (epoch seconds).
   std::optional<TimePoint> since;
@@ -65,9 +51,11 @@ struct Query {
     return min_bits <= 1 && max_bits >= 32;
   }
 
-  /// When the bit-count range coincides with FaultClass boundaries, the
-  /// [lo, hi] class pair answering it; nullopt otherwise.
-  [[nodiscard]] std::optional<std::pair<FaultClass, FaultClass>> class_range()
+  /// When the bit-count range coincides with kFlipClasses boundaries, the
+  /// [lo, hi] class-code pair answering it; nullopt otherwise.  Within such
+  /// a range, testing a class's min_bits stands for testing any count in
+  /// the class, so scans can run off the 2-bit class column alone.
+  [[nodiscard]] std::optional<std::pair<int, int>> class_range()
       const noexcept;
 
   /// Segment-level pruning test against a zone map entry.

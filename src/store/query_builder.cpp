@@ -1,5 +1,6 @@
 #include "store/query_builder.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "cluster/topology.hpp"
@@ -29,15 +30,28 @@ int parse_int_in(const char* field, std::string_view value, int lo, int hi) {
   return static_cast<int>(n);
 }
 
+/// Set `slot` (the query's blade or soc) to `value` on behalf of `field`;
+/// throws if an earlier predicate, named by `owner`, chose another value.
+void pin(const char* field, std::optional<int>& slot, const char*& owner,
+         const char* coordinate, int value) {
+  if (slot && *slot != value)
+    fail(field, std::string("selects ") + coordinate + " " +
+                    std::to_string(value) + ", but " + owner +
+                    " already selected " + coordinate + " " +
+                    std::to_string(*slot));
+  if (!slot) owner = field;
+  slot = value;
+}
+
 }  // namespace
 
 QueryBuilder& QueryBuilder::since(TimePoint t) {
-  query_.since = t;
+  query_.since = query_.since ? std::max(*query_.since, t) : t;
   return *this;
 }
 
 QueryBuilder& QueryBuilder::until(TimePoint t) {
-  query_.until = t;
+  query_.until = query_.until ? std::min(*query_.until, t) : t;
   return *this;
 }
 
@@ -48,8 +62,8 @@ QueryBuilder& QueryBuilder::node(std::string_view name) {
   } catch (const ContractViolation&) {
     fail("node", "expects BB-SS (e.g. 58-02), got '" + std::string(name) + "'");
   }
-  query_.blade = id.blade;
-  query_.soc = id.soc;
+  pin("node", query_.blade, blade_from_, "blade", id.blade);
+  pin("node", query_.soc, soc_from_, "soc", id.soc);
   return *this;
 }
 
@@ -57,7 +71,7 @@ QueryBuilder& QueryBuilder::blade(int b) {
   if (b < 0 || b >= cluster::kStudyBlades)
     fail("blade", "must be in [0, " + std::to_string(cluster::kStudyBlades - 1) +
                       "], got '" + std::to_string(b) + "'");
-  query_.blade = b;
+  pin("blade", query_.blade, blade_from_, "blade", b);
   return *this;
 }
 
@@ -65,44 +79,34 @@ QueryBuilder& QueryBuilder::soc(int s) {
   if (s < 0 || s >= cluster::kSocsPerBlade)
     fail("soc", "must be in [0, " + std::to_string(cluster::kSocsPerBlade - 1) +
                     "], got '" + std::to_string(s) + "'");
-  query_.soc = s;
+  pin("soc", query_.soc, soc_from_, "soc", s);
   return *this;
 }
 
 QueryBuilder& QueryBuilder::fault_class(std::string_view name) {
-  if (name == "single") {
-    query_.min_bits = 1;
-    query_.max_bits = 1;
-  } else if (name == "double") {
-    query_.min_bits = 2;
-    query_.max_bits = 2;
-  } else if (name == "few") {
-    query_.min_bits = 3;
-    query_.max_bits = 8;
-  } else if (name == "many") {
-    query_.min_bits = 9;
-    query_.max_bits = 32;
-  } else if (name == "multi") {
-    query_.min_bits = 2;
-    query_.max_bits = 32;
-  } else {
-    fail("class", "expects single|double|few|many|multi, got '" +
-                      std::string(name) + "'");
+  // "multi" is every class from double up; the rest are kFlipClasses rows.
+  if (name == "multi")
+    return min_bits(kFlipClasses[1].min_bits)
+        .max_bits(kFlipClasses[kFlipClassCount - 1].max_bits);
+  std::string names;
+  for (const FlipClass& c : kFlipClasses) {
+    if (name == c.name) return min_bits(c.min_bits).max_bits(c.max_bits);
+    names += std::string(c.name) + "|";
   }
-  return *this;
+  fail("class", "expects " + names + "multi, got '" + std::string(name) + "'");
 }
 
 QueryBuilder& QueryBuilder::min_bits(int n) {
   if (n < 1 || n > 32)
     fail("min-bits", "must be in [1, 32], got '" + std::to_string(n) + "'");
-  query_.min_bits = n;
+  query_.min_bits = std::max(query_.min_bits, n);
   return *this;
 }
 
 QueryBuilder& QueryBuilder::max_bits(int n) {
   if (n < 1 || n > 32)
     fail("max-bits", "must be in [1, 32], got '" + std::to_string(n) + "'");
-  query_.max_bits = n;
+  query_.max_bits = std::min(query_.max_bits, n);
   return *this;
 }
 

@@ -14,6 +14,10 @@
 //   - stringly: builder.set("blade", "12") — the shape CLI flags and server
 //     request lines arrive in; numeric fields parse strictly (whole token,
 //     base 10) and re-use the typed path's range checks.
+//
+// Predicates AND together whatever order they arrive in: bit ranges and
+// time bounds intersect, and a blade or SoC that conflicts with one already
+// selected (by --blade, --soc or --node) throws QueryError naming both.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +72,8 @@ class QueryBuilder {
 
  private:
   Query query_;
+  const char* blade_from_ = nullptr;  ///< field that selected the blade
+  const char* soc_from_ = nullptr;    ///< field that selected the SoC
 };
 
 }  // namespace unp::store

@@ -44,8 +44,8 @@ void append_columns(SegmentColumns& dst, const SegmentColumns& src) {
 ///   - time:   since <= t < until  ==  t in [since, until - 1]
 ///   - node:   blade (+ optional soc) selects one contiguous dense-index
 ///             run; a SoC without a blade is a stride, not a range
-///   - bits:   a class-aligned [min_bits, max_bits] is exactly a FaultClass
-///             interval (see representative_bits); exact counts need the
+///   - bits:   a class-aligned [min_bits, max_bits] is exactly a flip-class
+///             interval (see Query::class_range); exact counts need the
 ///             pattern pair and stay on the row loop
 struct VectorPredicates {
   bool usable = false;
@@ -88,8 +88,7 @@ VectorPredicates plan_vector_predicates(const Query& q) {
   }
   if (need_bits) {
     p.filter_class = true;
-    for (int c = static_cast<int>(class_range->first);
-         c <= static_cast<int>(class_range->second); ++c)
+    for (int c = class_range->first; c <= class_range->second; ++c)
       p.allowed_classes |= static_cast<std::uint8_t>(1u << c);
   }
   return p;
@@ -178,8 +177,7 @@ QueryResult StoreReader::run(const Query& query, const Options& options,
           int bits = 1;
           if (need_bits) {
             bits = bits_from_class
-                       ? representative_bits(
-                             static_cast<FaultClass>(cols.fault_class[i]))
+                       ? kFlipClasses[cols.fault_class[i]].min_bits
                        : flipped_bit_count(cols.expected[i], cols.actual[i]);
           }
           if (query.matches(node, t, bits)) keep.push_back(i);

@@ -93,6 +93,21 @@ TEST(QueryRenderParseTest, SectionFlagsSelectRenderers) {
       std::all_of(all.want, all.want + kSectionCount, [](bool b) { return b; }));
 }
 
+TEST(QueryRenderParseTest, ExtResolvesAgainstTheSectionRegistry) {
+  // Every name unp_report --ext accepts, request lines accept too.
+  for (const ExtSection& ext : ext_sections())
+    EXPECT_TRUE(parse_request({"--ext", ext.name}).want[ext.section]) << ext.name;
+  try {
+    (void)parse_request({"--ext", "nope"});
+    FAIL() << "an unknown --ext must throw";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.field(), "ext");
+    for (const ExtSection& ext : ext_sections())
+      EXPECT_NE(std::string(e.what()).find(ext.name), std::string::npos)
+          << ext.name;
+  }
+}
+
 TEST(QueryRenderParseTest, InvalidRequestsThrowBeforeAnyQueryExists) {
   EXPECT_THROW((void)parse_request({"--bogus"}), QueryError);
   EXPECT_THROW((void)parse_request({"--blade"}), QueryError);          // no value
@@ -138,6 +153,10 @@ TEST(QueryRenderTest, CountRowsAndSectionPathsAllRender) {
   const std::string fig = render_request_to_string(
       reader, parse_request({"--fig", "3"}), store::ScanOptions{});
   EXPECT_NE(fig.find("Fig 3"), std::string::npos);
+
+  const std::string hammer = render_request_to_string(
+      reader, parse_request({"--ext", "hammer"}), store::ScanOptions{});
+  EXPECT_NE(hammer.find("Rowhammer victim-row census"), std::string::npos);
 }
 
 TEST(QueryRenderTest, RenderingIsDeterministic) {

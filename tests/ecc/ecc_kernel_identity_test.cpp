@@ -1,10 +1,9 @@
 // ECC member of the kernel-identity test group (alongside
 // scanner_kernel_identity_test): the unp_ecc outcome tallies must be
 // bit-identical no matter which store decode kernel ISA materializes the
-// fault population, how many threads scan the store, and how many threads
-// drive the ECC engine.  The chain under test is the exact population path
-// of `unp_ecc --population --store`: store scan -> flip masks ->
-// evaluate_population.
+// fault population and how many threads scan the store.  The chain under
+// test is the exact population path of `unp_ecc --population --store`:
+// store scan -> flip masks -> mask census -> evaluate_population.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,36 +62,30 @@ store::StoreReader build_reader() {
   return store::StoreReader(store::StoreHandle::from_bytes(builder.encode()));
 }
 
-std::vector<Word> masks_of(const std::vector<analysis::FaultRecord>& faults) {
+MaskCensus census_of(const std::vector<analysis::FaultRecord>& faults) {
   std::vector<Word> masks;
   masks.reserve(faults.size());
   for (const auto& f : faults) masks.push_back(f.flip_mask());
-  return masks;
+  return mask_census(masks);
 }
 
 TEST(EccKernelIdentityTest, PopulationTalliesIdenticalAcrossKernelsAndThreads) {
   const store::StoreReader reader = build_reader();
-  const auto code = make_code("secded72");
 
-  // Baseline: scalar kernels, sequential scan, single-threaded engine.
+  // Baseline: scalar kernels, sequential scan.
   std::vector<PopulationResult> baseline;
   {
     store::ScanOptions scan;
     scan.kernels = &store::kernels::store_kernels_for(simd::Isa::kScalar);
     const auto faults = reader.materialize(store::Query{}, scan);
     ASSERT_EQ(faults.size(), 4000u);
-    ThreadPool pool(1);
-    for (const std::string& spec : default_code_specs()) {
-      const auto c = make_code(spec);
-      baseline.push_back(evaluate_population(*c, masks_of(faults), pool));
-    }
+    const MaskCensus census = census_of(faults);
+    for (const std::string& spec : default_code_specs())
+      baseline.push_back(evaluate_population(*make_code(spec), census));
   }
 
-  // Cross product of kernel ISA x scan threads x engine threads, checked
-  // with the two cheap canonical codes (what matters here is that every
-  // execution shape hands the engine the identical mask population).
-  const auto secded = make_code("secded72");
-  const auto chipkill = make_code("chipkill");
+  // Cross product of kernel ISA x scan threads: every execution shape must
+  // hand the engine the identical mask population.
   for (const simd::Isa isa : simd::supported_isas()) {
     for (const std::size_t scan_threads : {std::size_t{1}, std::size_t{2},
                                            std::size_t{8}}) {
@@ -100,34 +93,15 @@ TEST(EccKernelIdentityTest, PopulationTalliesIdenticalAcrossKernelsAndThreads) {
       store::ScanOptions scan;
       scan.pool = &scan_pool;
       scan.kernels = &store::kernels::store_kernels_for(isa);
-      const auto faults = reader.materialize(store::Query{}, scan);
-      const std::vector<Word> masks = masks_of(faults);
-      for (const std::size_t ecc_threads : {std::size_t{1}, std::size_t{2},
-                                            std::size_t{8}}) {
-        ThreadPool ecc_pool(ecc_threads);
-        EXPECT_EQ(evaluate_population(*secded, masks, ecc_pool), baseline[0])
-            << simd::to_string(isa) << " scan=" << scan_threads
-            << " ecc=" << ecc_threads;
-        EXPECT_EQ(evaluate_population(*chipkill, masks, ecc_pool), baseline[1])
-            << simd::to_string(isa) << " scan=" << scan_threads
-            << " ecc=" << ecc_threads;
+      const MaskCensus census =
+          census_of(reader.materialize(store::Query{}, scan));
+      for (std::size_t s = 0; s < baseline.size(); ++s) {
+        EXPECT_EQ(evaluate_population(*make_code(default_code_specs()[s]),
+                                      census),
+                  baseline[s])
+            << default_code_specs()[s] << " " << simd::to_string(isa)
+            << " scan=" << scan_threads;
       }
-    }
-  }
-
-  // One full seven-code sweep at the most parallel shape with the
-  // process-default kernels: the exact configuration unp_ecc runs.
-  {
-    ThreadPool scan_pool(8);
-    store::ScanOptions scan;
-    scan.pool = &scan_pool;
-    const auto faults = reader.materialize(store::Query{}, scan);
-    const std::vector<Word> masks = masks_of(faults);
-    ThreadPool ecc_pool(8);
-    for (std::size_t s = 0; s < default_code_specs().size(); ++s) {
-      const auto c = make_code(default_code_specs()[s]);
-      EXPECT_EQ(evaluate_population(*c, masks, ecc_pool), baseline[s])
-          << default_code_specs()[s];
     }
   }
 }

@@ -1,6 +1,6 @@
 // The evaluation drivers: combination ranking, exhaustive enumeration
-// totals and thread invariance, population replay bucketing, and the
-// promise that ecc's PopulationClass mirrors store::FaultClass exactly.
+// totals and thread invariance, the mask census, and population replay
+// bucketing — census evaluation must equal decoding every fault.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include "common/thread_pool.hpp"
 #include "ecc/engine.hpp"
 #include "ecc/registry.hpp"
-#include "store/format.hpp"
 
 namespace unp::ecc {
 namespace {
@@ -97,41 +96,34 @@ TEST(ExhaustiveTest, CountsAreThreadCountInvariant) {
 
 // --- population replay ----------------------------------------------------
 
-TEST(PopulationTest, ClassBoundariesMirrorStoreFaultClass) {
-  // ecc is a leaf library and cannot include store, so it re-states the
-  // bucketing; this is the assertion that keeps the two in lockstep.
-  for (int bits = 0; bits <= 40; ++bits) {
-    EXPECT_EQ(static_cast<int>(classify_population_bits(bits)),
-              static_cast<int>(store::classify_bits(bits)))
-        << bits << " flipped bits";
-  }
-}
-
 TEST(PopulationTest, MasksLandInTheirMultiplicityBuckets) {
-  const auto code = make_code("secded72");
-  const std::vector<Word> masks = {
-      0x1,        // single
-      0x3,        // double
-      0xFF,       // few (8)
-      0x1FF,      // many (9)
-      0x0,        // clean: skipped entirely
-      0x80000000  // single again
-  };
-  ThreadPool pool(1);
-  const PopulationResult r = evaluate_population(*code, masks, pool);
+  const MaskCensus census = mask_census(std::vector<Word>{
+      0x1FF,       // many (9)
+      0x3,         // double
+      0x0,         // clean: dropped from the census
+      0x80000000,  // single
+      0xFF,        // few (8)
+      0x1,         // single
+      0x80000000,  // the same single again: counted, not re-listed
+  });
+  ASSERT_EQ(census.size(), 5u);
+  EXPECT_EQ(census.front().mask, 0x1u);  // ascending mask order
+  EXPECT_EQ(census.back().mask, 0x80000000u);
+  EXPECT_EQ(census.back().count, 2u);
+
+  const PopulationResult r = evaluate_population(*make_code("secded72"), census);
   EXPECT_EQ(r.code, "secded72");
-  EXPECT_EQ(r.faults, 5u);  // zero mask skipped
-  const auto at = [&](PopulationClass c) -> const VerdictCounts& {
-    return r.by_class[static_cast<std::size_t>(c)];
+  EXPECT_EQ(r.faults, 6u);  // zero mask skipped
+  const auto at = [&](int flipped_bits) -> const VerdictCounts& {
+    return r.by_class[static_cast<std::size_t>(flip_class_of(flipped_bits))];
   };
-  EXPECT_EQ(at(PopulationClass::kSingleBit).total(), 2u);
-  EXPECT_EQ(at(PopulationClass::kDoubleBit).total(), 1u);
-  EXPECT_EQ(at(PopulationClass::kFewBit).total(), 1u);
-  EXPECT_EQ(at(PopulationClass::kManyBit).total(), 1u);
+  EXPECT_EQ(at(1).total(), 3u);
+  EXPECT_EQ(at(2).total(), 1u);
+  EXPECT_EQ(at(8).total(), 1u);
+  EXPECT_EQ(at(9).total(), 1u);
   // SECDED verdicts per bucket: singles corrected, the double detected.
-  EXPECT_EQ(at(PopulationClass::kSingleBit).correct, 2u);
-  EXPECT_EQ(at(PopulationClass::kDoubleBit).detect_only, 1u);
-  EXPECT_EQ(r.total().total(), 5u);
+  EXPECT_EQ(at(1).correct, 3u);
+  EXPECT_EQ(at(2).detect_only, 1u);
 }
 
 TEST(PopulationTest, SilentFractionCountsMiscorrectAndSdc) {
@@ -143,49 +135,44 @@ TEST(PopulationTest, SilentFractionCountsMiscorrectAndSdc) {
   EXPECT_DOUBLE_EQ(r.silent_fraction(), 3.0 / 8.0);
 }
 
-TEST(PopulationTest, ReplayIsThreadCountInvariant) {
-  // Up to 8 flips: within every default code's guaranteed-or-cheap range,
-  // so the full seven-code sweep over a large population stays fast.
+TEST(PopulationTest, CensusReplayEqualsDecodingEveryFault) {
+  // A random multiset: zeros, duplicates (masks drawn from a small pool, as
+  // in the study's population) and a >t tail of 9-16 flips that drives the
+  // full-decode verdict paths (BCH Berlekamp-Massey/Chien, large-codeword
+  // CRC re-check).  The tail is kept short: a locator that splits sends
+  // the 4KB code through a Chien search over all 2^16 - 1 field elements.
   RngStream rng(23);
-  std::vector<Word> masks(20000);
-  for (auto& m : masks) {
+  std::vector<Word> pool(300);
+  for (auto& m : pool) {
     const int flips = static_cast<int>(rng.uniform_u64(9));  // incl. zeros
     m = 0;
     for (int f = 0; f < flips; ++f) m |= Word{1} << rng.uniform_u64(32);
   }
+  std::vector<Word> masks(3000);
+  for (auto& m : masks) m = pool[rng.uniform_u64(pool.size())];
+  for (int i = 0; i < 6; ++i) {
+    const int flips = 9 + static_cast<int>(rng.uniform_u64(8));
+    Word m = 0;
+    for (int f = 0; f < flips; ++f) m |= Word{1} << rng.uniform_u64(32);
+    masks.push_back(m);
+    masks.push_back(m);  // duplicated beyond the guarantee too
+  }
+  const MaskCensus census = mask_census(masks);
+  ASSERT_LT(census.size(), masks.size());
+
   for (const std::string& spec : default_code_specs()) {
     const auto code = make_code(spec);
-    ThreadPool one(1);
-    const PopulationResult baseline = evaluate_population(*code, masks, one);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(evaluate_population(*code, masks, pool), baseline)
-          << spec << " at " << threads << " threads";
+    PopulationResult reference;
+    reference.code = std::string(code->name());
+    for (const Word m : masks) {
+      if (m == 0) continue;
+      const std::vector<int> bits = set_bit_positions(m);
+      reference.by_class[static_cast<std::size_t>(
+                             flip_class_of(static_cast<int>(bits.size())))]
+          .add(code->evaluate(bits));
+      ++reference.faults;
     }
-  }
-}
-
-TEST(PopulationTest, ReplayIsThreadCountInvariantBeyondTheGuarantee) {
-  // A small >t tail drives the expensive full-decode verdict paths (BCH
-  // Berlekamp-Massey/Chien, large-codeword CRC re-check).  Kept small and
-  // pointed at the m=7 and m=13 fields — the m=16 (4KB) Chien search costs
-  // ~1M field ops per mask and adds nothing to the invariance argument.
-  RngStream rng(29);
-  std::vector<Word> masks(40);
-  for (auto& m : masks) {
-    const int flips = 9 + static_cast<int>(rng.uniform_u64(8));
-    m = 0;
-    for (int f = 0; f < flips; ++f) m |= Word{1} << rng.uniform_u64(32);
-  }
-  for (const char* spec : {"bch:64/2", "large:512B/8"}) {
-    const auto code = make_code(spec);
-    ThreadPool one(1);
-    const PopulationResult baseline = evaluate_population(*code, masks, one);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(evaluate_population(*code, masks, pool), baseline)
-          << spec << " at " << threads << " threads";
-    }
+    EXPECT_EQ(evaluate_population(*code, census), reference) << spec;
   }
 }
 

@@ -143,11 +143,12 @@ TEST(EccWhatIf, CountsPerScheme) {
   EXPECT_EQ(r.secded.faults, 7u);
   EXPECT_EQ(r.secded.total().total(), 7u);
   EXPECT_EQ(r.secded.total().correct, 2u);
-  const auto secded_class = [&](ecc::PopulationClass c) {
-    return r.secded.by_class[static_cast<std::size_t>(c)];
+  const auto secded_class = [&](int flipped_bits) {
+    return r.secded.by_class[static_cast<std::size_t>(
+        flip_class_of(flipped_bits))];
   };
-  EXPECT_EQ(secded_class(ecc::PopulationClass::kDoubleBit).detect_only, 1u);
-  EXPECT_EQ(secded_class(ecc::PopulationClass::kFewBit).correct, 0u);
+  EXPECT_EQ(secded_class(2).detect_only, 1u);
+  EXPECT_EQ(secded_class(3).correct, 0u);
 
   // Chipkill: one-nibble faults repaired, two-nibble detected, the
   // three-nibble fault silent.

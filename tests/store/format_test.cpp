@@ -64,12 +64,13 @@ TEST(PackBits, UnpackThrowsOnTruncatedBlock) {
 // --- fault classes --------------------------------------------------------
 
 TEST(FaultClassTest, ClassifiesBitCountBoundaries) {
-  EXPECT_EQ(classify_bits(1), FaultClass::kSingleBit);
-  EXPECT_EQ(classify_bits(2), FaultClass::kDoubleBit);
-  EXPECT_EQ(classify_bits(3), FaultClass::kFewBit);
-  EXPECT_EQ(classify_bits(8), FaultClass::kFewBit);
-  EXPECT_EQ(classify_bits(9), FaultClass::kManyBit);
-  EXPECT_EQ(classify_bits(32), FaultClass::kManyBit);
+  // The stored 2-bit codes: single 0, double 1, few (3-8) 2, many (9+) 3.
+  EXPECT_EQ(flip_class_of(1), 0);
+  EXPECT_EQ(flip_class_of(2), 1);
+  EXPECT_EQ(flip_class_of(3), 2);
+  EXPECT_EQ(flip_class_of(8), 2);
+  EXPECT_EQ(flip_class_of(9), 3);
+  EXPECT_EQ(flip_class_of(32), 3);
 }
 
 // --- segment codec --------------------------------------------------------
@@ -87,7 +88,7 @@ std::vector<analysis::FaultRecord> sample_rows() {
     f.raw_logs = 1 + rng.next() % 900;
     f.virtual_address = rng.next() >> 12;
     f.expected = static_cast<Word>(rng.next());
-    // Flip 1..12 bits so every FaultClass occurs.
+    // Flip 1..12 bits so every flip class occurs.
     Word mask = 0;
     const int flips = 1 + static_cast<int>(rng.next() % 12);
     for (int b = 0; b < flips; ++b)
@@ -123,8 +124,7 @@ TEST(SegmentCodec, RoundTripsEveryColumn) {
     EXPECT_EQ(cols.expected[i], f.expected);
     EXPECT_EQ(cols.actual[i], f.actual);
     EXPECT_EQ(cols.temperature[i], f.temperature_c);
-    EXPECT_EQ(cols.fault_class[i],
-              static_cast<std::uint8_t>(classify_bits(f.flipped_bits())));
+    EXPECT_EQ(cols.fault_class[i], flip_class_of(f.flipped_bits()));
   }
 }
 

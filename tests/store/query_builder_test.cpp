@@ -59,6 +59,50 @@ TEST(QueryBuilderTest, FaultClassNamesMapToBitRanges) {
   EXPECT_THROW((void)QueryBuilder().fault_class("quintuple"), QueryError);
 }
 
+/// Apply (field, value) pairs in order through set(), the request path.
+QueryBuilder with(
+    std::initializer_list<std::pair<const char*, const char*>> fields) {
+  QueryBuilder builder;
+  for (const auto& [field, value] : fields) builder.set(field, value);
+  return builder;
+}
+
+TEST(QueryBuilderTest, PredicatesIntersectInEitherOrder) {
+  const Query few = QueryBuilder().fault_class("few").min_bits(2).build();
+  EXPECT_EQ(std::pair(few.min_bits, few.max_bits), std::pair(3, 8));
+  EXPECT_EQ(with({{"min-bits", "2"}, {"class", "few"}}).build().describe(),
+            few.describe());
+  const Query two = with({{"class", "double"}, {"max-bits", "8"}}).build();
+  EXPECT_EQ(std::pair(two.min_bits, two.max_bits), std::pair(2, 2));
+
+  const Query t = QueryBuilder().since(100).since(50).until(900).until(1000).build();
+  EXPECT_EQ(t.since, 100);
+  EXPECT_EQ(t.until, 900);
+  EXPECT_EQ(with({{"until", "900"}, {"since", "50"}, {"until", "1000"},
+                  {"since", "100"}}).build().describe(),
+            t.describe());
+  EXPECT_THROW((void)QueryBuilder().fault_class("single").fault_class("many").build(),
+               QueryError);
+}
+
+TEST(QueryBuilderTest, ConflictingNodeCoordinatesThrowInEitherOrder) {
+  const auto expect_conflict = [](auto make, const char* other) {
+    try {
+      make();
+      FAIL() << "conflicting location predicates must throw";
+    } catch (const QueryError& e) {  // the message names both fields
+      EXPECT_NE(std::string(e.what()).find("node"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(other), std::string::npos);
+    }
+  };
+  expect_conflict([] { (void)QueryBuilder().blade(3).node("58-02"); }, "blade");
+  expect_conflict([] { (void)QueryBuilder().node("58-02").blade(3); }, "blade");
+  expect_conflict([] { (void)with({{"blade", "3"}, {"node", "58-02"}}); }, "blade");
+  expect_conflict([] { (void)with({{"node", "58-02"}, {"soc", "1"}}); }, "soc");
+  const Query q = with({{"node", "58-02"}, {"blade", "58"}, {"soc", "2"}}).build();
+  EXPECT_EQ(std::pair(*q.blade, *q.soc), std::pair(58, 2));
+}
+
 TEST(QueryBuilderTest, OutOfRangeFieldsThrowNamingTheField) {
   try {
     (void)QueryBuilder().blade(cluster::kStudyBlades);

@@ -209,11 +209,11 @@ TEST(StoreQuery, CountOnlyProjectionDecodesNoPayloadColumns) {
 TEST(StoreQuery, ClassAlignedBitRangesPlanOffTheClassColumn) {
   Query aligned;
   aligned.min_bits = 3;
-  aligned.max_bits = 8;  // exactly kFewBit
+  aligned.max_bits = 8;  // exactly the few-bit class (code 2)
   aligned.projection = 0;
   ASSERT_TRUE(aligned.class_range().has_value());
-  EXPECT_EQ(aligned.class_range()->first, FaultClass::kFewBit);
-  EXPECT_EQ(aligned.class_range()->second, FaultClass::kFewBit);
+  EXPECT_EQ(aligned.class_range()->first, 2);
+  EXPECT_EQ(aligned.class_range()->second, 2);
   EXPECT_EQ(aligned.required_columns() & kColPattern, 0u);
   EXPECT_NE(aligned.required_columns() & kColClass, 0u);
 
@@ -231,10 +231,11 @@ TEST(StoreQuery, ClassAlignedBitRangesPlanOffTheClassColumn) {
 }
 
 TEST(StoreQuery, RepresentativeBitsMatchesClassMinima) {
-  EXPECT_EQ(representative_bits(FaultClass::kSingleBit), 1);
-  EXPECT_EQ(representative_bits(FaultClass::kDoubleBit), 2);
-  EXPECT_EQ(representative_bits(FaultClass::kFewBit), 3);
-  EXPECT_EQ(representative_bits(FaultClass::kManyBit), 9);
+  // A class-column scan tests each row at its class's min_bits.
+  EXPECT_EQ(kFlipClasses[0].min_bits, 1);
+  EXPECT_EQ(kFlipClasses[1].min_bits, 2);
+  EXPECT_EQ(kFlipClasses[2].min_bits, 3);
+  EXPECT_EQ(kFlipClasses[3].min_bits, 9);
 }
 
 TEST(StoreQuery, ReplayStreamsTheExactMatchSetThroughSinks) {

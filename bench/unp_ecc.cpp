@@ -175,7 +175,7 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 /// default menu is reported as skipped and the run goes on.
 constexpr std::uint64_t kMaxExhaustivePatterns = 2'000'000'000ULL;
 
-int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
+int run_exhaustive(const std::vector<std::shared_ptr<const ecc::Code>>& codes,
                    int max_weight, bool skip_over_limit, ThreadPool& pool) {
   bench::print_header(
       "ECC evaluation engine - exhaustive multi-bit-upset enumeration",
@@ -249,10 +249,12 @@ int run_exhaustive(const std::vector<std::unique_ptr<ecc::Code>>& codes,
 }
 
 int run(const Options& opts) {
-  std::vector<std::unique_ptr<ecc::Code>> codes;
-  const std::vector<std::string>& specs =
-      opts.codes.empty() ? ecc::default_code_specs() : opts.codes;
-  for (const auto& spec : specs) codes.push_back(ecc::make_code(spec));
+  std::vector<std::shared_ptr<const ecc::Code>> codes;
+  if (opts.codes.empty()) {
+    codes = ecc::default_codes();
+  } else {
+    for (const auto& spec : opts.codes) codes.push_back(ecc::make_code(spec));
+  }
 
   ThreadPool pool(opts.threads);
 

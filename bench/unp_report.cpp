@@ -286,6 +286,16 @@ int run_report(const Options& opts) {
   std::fprintf(stderr, "record stream (%s)%s : %9.1f ms\n",
                acquire.from_cache ? "cache replay" : "simulate+spill",
                acquire.from_cache ? "  " : "", acquire.acquire_ms);
+  if (acquire.from_cache) {
+    const telemetry::ReplayStats& replay = acquire.replay;
+    std::fprintf(stderr,
+                 "  %llu frames, %.1f MB of bodies; runs %llu decoded, "
+                 "%llu only counted\n",
+                 static_cast<unsigned long long>(replay.frames),
+                 static_cast<double>(replay.body_bytes) / 1e6,
+                 static_cast<unsigned long long>(replay.runs_decoded),
+                 static_cast<unsigned long long>(replay.runs_counted));
+  }
   std::fprintf(stderr, "extraction finish (filter+sort) : %9.1f ms  (%llu faults)\n",
                finish_ms,
                static_cast<unsigned long long>(extraction.faults.size()));

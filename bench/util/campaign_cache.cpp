@@ -112,12 +112,13 @@ bool load_cached_archive(const std::string& path, std::uint64_t fingerprint,
 /// pushed a partial stream — sinks must reset in begin_campaign) when the
 /// file is missing, stale or torn.
 bool replay_cached_stream(const std::string& path, std::uint64_t fingerprint,
-                          telemetry::RecordSink& sink) {
+                          telemetry::RecordSink& sink,
+                          telemetry::ReplayStats& stats) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) return false;
   try {
     read_cache_header(is, fingerprint);
-    telemetry::ArchiveReader(is).drain(sink);
+    stats = telemetry::ArchiveReader(is).drain(sink);
   } catch (const ContractViolation&) {
     return false;
   }
@@ -249,7 +250,7 @@ StreamStats stream_campaign(const sim::CampaignConfig& config,
   telemetry::FanOutSink fan;
   for (auto* sink : sinks) fan.add(*sink);
   if (!stats.cache_path.empty() &&
-      replay_cached_stream(stats.cache_path, fingerprint, fan)) {
+      replay_cached_stream(stats.cache_path, fingerprint, fan, stats.replay)) {
     stats.from_cache = true;
   } else {
     simulate_and_spill(stats.cache_path, fingerprint, config, sinks, threads);

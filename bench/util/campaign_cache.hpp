@@ -45,6 +45,7 @@
 #include "analysis/extraction.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard.hpp"
+#include "telemetry/archive_io.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::bench {
@@ -89,6 +90,7 @@ struct StreamStats {
   std::string cache_path;       ///< file used (empty when caching is disabled)
   std::uint64_t fingerprint = 0;  ///< cache key of (config, extraction)
   double acquire_ms = 0.0;      ///< full pass: reload or simulate+spill
+  telemetry::ReplayStats replay;  ///< what the cache replay delivered
 };
 
 /// One-pass acquisition: push the campaign's canonical record stream for

@@ -768,8 +768,7 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
 
   std::vector<ecc::PopulationResult> results;
   std::vector<ecc::CodeGeometry> geometries;
-  for (const auto& spec : ecc::default_code_specs()) {
-    const auto code = ecc::make_code(spec);
+  for (const auto& code : ecc::default_codes()) {
     results.push_back(ecc::evaluate_population(*code, census));
     geometries.push_back(code->geometry());
   }

@@ -260,7 +260,7 @@ void ScanProfileSink::on_end(const telemetry::EndRecord& r) {
 }
 
 void ScanProfileSink::on_node_log(telemetry::EncodedNodeLog& log) {
-  add_node(log.node(), log.log());
+  add_node(log.node(), log.sessions());
   bulk_ = true;
 }
 

@@ -162,8 +162,9 @@ struct HeadlineStats {
 /// Record-level analyzer: every product the figures read from the raw
 /// archive (Figs 1, 2, 9 and the headline scan totals), computed in one pass
 /// over the record stream without materializing a CampaignArchive.  A bulk
-/// node log is read in place; on the per-record feed only START/END records
-/// are buffered, one node at a time.
+/// node log is read in place through its sessions, so a replayed frame's
+/// runs are never decoded for it; on the per-record feed only START/END
+/// records are buffered, one node at a time.
 class ScanProfileSink final : public telemetry::RecordSink {
  public:
   ScanProfileSink();

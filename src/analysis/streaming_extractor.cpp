@@ -44,30 +44,30 @@ void StreamingExtractor::on_error_run(const telemetry::ErrorRun& r) {
 
 void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
   UNP_REQUIRE(!finished_);
-  const telemetry::NodeLog& log = enc.log();
   const auto index = static_cast<std::size_t>(cluster::node_index(enc.node()));
-  const std::uint64_t raw = log.raw_error_count();
-  sessions_ += log.starts().size();
+  const std::uint64_t raw = enc.raw_error_count();
+  sessions_ += enc.sessions().starts().size();
   raw_per_node_[index] += raw;
   raw_total_ += raw;
-  if (log.error_runs().empty()) return;
+  if (enc.error_run_count() == 0) return;
   if (observer_) {
     // The observer is owed these faults at end_node, so the runs outlive
     // the producer's log.
     unpack_body(index);
-    pending_[index].add_error_runs(log.error_runs());
+    pending_[index].add_error_runs(enc.log().error_runs());
     return;
   }
   if (deferred(index)) {
     // A filter candidate waits for finish(), most likely to be dropped
-    // there: keep its encoded body (node 21-07's is ~42 MB, its runs
-    // ~150 MB) and decode it only if the filter keeps the node.
+    // there: keep its encoded body, shared with the producer (node 21-07's
+    // is ~42 MB, its runs ~150 MB), and decode it only if the filter keeps
+    // the node.
     unpack_body(index);
-    pending_bodies_[index] = enc.bytes();
+    pending_bodies_[index] = enc.share_bytes();
     return;
   }
   add_faults(index,
-             collapse_node_log(enc.node(), log, config_.merge_window_s));
+             collapse_node_log(enc.node(), enc.log(), config_.merge_window_s));
 }
 
 void StreamingExtractor::end_node(cluster::NodeId node) {
@@ -80,13 +80,16 @@ bool StreamingExtractor::deferred(std::size_t index) const noexcept {
 }
 
 void StreamingExtractor::unpack_body(std::size_t index) {
-  std::string& body = pending_bodies_[index];
-  if (body.empty()) return;
+  std::shared_ptr<const std::string>& body = pending_bodies_[index];
+  if (!body) return;
+  // The body was validated at delivery (or encoded in this process), so
+  // this decode cannot throw.  Its runs land after the node's pending ones.
+  const cluster::NodeId node = cluster::node_from_index(static_cast<int>(index));
   std::size_t pos = 0;
-  const telemetry::NodeLog log = telemetry::decode_node_log(
-      body, pos, cluster::node_from_index(static_cast<int>(index)));
-  std::string().swap(body);
-  pending_[index].add_error_runs(log.error_runs());
+  telemetry::NodeLog sessions;
+  telemetry::decode_session_sections(*body, pos, node, sessions);
+  telemetry::decode_error_runs(*body, pos, node, pending_[index]);
+  body.reset();
 }
 
 void StreamingExtractor::collapse_pending(std::size_t index) {
@@ -127,7 +130,7 @@ ExtractionResult StreamingExtractor::finish() {
     // observer is still owed its faults.
     if (!pathological || observer_) collapse_pending(i);
     pending_[i] = telemetry::NodeLog{};
-    std::string().swap(pending_bodies_[i]);
+    pending_bodies_[i].reset();
     if (raw == 0) continue;
 
     if (pathological) {

@@ -6,20 +6,23 @@
 // analyses can run without the raw archive ever being resident:
 //
 //   - START/END/ALLOC-FAIL records pass through with only counters updated;
-//   - a bulk node log (on_node_log) is read in place: a node below
-//     pathological_min_raw collapses straight from the producer's log via
-//     the exact collapse_node_log used by the batch path, and its runs are
-//     never copied;
+//   - a bulk node log (on_node_log) is read in place: its raw total comes
+//     from raw_error_count() (counted at delivery, or summed by the
+//     campaign worker), and a node below pathological_min_raw collapses
+//     straight from the frame's log() via the exact collapse_node_log used
+//     by the batch path; its runs are never copied;
 //   - per-record ERROR runs buffer per node (runs, not expanded raw lines);
 //     when the node's frame closes, a node below pathological_min_raw
 //     collapses and its runs are freed right there, mid-stream;
 //   - a filter candidate (raw >= pathological_min_raw) is held until
 //     finish(): the keep-or-drop decision needs the campaign-wide raw
-//     total.  On the bulk feed it keeps the node's encoded body (bytes(),
-//     pre-encoded by the campaign workers or the cache reader; a third of
-//     the size of the runs), on the per-record feed its buffered runs.  A
-//     candidate the filter removes is freed without ever being decoded or
-//     collapsed (node 21-07 of the study writes >98% of all raw logs);
+//     total.  On the bulk feed it keeps the node's encoded body through
+//     share_bytes() - the body the cache reader read, or the one the
+//     campaign worker encoded, without a copy; a third of the size of the
+//     runs - on the per-record feed its buffered runs.  A candidate the
+//     filter removes is freed without ever being decoded or collapsed
+//     (node 21-07 of the study writes >98% of all raw logs), so on a cache
+//     replay its runs are counted at delivery and never unpacked;
 //   - finish() applies the pathological-node filter, collapses the kept
 //     candidates and performs the final deterministic sort.
 //
@@ -33,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,8 +98,9 @@ class StreamingExtractor final : public telemetry::RecordSink {
   NodeFaultObserver observer_;
   /// Buffered error runs of open frames and of deferred filter candidates.
   std::vector<telemetry::NodeLog> pending_;
-  /// Encoded bodies of filter candidates that arrived on the bulk feed.
-  std::vector<std::string> pending_bodies_;
+  /// Encoded bodies of filter candidates that arrived on the bulk feed,
+  /// shared with the frame that delivered them.
+  std::vector<std::shared_ptr<const std::string>> pending_bodies_;
   /// Collapsed per-node faults awaiting the campaign-wide filter.
   std::vector<std::vector<FaultRecord>> collapsed_;
   std::vector<std::uint64_t> raw_per_node_;

@@ -131,4 +131,21 @@ const std::vector<std::string>& default_code_specs() {
   return kSpecs;
 }
 
+const std::vector<std::shared_ptr<const Code>>& default_codes() {
+  static const std::vector<std::shared_ptr<const Code>> kCodes = [] {
+    std::vector<std::shared_ptr<const Code>> codes;
+    for (const std::string& spec : default_code_specs())
+      codes.push_back(make_code(spec));
+    return codes;
+  }();
+  return kCodes;
+}
+
+std::shared_ptr<const Code> default_code(std::string_view spec) {
+  const std::vector<std::string>& specs = default_code_specs();
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    if (specs[i] == spec) return default_codes()[i];
+  return nullptr;
+}
+
 }  // namespace unp::ecc

@@ -33,4 +33,14 @@ namespace unp::ecc {
 /// the large-codeword points.
 [[nodiscard]] const std::vector<std::string>& default_code_specs();
 
+/// The default sweep's codes in default_code_specs() order, built once per
+/// process on first use.  Codes are immutable, so every caller and thread
+/// shares the one set (building large:4KB/8 alone fills a 32,768-entry CRC
+/// table).
+[[nodiscard]] const std::vector<std::shared_ptr<const Code>>& default_codes();
+
+/// The default-sweep code named `spec` (see default_codes()); nullptr for a
+/// spec outside the sweep.
+[[nodiscard]] std::shared_ptr<const Code> default_code(std::string_view spec);
+
 }  // namespace unp::ecc

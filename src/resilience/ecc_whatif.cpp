@@ -20,9 +20,10 @@ EccWhatIf ecc_what_if(const std::vector<analysis::FaultRecord>& faults) {
                           : ecc::Verdict::kSdc,
                       entry.count);
   }
-  result.secded = ecc::evaluate_population(*ecc::make_code("secded72"), census);
+  result.secded =
+      ecc::evaluate_population(*ecc::default_code("secded72"), census);
   result.chipkill =
-      ecc::evaluate_population(*ecc::make_code("chipkill"), census);
+      ecc::evaluate_population(*ecc::default_code("chipkill"), census);
 
   const auto in_class = [&](int flipped_bits) {
     return result.secded.by_class[static_cast<std::size_t>(

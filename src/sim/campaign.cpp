@@ -82,6 +82,7 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
 struct NodeSlot {
   telemetry::NodeLog log;
   std::string encoded;  ///< pre-encoded node-log body
+  std::uint64_t raw = 0;  ///< log.raw_error_count(), summed in the worker
   bool done = false;    ///< filled and not yet delivered (pipeline mutex)
 };
 
@@ -369,6 +370,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
                               cluster::Topology::is_overheating_slot(node),
                               plan.session_seed, fleet_truth, events_of(p),
                               runs[p], arena, slot.log);
+    slot.raw = slot.log.raw_error_count();
     if (wants_encoded) {
       slot.encoded.clear();
       telemetry::encode_node_log_into(slot.log, slot.encoded);
@@ -380,9 +382,14 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
     const cluster::NodeId node = nodes[owned[p]];
     // One EncodedNodeLog shared across sinks: the body is encoded at most
     // once per node (already done in the worker if any sink wants bytes)
-    // and spliced — never re-encoded, never re-copied per sink.
+    // and spliced — never re-encoded, never re-copied per sink.  The raw
+    // total was summed in the worker too.
     telemetry::EncodedNodeLog enc_log(node, slot.log, slot.encoded,
                                       wants_encoded);
+    enc_log.set_raw_error_count(slot.raw);
+    // The costliest body is freed below anyway, so a sink that keeps it
+    // (the streaming extractor's filter candidate) takes it without a copy.
+    if (p == costly) enc_log.adopt_body();
     for (auto* sink : sinks) {
       sink->begin_node(node);
       sink->on_node_log(enc_log);

@@ -14,6 +14,7 @@
 //   file    := magic "UNPF" u8 version
 //              u64 fingerprint            (campaign cache key; provenance)
 //              varint zigzag(window.start) varint zigzag(window.end)
+//                                         (start <= end, <= a century)
 //              scan_profile extraction_meta
 //              varint segment_count directory data
 //   directory := segment_count * zone_entry   (offsets relative to data)

@@ -7,6 +7,7 @@
 
 namespace unp::store {
 
+using telemetry::check_campaign_window;
 using telemetry::get_varint;
 using telemetry::zigzag_decode;
 
@@ -31,8 +32,10 @@ void StoreHandle::add_part(Part part) {
                    << (8 * i);
   pos += 8;
   CampaignWindow window;
+  const std::size_t window_offset = pos;
   window.start = zigzag_decode(get_varint(buf, pos));
   window.end = zigzag_decode(get_varint(buf, pos));
+  check_campaign_window(window, window_offset);
   StoredScanProfile scan_profile = decode_scan_profile(buf, pos);
   StoredExtractionMeta extraction_meta = decode_extraction_meta(buf, pos);
   const std::uint64_t segment_count = get_varint(buf, pos);

@@ -169,8 +169,10 @@ ArchiveReader::ArchiveReader(std::istream& is) : is_(&is) {
   if (version != kStreamVersion)
     throw DecodeError("unsupported UNPS version " + std::to_string(version),
                       start + sizeof kStreamMagic);
+  const std::uint64_t window_offset = stream_offset(is);
   window_.start = zigzag_decode(read_varint(is));
   window_.end = zigzag_decode(read_varint(is));
+  check_campaign_window(window_, window_offset);
 }
 
 bool ArchiveReader::next_raw(std::uint64_t& node_index, std::string& body) {
@@ -206,25 +208,39 @@ bool ArchiveReader::next_raw(std::uint64_t& node_index, std::string& body) {
   return true;
 }
 
-NodeLog ArchiveReader::decode_body(cluster::NodeId node,
-                                   const std::string& body) const {
-  std::size_t pos = 0;
-  NodeLog log;
-  try {
-    log = decode_node_log(body, pos, node);
-  } catch (const DecodeError& e) {
-    // Re-anchor the body-relative offset to the stream position.
-    throw DecodeError("node frame for " + cluster::node_name(node) + ": " +
-                          e.detail(),
-                      body_offset_ + e.byte_offset());
-  }
-  if (pos != body.size())
-    throw DecodeError("node frame body size mismatch", body_offset_ + pos);
-  return log;
+DecodeError ArchiveReader::anchored(cluster::NodeId node,
+                                   const DecodeError& e) const {
+  // Re-anchor the body-relative offset to the stream position.
+  return DecodeError("node frame for " + cluster::node_name(node) + ": " +
+                         e.detail(),
+                     body_offset_ + e.byte_offset());
 }
 
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
-                         std::string& body) {
+NodeLog ArchiveReader::decode_body(cluster::NodeId node,
+                                   const std::string& body) const {
+  try {
+    std::size_t pos = 0;
+    NodeLog log = decode_node_log(body, pos, node);
+    if (pos != body.size()) throw DecodeError("body size mismatch", pos);
+    return log;
+  } catch (const DecodeError& e) {
+    throw anchored(node, e);
+  }
+}
+
+EncodedNodeLog ArchiveReader::open_body(cluster::NodeId node,
+                                        std::string body) const {
+  try {
+    return EncodedNodeLog(node, std::move(body));
+  } catch (const DecodeError& e) {
+    throw anchored(node, e);
+  }
+}
+
+bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
+  // A fresh body per frame: a buffer kept across frames would hold the
+  // largest body's bytes while sinks consume its decoded log.
+  std::string body;
   std::uint64_t index = 0;
   if (!next_raw(index, body)) return false;
   node = cluster::node_from_index(static_cast<int>(index));
@@ -232,40 +248,37 @@ bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log,
   return true;
 }
 
-bool ArchiveReader::next(cluster::NodeId& node, NodeLog& log) {
-  // A fresh body per frame: a buffer kept across frames would hold the
-  // largest body's bytes while sinks consume its decoded log.
+std::optional<EncodedNodeLog> ArchiveReader::next_frame() {
   std::string body;
-  return next(node, log, body);
+  std::uint64_t index = 0;
+  if (!next_raw(index, body)) return std::nullopt;
+  return open_body(cluster::node_from_index(static_cast<int>(index)),
+                   std::move(body));
 }
 
-void ArchiveReader::drain(RecordSink& sink) {
-  drain_frames(window_, sink,
-               [this](cluster::NodeId& node, NodeLog& log, std::string& body) {
-                 return next(node, log, body);
-               });
+ReplayStats ArchiveReader::drain(RecordSink& sink) {
+  return drain_frames(window_, sink, [this] { return next_frame(); });
 }
 
-void drain_frames(const CampaignWindow& window, RecordSink& sink,
-                  const std::function<bool(cluster::NodeId&, NodeLog&,
-                                           std::string&)>& next) {
+ReplayStats drain_frames(
+    const CampaignWindow& window, RecordSink& sink,
+    const std::function<std::optional<EncodedNodeLog>()>& next) {
+  ReplayStats stats;
   sink.begin_campaign(window);
-  cluster::NodeId node;
-  NodeLog log;
-  for (;;) {
-    // A fresh body per frame, freed with it: a buffer kept across frames
-    // would hold the largest body's bytes while later frames stream.
-    std::string body;
-    if (!next(node, log, body)) break;
+  // Each frame, and the body it owns, is freed once delivered unless a sink
+  // keeps the body (share_bytes).
+  while (std::optional<EncodedNodeLog> frame = next()) {
+    const cluster::NodeId node = frame->node();
+    ++stats.frames;
+    stats.body_bytes += frame->bytes().size();
     sink.begin_node(node);
-    // Bulk delivery: record-oriented sinks read the decoded log in place
-    // (or replay it); byte-oriented ones take the frame's body as read,
-    // never re-encoded.
-    EncodedNodeLog enc(node, log, body, /*pre_encoded=*/true);
-    sink.on_node_log(enc);
+    sink.on_node_log(*frame);
     sink.end_node(node);
+    (frame->runs_decoded() ? stats.runs_decoded : stats.runs_counted) +=
+        frame->error_run_count();
   }
   sink.end_campaign();
+  return stats;
 }
 
 void save_archive_stream(const CampaignArchive& archive, std::ostream& os) {

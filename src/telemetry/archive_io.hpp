@@ -17,6 +17,8 @@
 //   stream := magic "UNPS" u8 version
 //             varint zigzag(window.start) varint zigzag(window.end)
 //             node_frame* end_frame
+//
+// with window.start <= window.end at most a century apart
 //   node_frame := varint node_index        (< kStudyNodeSlots, ascending)
 //                 varint body_size body    (body = encode_node_log)
 //   end_frame  := varint kStudyNodeSlots varint frame_count
@@ -31,10 +33,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "telemetry/archive.hpp"
+#include "telemetry/binary_codec.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::telemetry {
@@ -48,6 +52,16 @@ void write_varint(std::ostream& os, std::uint64_t value);
 /// Current read offset for DecodeError context; 0 when the stream cannot
 /// tell (already failed, or not seekable).
 [[nodiscard]] std::uint64_t stream_offset(std::istream& is);
+
+/// What a drain delivered: frames and body bytes, and the frames' error
+/// runs split by whether some sink decoded them (called log()) or they were
+/// only counted at delivery.
+struct ReplayStats {
+  std::uint64_t frames = 0;
+  std::uint64_t body_bytes = 0;
+  std::uint64_t runs_decoded = 0;
+  std::uint64_t runs_counted = 0;
+};
 
 /// RecordSink spilling the stream to disk as framed binary node blocks.
 /// Drive it through the sink protocol (begin_campaign .. end_campaign); the
@@ -118,15 +132,22 @@ class ArchiveReader {
   [[nodiscard]] NodeLog decode_body(cluster::NodeId node,
                                     const std::string& body) const;
 
+  /// Wrap a body the last next_raw call returned for `node` as a replayed
+  /// EncodedNodeLog, validated whole; a DecodeError carries the stream
+  /// offset of the failing byte.
+  [[nodiscard]] EncodedNodeLog open_body(cluster::NodeId node,
+                                         std::string body) const;
+
   /// next_raw + decode_body into (node, log).
   [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log);
-  /// The same, also handing out the frame's undecoded body in `body`.
-  [[nodiscard]] bool next(cluster::NodeId& node, NodeLog& log,
-                          std::string& body);
+
+  /// next_raw + open_body: the next frame, its runs still undecoded;
+  /// nullopt once the end frame is reached.
+  [[nodiscard]] std::optional<EncodedNodeLog> next_frame();
 
   /// Push the remaining stream through `sink` with full framing
   /// (begin_campaign .. end_campaign), one bulk on_node_log per frame.
-  void drain(RecordSink& sink);
+  ReplayStats drain(RecordSink& sink);
 
   [[nodiscard]] std::uint64_t frames_read() const noexcept { return frames_; }
 
@@ -136,6 +157,11 @@ class ArchiveReader {
   }
 
  private:
+  /// `e`, thrown decoding the last next_raw body for `node`, re-anchored
+  /// to the stream.
+  [[nodiscard]] DecodeError anchored(cluster::NodeId node,
+                                     const DecodeError& e) const;
+
   std::istream* is_;
   CampaignWindow window_;
   std::uint64_t frames_ = 0;
@@ -145,13 +171,13 @@ class ArchiveReader {
   bool done_ = false;
 };
 
-/// Push the frames `next` yields (node, decoded log and the frame's body)
+/// Push the frames `next` yields (replayed EncodedNodeLogs, until nullopt)
 /// through `sink` with full framing (begin_campaign .. end_campaign), one
-/// bulk on_node_log per frame whose bytes() are the body as read: the
-/// delivery loop of ArchiveReader::drain and ShardMergeReader::drain.
-void drain_frames(const CampaignWindow& window, RecordSink& sink,
-                  const std::function<bool(cluster::NodeId&, NodeLog&,
-                                           std::string&)>& next);
+/// bulk on_node_log per frame: the delivery loop of ArchiveReader::drain
+/// and ShardMergeReader::drain.
+ReplayStats drain_frames(
+    const CampaignWindow& window, RecordSink& sink,
+    const std::function<std::optional<EncodedNodeLog>()>& next);
 
 /// Spill a materialized archive as one UNPS stream to `os` (binary mode).
 void save_archive_stream(const CampaignArchive& archive, std::ostream& os);

@@ -78,6 +78,12 @@ void put_f64(std::string& out, double value);
                                    static_cast<std::uint64_t>(b));
 }
 
+/// Throws DecodeError at `offset` unless `window` is a plausible campaign
+/// window: start <= end, at most a century apart.  Every format that
+/// stores a window (UNPS, UNPF) checks it on read, because consumers size
+/// per-day series by it.
+void check_campaign_window(const CampaignWindow& window, std::uint64_t offset);
+
 /// Tight upper bound on encode_node_log's output size, from record counts
 /// alone (every field is at most a 10-byte varint or a 9-byte temperature).
 /// Buffers reserved to this bound never reallocate mid-encode.
@@ -91,7 +97,28 @@ void put_f64(std::string& out, double value);
 void encode_node_log_into(const NodeLog& log, std::string& out);
 
 /// Inverse of encode_node_log.
-[[nodiscard]] NodeLog decode_node_log(const std::string& bytes, std::size_t& pos,
+[[nodiscard]] NodeLog decode_node_log(std::string_view bytes, std::size_t& pos,
                                       cluster::NodeId node);
+
+/// decode_node_log in two halves, for readers that decode the runs lazily
+/// (a replayed EncodedNodeLog): the START, END and ALLOCFAIL sections, then
+/// the run section, each appended to `log`.
+void decode_session_sections(std::string_view bytes, std::size_t& pos,
+                             cluster::NodeId node, NodeLog& log);
+void decode_error_runs(std::string_view bytes, std::size_t& pos,
+                       cluster::NodeId node, NodeLog& log);
+
+/// What a run section holds, counted without decoding it.
+struct RunSectionCount {
+  std::uint64_t runs = 0;
+  std::uint64_t raw = 0;  ///< raw ERROR lines: the runs' counts, summed
+};
+
+/// Walk the run section at `pos` without materializing a run.  Makes every
+/// check decode_error_runs makes (truncation, varint overflow, temperature
+/// flag, zero count) and throws the same DecodeError at the same offset,
+/// so a section this accepts decodes without error.
+[[nodiscard]] RunSectionCount count_error_runs(std::string_view bytes,
+                                               std::size_t& pos);
 
 }  // namespace unp::telemetry

@@ -143,8 +143,7 @@ bool ShardMergeReader::next_raw(std::uint64_t& node_index, std::string& body) {
   return true;
 }
 
-bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log,
-                            std::string& body) {
+bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
   Shard* shard = min_head();
   if (shard == nullptr) return false;
   node = cluster::node_from_index(static_cast<int>(shard->head_index));
@@ -153,22 +152,32 @@ bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log,
   } catch (const DecodeError& e) {
     throw in_shard(shard->header.shard_index, e);
   }
-  body.swap(shard->head_body);
+  std::string().swap(shard->head_body);
   ++merged_;
   fill_head(*shard);
   return true;
 }
 
-bool ShardMergeReader::next(cluster::NodeId& node, NodeLog& log) {
-  std::string body;
-  return next(node, log, body);
+std::optional<EncodedNodeLog> ShardMergeReader::next_frame() {
+  Shard* shard = min_head();
+  if (shard == nullptr) return std::nullopt;
+  const cluster::NodeId node =
+      cluster::node_from_index(static_cast<int>(shard->head_index));
+  // Validated against the shard reader's offsets before it moves on.
+  std::optional<EncodedNodeLog> frame;
+  try {
+    frame = shard->reader->open_body(node, std::move(shard->head_body));
+  } catch (const DecodeError& e) {
+    throw in_shard(shard->header.shard_index, e);
+  }
+  shard->head_body = std::string();
+  ++merged_;
+  fill_head(*shard);
+  return frame;
 }
 
-void ShardMergeReader::drain(RecordSink& sink) {
-  drain_frames(window_, sink,
-               [this](cluster::NodeId& node, NodeLog& log, std::string& body) {
-                 return next(node, log, body);
-               });
+ReplayStats ShardMergeReader::drain(RecordSink& sink) {
+  return drain_frames(window_, sink, [this] { return next_frame(); });
 }
 
 void merge_shard_archives(const std::vector<std::string>& paths,

@@ -81,8 +81,9 @@ class ShardMergeReader {
   /// Next merged frame in ascending node-index order; false at end of all
   /// shards (validates every shard's declared frame count).
   bool next(cluster::NodeId& node, NodeLog& log);
-  /// The same, also handing out the frame's undecoded body in `body`.
-  bool next(cluster::NodeId& node, NodeLog& log, std::string& body);
+  /// The same as a replayed EncodedNodeLog, its runs still undecoded;
+  /// nullopt at the end.
+  [[nodiscard]] std::optional<EncodedNodeLog> next_frame();
 
   /// Raw-frame variant of next(): hands out the winning frame's encoded
   /// body without decoding it.  merge_shard_archives uses this to copy
@@ -92,7 +93,7 @@ class ShardMergeReader {
 
   /// Push the whole (remaining) merged stream through `sink` with full
   /// RecordSink framing, one bulk on_node_log per frame.
-  void drain(RecordSink& sink);
+  ReplayStats drain(RecordSink& sink);
 
  private:
   struct Shard {

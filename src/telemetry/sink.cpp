@@ -16,15 +16,53 @@ void RecordSink::on_node_log(EncodedNodeLog& log) {
   replay_node_log(log.log(), *this);
 }
 
+EncodedNodeLog::EncodedNodeLog(cluster::NodeId node, std::string body)
+    : node_(node),
+      body_(std::make_shared<std::string>(std::move(body))),
+      raw_known_(true),
+      encoded_(true) {
+  scratch_ = body_.get();
+  std::size_t pos = 0;
+  decode_session_sections(*body_, pos, node, own_);
+  runs_at_ = pos;
+  const RunSectionCount count = count_error_runs(*body_, pos);
+  if (pos != body_->size()) throw DecodeError("body size mismatch", pos);
+  runs_ = static_cast<std::size_t>(count.runs);
+  raw_ = count.raw;
+}
+
+const NodeLog& EncodedNodeLog::log() {
+  if (live_ != nullptr) return *live_;
+  if (!runs_decoded_) {
+    // The run section passed count_error_runs at construction, so this
+    // decode cannot throw.
+    std::size_t pos = runs_at_;
+    decode_error_runs(*body_, pos, node_, own_);
+    runs_decoded_ = true;
+  }
+  return own_;
+}
+
 const std::string& EncodedNodeLog::bytes() {
   if (!encoded_) {
     scratch_->clear();
-    encode_node_log_into(*log_, *scratch_);
+    encode_node_log_into(*live_, *scratch_);
     encoded_ = true;
   }
   return *scratch_;
 }
 
-bool EncodedNodeLog::empty() const noexcept { return log_->empty(); }
+std::shared_ptr<const std::string> EncodedNodeLog::share_bytes() {
+  const std::string& body = bytes();
+  if (body_) return body_;
+  return std::make_shared<const std::string>(body);
+}
+
+void EncodedNodeLog::adopt_body() {
+  if (body_) return;
+  body_ = std::make_shared<std::string>(std::move(*scratch_));
+  scratch_->clear();
+  scratch_ = body_.get();
+}
 
 }  // namespace unp::telemetry

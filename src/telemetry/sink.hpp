@@ -34,61 +34,126 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/civil_time.hpp"
+#include "telemetry/node_log.hpp"
 #include "telemetry/record.hpp"
 
 namespace unp::telemetry {
 
-class NodeLog;
 class RecordSink;
 
 namespace kernels {
 struct EncodeKernels;
 }  // namespace kernels
 
-/// A node's whole log plus its (lazily produced) node-log body encoding.
+/// One node's frame as the bulk path hands it to sinks: the node's records
+/// and its node-log body (encode_node_log bytes), each produced only when a
+/// sink asks for it.
 ///
-/// The bulk streaming path hands one of these per node to sinks instead of
-/// replaying records one virtual call at a time.  Byte-oriented sinks
-/// (ArchiveWriter) splice `bytes()` straight into their frame — the body is
-/// encoded at most once per node, in the producer worker when the campaign
-/// pre-encodes, or not at all when a replay hands over the frame's body as
-/// read (drain_frames), and never re-encoded per sink.  Record-oriented
-/// sinks (CampaignArchive, the extractors) read `log()`; `bytes()` only
-/// encodes on first call, so they pay for encoding only where they ask for
-/// bytes (the streaming extractor holding a filter candidate).
+/// Live frames (the campaign, save_archive_stream) wrap the producer's log;
+/// bytes() encodes on first call into the producer's scratch, unless a
+/// worker already did.  Replayed frames (ArchiveReader::drain,
+/// ShardMergeReader::drain) own the body as read and validate all of it at
+/// delivery: construction decodes the START/END/ALLOCFAIL sections and
+/// walks the run section once, counting runs and raw lines under every
+/// check decode_node_log makes.  A corrupt body therefore throws
+/// DecodeError before any sink sees the frame, and log() on a frame that
+/// was delivered cannot fail.
+///
+/// What each accessor decodes:
+///   - sessions(), raw_error_count(), error_run_count(), empty(): nothing
+///     beyond construction;
+///   - log(): the run section, on a replayed frame's first call only, so a
+///     node whose runs no sink reads (the filter candidate the streaming
+///     extractor drops: node 21-07 holds ~2.3 M runs) is never unpacked;
+///   - bytes(): nothing on a replayed frame; the encode on a live frame's
+///     first call.
+///
+/// Who may keep the body: a sink that needs it past on_node_log (the
+/// streaming extractor holding a filter candidate) takes share_bytes(), a
+/// shared buffer that costs no copy when the frame owns the body (every
+/// replayed frame, and a live frame whose producer called adopt_body()).
+/// Everything else is valid only during the on_node_log call.
 class EncodedNodeLog {
  public:
-  /// `scratch` is caller-owned storage for the encoded body (an arena slot
-  /// reused across nodes); `pre_encoded` asserts it already holds exactly
-  /// the body for `log`.
+  /// A live frame over `log`.  `scratch` is caller-owned storage for the
+  /// encoded body (an arena slot reused across nodes); `pre_encoded`
+  /// asserts it already holds exactly the body for `log`.
   EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
                  bool pre_encoded = false) noexcept
-      : node_(node), log_(&log), scratch_(&scratch), encoded_(pre_encoded) {}
+      : node_(node), live_(&log), scratch_(&scratch), encoded_(pre_encoded) {}
   /// The same, for callers that still name the encode set (there is one).
   EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
                  const kernels::EncodeKernels& /*encode*/) noexcept
       : EncodedNodeLog(node, log, scratch) {}
 
-  [[nodiscard]] cluster::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] const NodeLog& log() const noexcept { return *log_; }
+  /// A replayed frame owning `body`, validated here: throws DecodeError
+  /// with body-relative offsets exactly where decode_node_log (plus the
+  /// whole-body size check) would.
+  EncodedNodeLog(cluster::NodeId node, std::string body);
 
-  /// The node-log body (encode_node_log bytes).  Encodes on first call,
-  /// then returns the cached bytes.
+  [[nodiscard]] cluster::NodeId node() const noexcept { return node_; }
+
+  /// A log holding at least the node's START, END and ALLOCFAIL records
+  /// (for_each_session, monitored_hours).  Whether it also holds the error
+  /// runs depends on the producer: read runs through log().
+  [[nodiscard]] const NodeLog& sessions() const noexcept {
+    return live_ != nullptr ? *live_ : own_;
+  }
+
+  /// Raw ERROR lines of the node (runs expanded).
+  [[nodiscard]] std::uint64_t raw_error_count() const noexcept {
+    return raw_known_ ? raw_ : live_->raw_error_count();
+  }
+  [[nodiscard]] std::size_t error_run_count() const noexcept {
+    return live_ != nullptr ? live_->error_runs().size() : runs_;
+  }
+
+  /// The whole log.  A replayed frame decodes its runs on the first call.
+  [[nodiscard]] const NodeLog& log();
+  /// True once a replayed frame's runs were decoded (always false live).
+  [[nodiscard]] bool runs_decoded() const noexcept { return runs_decoded_; }
+
+  /// The node-log body.  Encodes a live frame's on first call, then returns
+  /// the cached bytes.
   [[nodiscard]] const std::string& bytes();
+  /// bytes() as a buffer a sink may keep past the call (see above).
+  [[nodiscard]] std::shared_ptr<const std::string> share_bytes();
 
   /// True when the log holds no records (its encoded body would still be the
   /// four zero section counts, but writers skip the frame entirely).
-  [[nodiscard]] bool empty() const noexcept;
+  [[nodiscard]] bool empty() const noexcept {
+    return sessions().empty() && error_run_count() == 0;
+  }
+
+  /// Producer hints for a live frame, set before delivery.  The node's raw
+  /// total when the producer already has it (the campaign sums it in the
+  /// simulation worker), so raw_error_count() need not walk the runs.
+  void set_raw_error_count(std::uint64_t raw) noexcept {
+    raw_ = raw;
+    raw_known_ = true;
+  }
+  /// Move the scratch body into the frame, for a producer that frees the
+  /// log right after delivery anyway: a sink may then keep the body without
+  /// a copy.  Leaves `scratch` empty.
+  void adopt_body();
 
  private:
   cluster::NodeId node_;
-  const NodeLog* log_;
-  std::string* scratch_;
-  bool encoded_;
+  const NodeLog* live_ = nullptr;  ///< the producer's log (live frames)
+  NodeLog own_;  ///< replayed frames: the sessions, then the runs once decoded
+  std::string* scratch_ = nullptr;     ///< where bytes() lives
+  std::shared_ptr<std::string> body_;  ///< the body, when the frame owns it
+  std::size_t runs_at_ = 0;  ///< replayed frames: offset of the run section
+  std::size_t runs_ = 0;     ///< replayed frames: run count
+  std::uint64_t raw_ = 0;
+  bool raw_known_ = false;
+  bool encoded_ = false;
+  bool runs_decoded_ = false;
 };
 
 /// Consumer of a campaign record stream.

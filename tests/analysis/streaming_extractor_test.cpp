@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -108,6 +109,59 @@ TEST(StreamingExtractor, BitIdenticalToBatchOnDefaultCampaign) {
   }
 }
 
+// The warm report's feed: a cache replay decodes a frame's runs only when
+// the extractor collapses the node.  In every case the result is
+// bit-identical to the batch extraction, and the drain's counts show what
+// was decoded: under the defaults the filter candidate 21-07 is dropped
+// without ever being unpacked; a filter that keeps it decodes its held body
+// at finish(), after the drain; an observer, owed every node's faults at
+// its end_node, decodes every frame.
+TEST(StreamingExtractor, ReplayDecodesOnlyTheNodesItCollapses) {
+  const sim::CampaignResult& campaign = sim::default_campaign();
+  const cluster::NodeId heavy{21, 7};
+  const std::uint64_t heavy_runs = campaign.archive.log(heavy).error_runs().size();
+  std::uint64_t total_runs = 0;
+  for (int i = 0; i < cluster::kStudyNodeSlots; ++i)
+    total_runs +=
+        campaign.archive.log(cluster::node_from_index(i)).error_runs().size();
+  ASSERT_GT(heavy_runs, total_runs / 2);
+
+  ExtractionConfig keeps_candidate;
+  keeps_candidate.pathological_raw_fraction = 0.999;
+  struct Case {
+    const char* name;
+    ExtractionConfig config;
+    bool observe;
+    std::uint64_t decoded;
+  };
+  const Case cases[] = {
+      {"defaults", ExtractionConfig{}, false, total_runs - heavy_runs},
+      {"filter keeps the candidate", keeps_candidate, false,
+       total_runs - heavy_runs},
+      {"observer", ExtractionConfig{}, true, total_runs},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StreamingExtractor extractor(c.config);
+    std::size_t observed = 0;
+    if (c.observe)
+      extractor.set_node_observer(
+          [&](cluster::NodeId, std::span<const FaultRecord> faults) {
+            observed += faults.size();
+          });
+    std::istringstream is(default_stream(), std::ios::binary);
+    const telemetry::ReplayStats stats =
+        telemetry::ArchiveReader(is).drain(extractor);
+    EXPECT_EQ(stats.runs_decoded, c.decoded);
+    EXPECT_EQ(stats.runs_decoded + stats.runs_counted, total_runs);
+    const ExtractionResult batch = extract_faults(campaign.archive, c.config);
+    expect_identical(extractor.finish(), batch);
+    if (c.observe) {
+      EXPECT_GT(observed, batch.faults.size());
+    }
+  }
+}
+
 /// Forwards to an extractor and remembers which node's end_node is running.
 class FrameTracker final : public telemetry::RecordSink {
  public:
@@ -190,6 +244,22 @@ TEST(StreamingExtractor, MatchesBatchWhenFedByCampaignStream) {
   (void)sim::run_campaign_streaming(config, {&archive, &extractor}, 2);
 
   expect_identical(extractor.finish(), extract_faults(archive, extraction_config));
+
+  // Every node with errors a filter candidate, next to a sink that wants
+  // bytes: the extractor holds the bodies the workers encoded (the
+  // costliest node's handed over uncopied) and decodes the kept ones at
+  // finish(), at 1 and 2 threads.
+  ExtractionConfig held = extraction_config;
+  held.pathological_min_raw = 1;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(threads);
+    std::ostringstream os(std::ios::binary);
+    telemetry::ArchiveWriter writer(os);
+    StreamingExtractor held_extractor(held);
+    (void)sim::run_campaign_streaming(config, {&writer, &held_extractor},
+                                      threads);
+    expect_identical(held_extractor.finish(), extract_faults(archive, held));
+  }
 }
 
 TEST(StreamingExtractor, CountsSessionsAndRawErrors) {

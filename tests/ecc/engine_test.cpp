@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -174,6 +175,40 @@ TEST(PopulationTest, CensusReplayEqualsDecodingEveryFault) {
     }
     EXPECT_EQ(evaluate_population(*code, census), reference) << spec;
   }
+}
+
+// The default code set is built once per process and shared: the same
+// objects on every call and from every thread, in default_code_specs()
+// order, and replaying a census through them concurrently gives what a
+// freshly built code gives on one thread.
+TEST(DefaultCodesTest, OneSharedSetAgreesWithFreshCodesAcrossThreads) {
+  const std::vector<std::string>& specs = default_code_specs();
+  ASSERT_EQ(default_codes().size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(default_codes()[i]->name(), specs[i]);
+    EXPECT_EQ(default_code(specs[i]), default_codes()[i]);
+  }
+  EXPECT_EQ(default_code("bch:64/3"), nullptr);
+
+  RngStream rng(31);
+  std::vector<Word> masks(500);
+  for (auto& m : masks) {
+    m = 0;
+    for (std::uint64_t f = rng.uniform_u64(6); f > 0; --f)
+      m |= Word{1} << rng.uniform_u64(32);
+  }
+  const MaskCensus census = mask_census(masks);
+  std::vector<PopulationResult> reference;
+  for (const std::string& spec : specs)
+    reference.push_back(evaluate_population(*make_code(spec), census));
+
+  ThreadPool pool(4);
+  std::vector<std::vector<PopulationResult>> results(8);
+  pool.parallel_for(results.size(), [&](std::size_t t) {
+    for (const auto& code : default_codes())
+      results[t].push_back(evaluate_population(*code, census));
+  });
+  for (const auto& r : results) EXPECT_EQ(r, reference);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "store/handle.hpp"
 #include "store/query.hpp"
 #include "store/reader.hpp"
+#include "telemetry/binary_codec.hpp"
 #include "telemetry/record.hpp"
 
 using unp::telemetry::kNoTemperature;
@@ -361,6 +362,24 @@ TEST(StoreReaderTest, RejectsCorruptHeadersWithDecodeError) {
   std::string oversized = good + "junk";
   EXPECT_THROW((void)StoreHandle::from_bytes(std::move(oversized)),
                DecodeError);
+
+  // An inverted window (end before start) is corrupt input: the report
+  // sizes its per-day series by it.
+  std::string window, inverted;
+  telemetry::put_varint(window, telemetry::zigzag_encode(kStart));
+  telemetry::put_varint(window, telemetry::zigzag_encode(kEnd));
+  telemetry::put_varint(inverted, telemetry::zigzag_encode(kEnd));
+  telemetry::put_varint(inverted, telemetry::zigzag_encode(kStart));
+  ASSERT_EQ(good.compare(13, window.size(), window), 0);
+  ASSERT_EQ(inverted.size(), window.size());
+  std::string bad_window = good;
+  bad_window.replace(13, inverted.size(), inverted);
+  try {
+    (void)StoreHandle::from_bytes(std::move(bad_window));
+    ADD_FAILURE() << "inverted window accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.byte_offset(), 13u);
+  }
 }
 
 TEST(StoreReaderTest, OpenMissingFileThrowsContractViolation) {

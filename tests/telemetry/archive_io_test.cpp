@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
+#include "sim/campaign.hpp"
 #include "telemetry/binary_codec.hpp"
 
 namespace unp::telemetry {
@@ -132,6 +136,33 @@ TEST(ArchiveStream, RejectsCorruptMagicAndVersion) {
   }
 }
 
+// Sinks size per-day series by the header's window, so a window that is
+// inverted or longer than a century is rejected at the header.
+TEST(ArchiveStream, RejectsImplausibleWindow) {
+  const CampaignWindow study;
+  const CampaignWindow bad[] = {
+      {study.end, study.start},
+      {study.start, study.start + 36526 * kSecondsPerDay},
+      {std::numeric_limits<TimePoint>::min(),
+       std::numeric_limits<TimePoint>::max()}};
+  for (const CampaignWindow& window : bad) {
+    const std::string bytes = write_sample_stream(window);
+    std::istringstream is(bytes, std::ios::binary);
+    try {
+      ArchiveReader reader(is);
+      ADD_FAILURE() << "window " << window.start << ".." << window.end
+                    << " accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.byte_offset(), 5u);  // just past magic and version
+    }
+  }
+  // A century exactly is accepted.
+  const std::string bytes = write_sample_stream(
+      {study.start, study.start + 36525 * kSecondsPerDay});
+  std::istringstream is(bytes, std::ios::binary);
+  EXPECT_NO_THROW(ArchiveReader reader(is));
+}
+
 TEST(ArchiveStream, RejectsTruncation) {
   const std::string bytes = write_sample_stream(CampaignWindow{});
   // Truncate at every suffix length: the reader must throw (or, for a cut
@@ -255,6 +286,149 @@ TEST(ArchiveStream, LyingBodySizeIsRejectedWithoutAllocatingIt) {
           << e.what();
     }
   }
+}
+
+/// A short seed-9 campaign spilled as one UNPS stream.
+std::string small_campaign_stream() {
+  sim::CampaignConfig config;
+  config.seed = 9;
+  config.window.start = from_civil_utc({2015, 9, 1, 0, 0, 0});
+  config.window.end = from_civil_utc({2015, 9, 21, 0, 0, 0});
+  std::ostringstream os(std::ios::binary);
+  ArchiveWriter writer(os);
+  (void)sim::run_campaign_streaming(config, {&writer}, 2);
+  return os.str();
+}
+
+// A replayed frame decodes its sessions at delivery and its runs only on
+// log(); every accessor must agree with decoding the body in full.
+TEST(LazyFrame, EveryFrameMatchesItsFullDecode) {
+  const std::string bytes = small_campaign_stream();
+  std::istringstream lazy_is(bytes, std::ios::binary);
+  std::istringstream full_is(bytes, std::ios::binary);
+  ArchiveReader lazy(lazy_is);
+  ArchiveReader full(full_is);
+  std::size_t frames = 0;
+  std::size_t runs = 0;
+  cluster::NodeId node;
+  NodeLog log;
+  while (std::optional<EncodedNodeLog> frame = lazy.next_frame()) {
+    ASSERT_TRUE(full.next(node, log));
+    SCOPED_TRACE(cluster::node_name(node));
+    ASSERT_EQ(frame->node(), node);
+    EXPECT_EQ(frame->sessions().starts(), log.starts());
+    EXPECT_EQ(frame->sessions().ends(), log.ends());
+    EXPECT_EQ(frame->sessions().alloc_fails(), log.alloc_fails());
+    EXPECT_EQ(frame->raw_error_count(), log.raw_error_count());
+    EXPECT_EQ(frame->error_run_count(), log.error_runs().size());
+    EXPECT_EQ(frame->empty(), log.empty());
+    EXPECT_EQ(frame->bytes(), encode_node_log(log));
+    EXPECT_FALSE(frame->runs_decoded());
+    const NodeLog& decoded = frame->log();
+    EXPECT_TRUE(frame->runs_decoded());
+    EXPECT_EQ(decoded.starts(), log.starts());
+    EXPECT_EQ(decoded.ends(), log.ends());
+    EXPECT_EQ(decoded.alloc_fails(), log.alloc_fails());
+    EXPECT_EQ(decoded.error_runs(), log.error_runs());
+    EXPECT_EQ(&frame->log(), &decoded);  // decoded once
+    ++frames;
+    runs += log.error_runs().size();
+  }
+  EXPECT_FALSE(full.next(node, log));
+  EXPECT_EQ(lazy.frames_read(), full.frames_read());
+  EXPECT_GT(frames, 100u);
+  EXPECT_GT(runs, 100u);
+}
+
+/// Reads only what the warm report's sinks read at delivery: sessions and
+/// counts, never log().
+class CountOnlySink final : public RecordSink {
+ public:
+  int frames = 0;
+  std::uint64_t raw = 0;
+  std::size_t starts = 0;
+  void on_node_log(EncodedNodeLog& log) override {
+    ++frames;
+    raw += log.raw_error_count();
+    starts += log.sessions().starts().size();
+  }
+  void on_start(const StartRecord&) override {}
+  void on_end(const EndRecord&) override {}
+  void on_alloc_fail(const AllocFailRecord&) override {}
+  void on_error_run(const ErrorRun&) override {}
+};
+
+// A corrupt run section throws at delivery, before the frame reaches any
+// sink, with the stream offset full decoding reports - even though no sink
+// ever asks for the runs.
+TEST(LazyFrame, CorruptRunSectionThrowsAtDeliveryWithStreamOffset) {
+  std::vector<std::size_t> offsets;
+  const std::string valid = stream_with_frames({17, 100}, offsets);
+  const std::size_t body_size =
+      encode_node_log(sample_log(cluster::node_from_index(100))).size();
+  // Frame 100: one-byte index and size, then the body, whose last byte is
+  // the one run's count (42).
+  const std::size_t count_at = offsets.back() + 2 + body_size - 1;
+  ASSERT_EQ(static_cast<unsigned char>(valid[count_at]), 42u);
+
+  const std::pair<unsigned char, const char*> corruptions[] = {
+      {0x00, "error run with zero count"}, {0x80, "truncated varint"}};
+  for (const auto& [byte, detail] : corruptions) {
+    SCOPED_TRACE(detail);
+    std::string bytes = valid;
+    bytes[count_at] = static_cast<char>(byte);
+
+    std::uint64_t full_offset = 0;
+    {
+      std::istringstream is(bytes, std::ios::binary);
+      ArchiveReader reader(is);
+      cluster::NodeId node;
+      NodeLog log;
+      ASSERT_TRUE(reader.next(node, log));
+      try {
+        (void)reader.next(node, log);
+        ADD_FAILURE() << "full decode accepted the corruption";
+      } catch (const DecodeError& e) {
+        full_offset = e.byte_offset();
+      }
+    }
+    EXPECT_EQ(full_offset, count_at + 1);
+
+    std::istringstream is(bytes, std::ios::binary);
+    CountOnlySink sink;
+    try {
+      (void)ArchiveReader(is).drain(sink);
+      ADD_FAILURE() << "drain accepted the corruption";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.byte_offset(), full_offset);
+      EXPECT_NE(e.detail().find(detail), std::string::npos) << e.what();
+      EXPECT_NE(e.detail().find("node frame for"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sink.frames, 1);  // frame 17 only
+  }
+}
+
+// drain reports what it delivered: runs a sink decoded versus runs only
+// counted at delivery.
+TEST(LazyFrame, DrainCountsRunsDecodedAndOnlyCounted) {
+  const std::string bytes = write_sample_stream(CampaignWindow{});
+  {
+    std::istringstream is(bytes, std::ios::binary);
+    CountOnlySink sink;
+    const ReplayStats stats = ArchiveReader(is).drain(sink);
+    EXPECT_EQ(stats.frames, 2u);
+    EXPECT_EQ(stats.body_bytes, 2 * encode_node_log(sample_log({})).size());
+    EXPECT_EQ(stats.runs_decoded, 0u);
+    EXPECT_EQ(stats.runs_counted, 2u);
+    EXPECT_EQ(sink.raw, 2u * 42u);
+    EXPECT_EQ(sink.starts, 2u);
+  }
+  std::istringstream is(bytes, std::ios::binary);
+  CampaignArchive archive;
+  const ReplayStats stats = ArchiveReader(is).drain(archive);
+  EXPECT_EQ(stats.runs_decoded, 2u);
+  EXPECT_EQ(stats.runs_counted, 0u);
 }
 
 TEST(ArchiveStream, ByteLayoutMatchesHandEncodedLiteral) {

@@ -4,15 +4,21 @@
 // edits of valid input: text lines plus unstructured garbage, and the binary
 // formats that are actually read back - a UNPS stream drained through
 // ArchiveReader and a 2-shard UNPH partition drained through
-// ShardMergeReader.
+// ShardMergeReader, each into a materialized archive and into the warm
+// report's sinks, which decode no run, and must reject exactly what full
+// decoding rejects - and single node-log bodies, whose count pass must
+// agree with full decoding error for error.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/metrics.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "telemetry/archive_io.hpp"
@@ -158,6 +164,31 @@ std::string mutate(const Corpus& corpus, RngStream& rng) {
 // - std::bad_alloc, any other exception, a crash or a hang - fails the test.
 class BinaryCodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// True when `drain` pushes its whole stream through the warm report's
+/// sinks (ScanProfileSink + StreamingExtractor) and the extractor finishes.
+/// Every node with runs is a filter candidate under the extractor's config,
+/// so no sink decodes a run during the drain: validation at delivery is all
+/// that stands between a corrupt run section and the sinks.
+bool accepted_by_report_sinks(const std::function<ReplayStats(RecordSink&)>& drain) {
+  analysis::ExtractionConfig held;
+  held.pathological_min_raw = 1;
+  analysis::ScanProfileSink scan;
+  analysis::StreamingExtractor extractor(held);
+  FanOutSink fan;
+  fan.add(scan);
+  fan.add(extractor);
+  try {
+    const ReplayStats stats = drain(fan);
+    EXPECT_EQ(stats.runs_decoded, 0u);
+  } catch (const ContractViolation&) {
+    return false;
+  }
+  // The bodies were validated at delivery, so decoding the kept candidates
+  // must not throw.
+  (void)extractor.finish();
+  return true;
+}
+
 TEST_P(BinaryCodecFuzz, MutatedStreamsNeverCrash) {
   Corpus corpus, other;
   append_stream(corpus, {3, 60, 100});
@@ -166,12 +197,31 @@ TEST_P(BinaryCodecFuzz, MutatedStreamsNeverCrash) {
 
   RngStream rng(GetParam());
   for (int trial = 0; trial < 3000; ++trial) {
-    std::istringstream is(mutate(corpus, rng), std::ios::binary);
+    const std::string bytes = mutate(corpus, rng);
+    // Reference: every frame decoded in full.
+    bool decoded = true;
     try {
+      std::istringstream is(bytes, std::ios::binary);
+      ArchiveReader reader(is);
+      cluster::NodeId node;
+      NodeLog log;
+      while (reader.next(node, log)) {
+      }
+    } catch (const ContractViolation&) {
+      decoded = false;
+    }
+    try {
+      std::istringstream is(bytes, std::ios::binary);
       CampaignArchive archive;
-      ArchiveReader(is).drain(archive);
+      (void)ArchiveReader(is).drain(archive);
     } catch (const ContractViolation&) {
     }
+    EXPECT_EQ(accepted_by_report_sinks([&](RecordSink& sink) {
+                std::istringstream is(bytes, std::ios::binary);
+                return ArchiveReader(is).drain(sink);
+              }),
+              decoded)
+        << "trial " << trial;
   }
 }
 
@@ -198,13 +248,123 @@ TEST_P(BinaryCodecFuzz, MutatedShardPartitionsNeverCrash) {
       std::ofstream(paths[i], std::ios::binary | std::ios::trunc)
           << (i == victim ? mutate(shards[i], rng) : shards[i].valid);
     }
+    bool decoded = true;
+    try {
+      ShardMergeReader reader({paths[0], paths[1]});
+      cluster::NodeId node;
+      NodeLog log;
+      while (reader.next(node, log)) {
+      }
+    } catch (const ContractViolation&) {
+      decoded = false;
+    }
     try {
       CampaignArchive archive;
-      ShardMergeReader({paths[0], paths[1]}).drain(archive);
+      (void)ShardMergeReader({paths[0], paths[1]}).drain(archive);
     } catch (const ContractViolation&) {
     }
+    EXPECT_EQ(accepted_by_report_sinks([&](RecordSink& sink) {
+                return ShardMergeReader({paths[0], paths[1]}).drain(sink);
+              }),
+              decoded)
+        << "trial " << trial;
   }
   for (const auto& path : paths) std::remove(path.c_str());
+}
+
+/// A node-log body whose run section exercises every varint length: 1- to
+/// 10-byte values, missing and present temperatures, multi-byte counts.
+std::string varied_body() {
+  NodeLog log;
+  log.add_start({from_civil_utc({2015, 5, 1, 0, 0, 0}), {}, 3ULL << 30, 31.5});
+  log.add_end({from_civil_utc({2015, 5, 1, 6, 0, 0}), {}, kNoTemperature});
+  log.add_alloc_fail({from_civil_utc({2015, 5, 1, 7, 0, 0}), {}});
+  RngStream rng(4242);
+  TimePoint t = from_civil_utc({2015, 5, 1, 1, 0, 0});
+  for (int i = 0; i < 24; ++i) {
+    ErrorRecord err;
+    t += static_cast<TimePoint>(rng.uniform_u64(100000));
+    err.time = t;
+    // Values of 1..64 significant bits: varints of every length.
+    err.virtual_address = rng.next_u64() >> rng.uniform_u64(64);
+    err.expected = ~Word{0} >> (i % 8);
+    err.actual = static_cast<Word>(rng.next_u64() >> rng.uniform_u64(64));
+    err.temperature_c = i % 3 == 0 ? kNoTemperature : 30.0 + i;
+    err.physical_page = rng.next_u64() >> rng.uniform_u64(64);
+    log.add_error_run({err, static_cast<std::int64_t>(rng.uniform_u64(1000)),
+                       1 + rng.uniform_u64(i % 2 == 0 ? 100 : 1000000)});
+  }
+  return encode_node_log(log);
+}
+
+/// The outcome of one decode: accepted, or the error's detail and offset.
+struct Outcome {
+  bool ok = true;
+  std::string detail;
+  std::uint64_t offset = 0;
+
+  static Outcome of(const DecodeError& e) {
+    return {false, e.detail(), e.byte_offset()};
+  }
+};
+
+// The count pass a replayed frame runs at delivery accepts exactly the
+// bodies full decoding accepts, and rejects the others with the same error
+// at the same offset; an accepted frame's log() equals the full decode.
+TEST_P(BinaryCodecFuzz, CountPassAcceptsExactlyWhenFullDecodeDoes) {
+  const std::string valid = varied_body();
+  RngStream rng(GetParam() + 200);
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string body = valid;
+    const auto edits = 1 + rng.uniform_u64(3);
+    for (std::uint64_t e = 0; e < edits && !body.empty(); ++e) {
+      const std::size_t at = rng.uniform_u64(body.size());
+      switch (rng.uniform_u64(5)) {
+        case 0:  // any byte
+          body[at] = static_cast<char>(rng.uniform_u64(256));
+          break;
+        case 1:  // a continuation byte: lengthens a varint
+          body[at] = static_cast<char>(0x80 | rng.uniform_u64(128));
+          break;
+        case 2:  // a small byte: ends a varint, or is a flag or a count
+          body[at] = static_cast<char>(rng.uniform_u64(3));
+          break;
+        case 3:
+          body.resize(at);
+          break;
+        default:
+          body.insert(at, body.substr(at, rng.uniform_u64(12)));
+          break;
+      }
+    }
+
+    Outcome full;
+    NodeLog log;
+    try {
+      std::size_t pos = 0;
+      log = decode_node_log(body, pos, {});
+      if (pos != body.size()) throw DecodeError("body size mismatch", pos);
+    } catch (const DecodeError& e) {
+      full = Outcome::of(e);
+    }
+    Outcome lazy;
+    try {
+      EncodedNodeLog frame({}, body);
+      EXPECT_EQ(frame.raw_error_count(), log.raw_error_count());
+      EXPECT_EQ(frame.error_run_count(), log.error_runs().size());
+      EXPECT_EQ(frame.log().error_runs(), log.error_runs());
+    } catch (const DecodeError& e) {
+      lazy = Outcome::of(e);
+    }
+    ASSERT_EQ(lazy.ok, full.ok) << "trial " << trial << ": "
+                                << (full.ok ? lazy.detail : full.detail);
+    EXPECT_EQ(lazy.detail, full.detail) << "trial " << trial;
+    EXPECT_EQ(lazy.offset, full.offset) << "trial " << trial;
+    if (!full.ok) ++rejected;
+  }
+  EXPECT_GT(rejected, 1000);
+  EXPECT_LT(rejected, 4000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryCodecFuzz, ::testing::Values(7, 8, 9));

@@ -125,15 +125,26 @@ void DailyTerabyteHours::add(const telemetry::StartRecord& start,
   std::vector<double>& series = *series_;
   const double tb =
       static_cast<double>(start.allocated_bytes) / telemetry::kBytesPerTb;
-  TimePoint t = start.time;
-  while (t < end.time) {
+  // Walk only the series' days, so a session whose START and END lie far
+  // apart (a corrupt cache frame can decode to any pair) costs no more
+  // than the campaign.  `from` lies in the local day before the series'
+  // first and `until` in a local day past its last: the skipped chunks
+  // fall outside the series, and chunks always break at local midnight, so
+  // the chunks inside it are unchanged.
+  const std::int64_t days = static_cast<std::int64_t>(series.size());
+  const TimePoint from = (first_day_ - 1) * kSecondsPerDay;
+  const TimePoint until = (first_day_ + days + 1) * kSecondsPerDay;
+  const TimePoint stop = std::min(end.time, until);
+  TimePoint t = std::max(start.time, from);
+  while (t < stop) {
     if (!year_.contains(t)) year_ = BarcelonaYear::containing(t);
     const std::int64_t local = t + year_.utc_offset(t);
-    const std::int64_t day = day_of_local(local) - first_day_;
+    const std::int64_t local_day = day_of_local(local);
+    const std::int64_t day = local_day - first_day_;
     // End of the local day containing t.
     const TimePoint local_midnight =
-        t + (kSecondsPerDay - local % kSecondsPerDay);
-    const TimePoint chunk_end = std::min(end.time, local_midnight);
+        t + ((local_day + 1) * kSecondsPerDay - local);
+    const TimePoint chunk_end = std::min(stop, local_midnight);
     if (day >= 0 && static_cast<std::size_t>(day) < series.size()) {
       series[static_cast<std::size_t>(day)] +=
           tb * static_cast<double>(chunk_end - t) / kSecondsPerHour;

@@ -86,7 +86,8 @@ struct TemperatureProfile {
 class DailyTerabyteHours {
  public:
   DailyTerabyteHours(const CampaignWindow& window, std::vector<double>& series);
-  /// Add one complete session (see NodeLog::for_each_session).
+  /// Add one complete session (see NodeLog::for_each_session).  Only the
+  /// series' days are walked, however far apart START and END lie.
   void add(const telemetry::StartRecord& start, const telemetry::EndRecord& end);
 
  private:

@@ -63,7 +63,7 @@ void StreamingExtractor::on_node_log(telemetry::EncodedNodeLog& enc) {
     // is ~42 MB, its runs ~150 MB), and decode it only if the filter keeps
     // the node.
     unpack_body(index);
-    pending_bodies_[index] = enc.share_bytes();
+    pending_bodies_[index] = enc.share_body();
     return;
   }
   add_faults(index,
@@ -80,16 +80,14 @@ bool StreamingExtractor::deferred(std::size_t index) const noexcept {
 }
 
 void StreamingExtractor::unpack_body(std::size_t index) {
-  std::shared_ptr<const std::string>& body = pending_bodies_[index];
-  if (!body) return;
+  telemetry::SharedBody& held = pending_bodies_[index];
+  if (!held.bytes) return;
   // The body was validated at delivery (or encoded in this process), so
   // this decode cannot throw.  Its runs land after the node's pending ones.
   const cluster::NodeId node = cluster::node_from_index(static_cast<int>(index));
-  std::size_t pos = 0;
-  telemetry::NodeLog sessions;
-  telemetry::decode_session_sections(*body, pos, node, sessions);
-  telemetry::decode_error_runs(*body, pos, node, pending_[index]);
-  body.reset();
+  std::size_t pos = held.runs_at;
+  telemetry::decode_error_runs(*held.bytes, pos, node, pending_[index]);
+  held = {};
 }
 
 void StreamingExtractor::collapse_pending(std::size_t index) {
@@ -130,7 +128,7 @@ ExtractionResult StreamingExtractor::finish() {
     // observer is still owed its faults.
     if (!pathological || observer_) collapse_pending(i);
     pending_[i] = telemetry::NodeLog{};
-    pending_bodies_[i].reset();
+    pending_bodies_[i] = {};
     if (raw == 0) continue;
 
     if (pathological) {

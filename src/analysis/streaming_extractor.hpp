@@ -17,12 +17,13 @@
 //   - a filter candidate (raw >= pathological_min_raw) is held until
 //     finish(): the keep-or-drop decision needs the campaign-wide raw
 //     total.  On the bulk feed it keeps the node's encoded body through
-//     share_bytes() - the body the cache reader read, or the one the
+//     share_body() - the body the cache reader read, or the one the
 //     campaign worker encoded, without a copy; a third of the size of the
-//     runs - on the per-record feed its buffered runs.  A candidate the
-//     filter removes is freed without ever being decoded or collapsed
-//     (node 21-07 of the study writes >98% of all raw logs), so on a cache
-//     replay its runs are counted at delivery and never unpacked;
+//     runs - on the per-record feed its buffered runs.  A kept candidate
+//     decodes only its body's run section.  A candidate the filter removes
+//     is freed without ever being decoded or collapsed (node 21-07 of the
+//     study writes >98% of all raw logs), so on a cache replay its runs
+//     are counted at delivery and never unpacked;
 //   - finish() applies the pathological-node filter, collapses the kept
 //     candidates and performs the final deterministic sort.
 //
@@ -100,7 +101,7 @@ class StreamingExtractor final : public telemetry::RecordSink {
   std::vector<telemetry::NodeLog> pending_;
   /// Encoded bodies of filter candidates that arrived on the bulk feed,
   /// shared with the frame that delivered them.
-  std::vector<std::shared_ptr<const std::string>> pending_bodies_;
+  std::vector<telemetry::SharedBody> pending_bodies_;
   /// Collapsed per-node faults awaiting the campaign-wide filter.
   std::vector<std::vector<FaultRecord>> collapsed_;
   std::vector<std::uint64_t> raw_per_node_;

@@ -82,6 +82,7 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
 struct NodeSlot {
   telemetry::NodeLog log;
   std::string encoded;  ///< pre-encoded node-log body
+  std::size_t runs_at = 0;  ///< where `encoded`'s run section begins
   std::uint64_t raw = 0;  ///< log.raw_error_count(), summed in the worker
   bool done = false;    ///< filled and not yet delivered (pipeline mutex)
 };
@@ -373,7 +374,7 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
     slot.raw = slot.log.raw_error_count();
     if (wants_encoded) {
       slot.encoded.clear();
-      telemetry::encode_node_log_into(slot.log, slot.encoded);
+      slot.runs_at = telemetry::encode_node_log_into(slot.log, slot.encoded);
     }
   };
   const std::size_t costly = static_cast<std::size_t>(
@@ -384,8 +385,8 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
     // once per node (already done in the worker if any sink wants bytes)
     // and spliced — never re-encoded, never re-copied per sink.  The raw
     // total was summed in the worker too.
-    telemetry::EncodedNodeLog enc_log(node, slot.log, slot.encoded,
-                                      wants_encoded);
+    telemetry::EncodedNodeLog enc_log(node, slot.log, slot.encoded);
+    if (wants_encoded) enc_log.set_encoded(slot.runs_at);
     enc_log.set_raw_error_count(slot.raw);
     // The costliest body is freed below anyway, so a sink that keeps it
     // (the streaming extractor's filter candidate) takes it without a copy.

@@ -266,7 +266,7 @@ ReplayStats drain_frames(
   ReplayStats stats;
   sink.begin_campaign(window);
   // Each frame, and the body it owns, is freed once delivered unless a sink
-  // keeps the body (share_bytes).
+  // keeps the body (share_body).
   while (std::optional<EncodedNodeLog> frame = next()) {
     const cluster::NodeId node = frame->node();
     ++stats.frames;

@@ -1,7 +1,6 @@
 #include "telemetry/binary_codec.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/require.hpp"
@@ -29,68 +28,6 @@ void skip_temp(std::string_view in, std::size_t& pos) {
   if (!get_temp_flag(in, pos)) return;
   if (pos + 8 > in.size()) throw DecodeError("truncated f64", pos);
   pos += 8;
-}
-
-/// Bit i set when byte p[i] ends a varint (its top bit is clear), for the
-/// 64 bytes at `p`: each 8-byte word's top bits gathered by one multiply.
-/// Little-endian only.
-inline std::uint64_t varint_ends(const char* p) noexcept {
-  std::uint64_t ends = 0;
-  for (int w = 0; w < 8; ++w) {
-    std::uint64_t x;
-    std::memcpy(&x, p + 8 * w, 8);
-    const std::uint64_t top = ~x & 0x8080808080808080ULL;
-    ends |= ((top * 0x0002040810204081ULL) >> 56) << (8 * w);
-  }
-  return ends;
-}
-
-/// True when a varint ending before bit `last` of `ends` spans 10 or more
-/// bytes (9 continuation bytes in a row): get_varint must judge it.
-inline bool long_varint_before(std::uint64_t ends, int last) noexcept {
-  const std::uint64_t cont = ~ends;
-  std::uint64_t run = cont & (cont >> 1);  // bit i: bytes i..i+1 continue
-  run &= run >> 2;                          // ..i+3
-  run &= run >> 4;                          // ..i+7
-  run &= cont >> 8;                         // ..i+8
-  return (run & ((std::uint64_t{1} << last) - 1)) != 0;
-}
-
-/// Walk the run record at `pos` by its varint ends alone, when it lies in
-/// the next 64 bytes, holds no varint of 10 or more bytes and carries a
-/// valid temperature flag: sets `pos` past the record and `count` to its
-/// count.  Returns false, `pos` untouched, for anything else; the exact
-/// walk then takes the record and throws its precise error.
-inline bool count_run_fast(std::string_view in, std::size_t& pos,
-                           std::uint64_t& count) {
-  if constexpr (std::endian::native != std::endian::little) return false;
-  if (in.size() - pos < 64) return false;
-  const char* p = in.data() + pos;
-  const std::uint64_t ends = varint_ends(p);
-  // time, virtual address, expected, actual: the record's first 4 varints.
-  std::uint64_t rest = ends;
-  for (int i = 0; i < 3; ++i) rest &= rest - 1;
-  if (rest == 0) return false;
-  const int fourth = std::countr_zero(rest);
-  const auto flag = static_cast<unsigned char>(p[fourth + 1]);
-  if (flag > 1 || long_varint_before(ends, fourth)) return false;
-  // physical page, period, count: the 3 varints after the temperature.
-  const int skip = fourth + 2 + (flag == 1 ? 8 : 0);
-  const std::uint64_t tail = ends >> skip;
-  const std::uint64_t from_second = tail & (tail - 1);
-  const std::uint64_t from_third = from_second & (from_second - 1);
-  if (from_third == 0) return false;
-  const int second = std::countr_zero(from_second);
-  const int third = std::countr_zero(from_third);
-  if (long_varint_before(tail, third)) return false;
-  if (third == second + 1) {
-    count = static_cast<unsigned char>(p[skip + third]);
-  } else {
-    std::size_t count_at = pos + static_cast<std::size_t>(skip + second) + 1;
-    count = get_varint(in, count_at);
-  }
-  pos += static_cast<std::size_t>(skip + third) + 1;
-  return true;
 }
 
 /// Delta-encoded timestamp reader per section.
@@ -168,7 +105,7 @@ std::size_t node_log_encoded_bound(const NodeLog& log) noexcept {
          log.error_runs().size() * (6 * 10 + 9 + 10);
 }
 
-void encode_node_log_into(const NodeLog& log, std::string& out) {
+std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
   // Pre-size to the record-count bound so no append below reallocates.
   out.reserve(out.size() + node_log_encoded_bound(log));
 
@@ -209,6 +146,8 @@ void encode_node_log_into(const NodeLog& log, std::string& out) {
       previous = r.time;
     }
   }
+  w.flush();
+  const std::size_t runs_at = out.size();
   {  // ERROR runs
     w.varint(log.error_runs().size());
     TimePoint previous = 0;
@@ -224,7 +163,7 @@ void encode_node_log_into(const NodeLog& log, std::string& out) {
       w.varint(run.count);
     }
   }
-  // w flushes on scope exit.
+  return runs_at;  // w flushes on scope exit
 }
 
 std::string encode_node_log(const NodeLog& log) {
@@ -302,15 +241,12 @@ RunSectionCount count_error_runs(std::string_view bytes, std::size_t& pos) {
   RunSectionCount count;
   count.runs = get_varint(bytes, pos);
   for (std::uint64_t i = 0; i < count.runs; ++i) {
-    std::uint64_t n = 0;
-    if (!count_run_fast(bytes, pos, n)) {
-      // time, virtual address, expected, actual
-      for (int v = 0; v < 4; ++v) (void)get_varint(bytes, pos);
-      skip_temp(bytes, pos);
-      (void)get_varint(bytes, pos);  // physical page
-      (void)get_varint(bytes, pos);  // period
-      n = get_varint(bytes, pos);
-    }
+    // time, virtual address, expected, actual
+    for (int v = 0; v < 4; ++v) (void)get_varint(bytes, pos);
+    skip_temp(bytes, pos);
+    (void)get_varint(bytes, pos);  // physical page
+    (void)get_varint(bytes, pos);  // period
+    const std::uint64_t n = get_varint(bytes, pos);
     if (n < 1) throw DecodeError("error run with zero count", pos);
     count.raw += n;
   }

@@ -93,8 +93,9 @@ void check_campaign_window(const CampaignWindow& window, std::uint64_t offset);
 [[nodiscard]] std::string encode_node_log(const NodeLog& log);
 
 /// Append encode_node_log's bytes to `out` — the hot-path form: the caller
-/// reuses `out` across nodes.
-void encode_node_log_into(const NodeLog& log, std::string& out);
+/// reuses `out` across nodes.  Returns the offset in `out` where the run
+/// section (decode_error_runs) begins.
+std::size_t encode_node_log_into(const NodeLog& log, std::string& out);
 
 /// Inverse of encode_node_log.
 [[nodiscard]] NodeLog decode_node_log(std::string_view bytes, std::size_t& pos,

@@ -46,16 +46,16 @@ const NodeLog& EncodedNodeLog::log() {
 const std::string& EncodedNodeLog::bytes() {
   if (!encoded_) {
     scratch_->clear();
-    encode_node_log_into(*live_, *scratch_);
+    runs_at_ = encode_node_log_into(*live_, *scratch_);
     encoded_ = true;
   }
   return *scratch_;
 }
 
-std::shared_ptr<const std::string> EncodedNodeLog::share_bytes() {
+SharedBody EncodedNodeLog::share_body() {
   const std::string& body = bytes();
-  if (body_) return body_;
-  return std::make_shared<const std::string>(body);
+  if (body_) return {body_, runs_at_};
+  return {std::make_shared<const std::string>(body), runs_at_};
 }
 
 void EncodedNodeLog::adopt_body() {

@@ -46,6 +46,13 @@ namespace unp::telemetry {
 
 class RecordSink;
 
+/// A node-log body kept past on_node_log (EncodedNodeLog::share_body): the
+/// bytes, shared with the frame, and where their run section begins.
+struct SharedBody {
+  std::shared_ptr<const std::string> bytes;
+  std::size_t runs_at = 0;
+};
+
 namespace kernels {
 struct EncodeKernels;
 }  // namespace kernels
@@ -74,18 +81,18 @@ struct EncodeKernels;
 ///     first call.
 ///
 /// Who may keep the body: a sink that needs it past on_node_log (the
-/// streaming extractor holding a filter candidate) takes share_bytes(), a
+/// streaming extractor holding a filter candidate) takes share_body(), a
 /// shared buffer that costs no copy when the frame owns the body (every
-/// replayed frame, and a live frame whose producer called adopt_body()).
-/// Everything else is valid only during the on_node_log call.
+/// replayed frame, and a live frame whose producer called adopt_body()),
+/// plus the offset of its run section, so the keeper decodes the runs
+/// alone.  Everything else is valid only during the on_node_log call.
 class EncodedNodeLog {
  public:
   /// A live frame over `log`.  `scratch` is caller-owned storage for the
-  /// encoded body (an arena slot reused across nodes); `pre_encoded`
-  /// asserts it already holds exactly the body for `log`.
-  EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
-                 bool pre_encoded = false) noexcept
-      : node_(node), live_(&log), scratch_(&scratch), encoded_(pre_encoded) {}
+  /// encoded body (an arena slot reused across nodes).
+  EncodedNodeLog(cluster::NodeId node, const NodeLog& log,
+                 std::string& scratch) noexcept
+      : node_(node), live_(&log), scratch_(&scratch) {}
   /// The same, for callers that still name the encode set (there is one).
   EncodedNodeLog(cluster::NodeId node, const NodeLog& log, std::string& scratch,
                  const kernels::EncodeKernels& /*encode*/) noexcept
@@ -122,7 +129,7 @@ class EncodedNodeLog {
   /// the cached bytes.
   [[nodiscard]] const std::string& bytes();
   /// bytes() as a buffer a sink may keep past the call (see above).
-  [[nodiscard]] std::shared_ptr<const std::string> share_bytes();
+  [[nodiscard]] SharedBody share_body();
 
   /// True when the log holds no records (its encoded body would still be the
   /// four zero section counts, but writers skip the frame entirely).
@@ -137,6 +144,13 @@ class EncodedNodeLog {
     raw_ = raw;
     raw_known_ = true;
   }
+  /// `scratch` already holds exactly the body for the log (a worker
+  /// encoded it), its run section at `runs_at` (encode_node_log_into's
+  /// result).
+  void set_encoded(std::size_t runs_at) noexcept {
+    runs_at_ = runs_at;
+    encoded_ = true;
+  }
   /// Move the scratch body into the frame, for a producer that frees the
   /// log right after delivery anyway: a sink may then keep the body without
   /// a copy.  Leaves `scratch` empty.
@@ -148,7 +162,7 @@ class EncodedNodeLog {
   NodeLog own_;  ///< replayed frames: the sessions, then the runs once decoded
   std::string* scratch_ = nullptr;     ///< where bytes() lives
   std::shared_ptr<std::string> body_;  ///< the body, when the frame owns it
-  std::size_t runs_at_ = 0;  ///< replayed frames: offset of the run section
+  std::size_t runs_at_ = 0;  ///< offset of the body's run section, once known
   std::size_t runs_ = 0;     ///< replayed frames: run count
   std::uint64_t raw_ = 0;
   bool raw_known_ = false;

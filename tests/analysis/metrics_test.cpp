@@ -180,6 +180,30 @@ TEST(DailySeries, TerabyteHoursMatchPerChunkOracleBitwise) {
   EXPECT_GT(total, 0.0);
 }
 
+TEST(DailySeries, FarApartStartAndEndWalkOnlyTheSeries) {
+  // A corrupt cache frame can decode to a session spanning 2^60 s; it must
+  // cost no more than one spanning the campaign, and add exactly what a
+  // session clipped to a few days either side of the window adds.
+  const CampaignWindow window;
+  const std::size_t days = static_cast<std::size_t>(window.duration_days()) + 2;
+  const std::uint64_t bytes = 3 * kGiB + 12345;
+  const TimePoint half = TimePoint{1} << 59;
+  std::vector<double> wide(days), clipped(days);
+  DailyTerabyteHours(window, wide)
+      .add({window.start - half, {1, 1}, bytes, 30.0},
+           {window.start + half, {1, 1}, 30.0});
+  DailyTerabyteHours(window, clipped)
+      .add({window.start - 3 * kSecondsPerDay, {1, 1}, bytes, 30.0},
+           {window.end + 3 * kSecondsPerDay, {1, 1}, 30.0});
+  for (std::size_t d = 0; d < days; ++d) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wide[d]),
+              std::bit_cast<std::uint64_t>(clipped[d]))
+        << "day " << d;
+  }
+  EXPECT_GT(wide.front(), 0.0);
+  EXPECT_GT(wide.back(), 0.0);
+}
+
 TEST(DailySeries, ErrorsBucketByDayAndClass) {
   const CampaignWindow w;
   const std::vector<FaultRecord> faults{

@@ -245,20 +245,25 @@ TEST(StreamingExtractor, MatchesBatchWhenFedByCampaignStream) {
 
   expect_identical(extractor.finish(), extract_faults(archive, extraction_config));
 
-  // Every node with errors a filter candidate, next to a sink that wants
-  // bytes: the extractor holds the bodies the workers encoded (the
-  // costliest node's handed over uncopied) and decodes the kept ones at
-  // finish(), at 1 and 2 threads.
+  // Every node with errors a filter candidate: the extractor holds each
+  // body (the costliest node's handed over uncopied) and decodes the kept
+  // ones' run sections at finish(), at 1 and 2 threads.  Next to a sink
+  // that wants bytes it holds the bodies the workers encoded; alone, the
+  // ones its share_body() calls encode.
   ExtractionConfig held = extraction_config;
   held.pathological_min_raw = 1;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(threads);
-    std::ostringstream os(std::ios::binary);
-    telemetry::ArchiveWriter writer(os);
-    StreamingExtractor held_extractor(held);
-    (void)sim::run_campaign_streaming(config, {&writer, &held_extractor},
-                                      threads);
-    expect_identical(held_extractor.finish(), extract_faults(archive, held));
+  for (const bool with_writer : {true, false}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << "writer " << with_writer
+                                      << ", threads " << threads);
+      std::ostringstream os(std::ios::binary);
+      telemetry::ArchiveWriter writer(os);
+      StreamingExtractor held_extractor(held);
+      std::vector<telemetry::RecordSink*> sinks{&held_extractor};
+      if (with_writer) sinks.insert(sinks.begin(), &writer);
+      (void)sim::run_campaign_streaming(config, sinks, threads);
+      expect_identical(held_extractor.finish(), extract_faults(archive, held));
+    }
   }
 }
 

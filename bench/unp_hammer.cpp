@@ -21,13 +21,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/hammer_census.hpp"
 #include "analysis/streaming_extractor.hpp"
 #include "cluster/topology.hpp"
 #include "common/civil_time.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "dram/mapping/solver.hpp"
 #include "policy/hammer.hpp"
 #include "sim/campaign.hpp"
@@ -223,7 +226,17 @@ int run_campaign(const Options& opts) {
   const analysis::ExtractionResult extraction = extractor.finish();
   const double finish_ms = ms_since(t_finish);
 
-  bench::print_ext_hammer(extraction);
+  // The census passes `unp_report --ext hammer` registers, on the pool.
+  analysis::HammerCensusSet census;
+  const std::vector<analysis::FaultSink*> sinks = census.sinks();
+  std::unique_ptr<ThreadPool> pool;
+  if (opts.threads > 1) pool = std::make_unique<ThreadPool>(opts.threads);
+  const auto t_census = std::chrono::steady_clock::now();
+  analysis::run_fault_sinks(extraction.faults, {config.window}, sinks,
+                            pool.get());
+  const double census_ms = ms_since(t_census);
+
+  bench::print_ext_hammer(census);
 
   std::fprintf(stderr, "\n== unp_hammer: timings ==\n");
   std::fprintf(stderr, "campaign cache %s  fingerprint %016llx\n",
@@ -237,6 +250,9 @@ int run_campaign(const Options& opts) {
                "faults)\n",
                finish_ms,
                static_cast<unsigned long long>(extraction.faults.size()));
+  std::fprintf(stderr, "victim-row census                : %9.1f ms  (%zu "
+               "sinks, %zu thr)\n",
+               census_ms, sinks.size(), opts.threads);
   return 0;
 }
 

@@ -9,10 +9,8 @@
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "dram/mapping/mapping.hpp"
 #include "ecc/engine.hpp"
 #include "ecc/registry.hpp"
-#include "faults/hammer/detect.hpp"
 #include "util/campaign_cache.hpp"
 
 namespace unp::bench {
@@ -809,76 +807,31 @@ void print_ext_ecc(const analysis::ExtractionResult& extraction, FILE* out) {
       "--exhaustive enumerates the full upset spaces behind these rates.)\n");
 }
 
-namespace {
-
-/// Replay the extracted faults through one detector per node (keyed by node
-/// index) under `mapping`.  `fold` wraps each word into the geometry's
-/// address space so every geometry sees every fault; otherwise words past
-/// it are skipped.
-std::map<int, faults::hammer::HammerRowDetector> replay_hammer_detectors(
-    const analysis::ExtractionResult& extraction,
-    const dram::mapping::DramMapping& mapping, bool fold) {
-  const faults::hammer::DetectorConfig detector_config{};
-  const std::uint64_t total = mapping.total_words();  // power of two
-  std::map<int, faults::hammer::HammerRowDetector> per_node;
-  for (const auto& f : extraction.faults) {
-    std::uint64_t word = f.virtual_address / sizeof(Word);
-    if (fold) {
-      word &= total - 1;
-    } else if (word >= total) {
-      continue;
-    }
-    per_node.try_emplace(cluster::node_index(f.node), mapping, detector_config)
-        .first->second.observe(f.first_seen, word);
-  }
-  return per_node;
-}
-
-}  // namespace
-
-void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
+void print_ext_hammer(const analysis::HammerCensusSet& census, FILE* out) {
   print_header(
       "Extension - Rowhammer victim-row census",
       "observed faults re-clustered into DRAM (bank,row) coordinates; rows "
       "with >=3 distinct faulted words inside 6h are access-dependent "
       "signatures (time-driven mechanisms scatter over ~2^21 rows)", out);
 
-  // Per-geometry clustering comparison: decode the SAME fault stream under
+  // Per-geometry clustering comparison: the SAME fault stream decoded under
   // each menu geometry (word indices folded into smaller address spaces, so
-  // every geometry sees every fault) and count rows the detector flags.
-  // Only mappings whose row bits isolate the true physical neighborhoods
-  // concentrate faults onto few rows.
+  // every geometry sees every fault).  Only mappings whose row bits isolate
+  // the true physical neighborhoods concentrate faults onto few rows.
   TextTable table({"Geometry", "Rows trig", "Nodes", "Absorbable",
                    "Max words/row"});
-  for (const std::string& name : dram::mapping::mapping_menu()) {
-    const dram::mapping::DramMapping mapping(
-        dram::mapping::make_mapping_config(name));
-    std::uint64_t rows_triggered = 0;
-    int max_words = 0;
-    std::uint64_t absorbable = 0;
-    std::uint64_t nodes_triggered = 0;
-    for (const auto& [index, det] :
-         replay_hammer_detectors(extraction, mapping, /*fold=*/true)) {
-      rows_triggered += det.detections().size();
-      absorbable += det.absorbable_faults();
-      if (!det.detections().empty()) ++nodes_triggered;
-      for (const auto& d : det.detections()) {
-        max_words = std::max(max_words, d.distinct_words);
-      }
-    }
-    table.add_row({name, format_count(rows_triggered),
-                   format_count(nodes_triggered), format_count(absorbable),
-                   std::to_string(max_words)});
+  for (const auto& sink : census.geometries) {
+    const analysis::HammerCensus& c = sink->census();
+    table.add_row({sink->geometry(), format_count(c.rows_triggered),
+                   format_count(c.nodes_triggered), format_count(c.absorbable),
+                   std::to_string(c.max_words)});
   }
   std::fprintf(out, "per-geometry detector replay (folded decode):\n\n%s\n",
                table.render().c_str());
 
   // Detected-row ledger under the primary geometry, in trigger order per
   // node (node-ordered across the fleet for determinism).
-  const dram::mapping::DramMapping primary(
-      dram::mapping::make_mapping_config("lpddr3:mb"));
-  const std::map<int, faults::hammer::HammerRowDetector> per_node =
-      replay_hammer_detectors(extraction, primary, /*fold=*/false);
+  const analysis::HammerCensus& ledger = census.ledger.census();
   const auto format_utc = [](TimePoint t) {
     const CivilDateTime c = to_civil_utc(t);
     char buf[24];
@@ -887,27 +840,20 @@ void print_ext_hammer(const analysis::ExtractionResult& extraction, FILE* out) {
     return std::string(buf);
   };
   TextTable rows({"Node", "Bank", "Row", "Trigger (UTC)", "Words"});
-  std::uint64_t total_rows = 0, total_absorbable = 0;
-  for (const auto& [index, det] : per_node) {
-    total_absorbable += det.absorbable_faults();
-    const cluster::NodeId id{index / cluster::kSocsPerBlade,
-                             index % cluster::kSocsPerBlade};
-    for (const auto& d : det.detections()) {
-      ++total_rows;
-      if (rows.row_count() < 40) {
-        rows.add_row({cluster::node_name(id), std::to_string(d.bank),
-                      std::to_string(d.row), format_utc(d.trigger_time),
-                      std::to_string(d.distinct_words)});
-      }
-    }
+  for (const analysis::HammerLedgerRow& entry : ledger.ledger) {
+    if (rows.row_count() == 40) break;
+    const faults::hammer::DetectedRow& d = entry.row;
+    rows.add_row({cluster::node_name(cluster::node_from_index(entry.node_index)),
+                  std::to_string(d.bank), std::to_string(d.row),
+                  format_utc(d.trigger_time), std::to_string(d.distinct_words)});
   }
+  const auto total_rows =
+      static_cast<unsigned long long>(ledger.ledger.size());
   std::fprintf(out, "victim rows under lpddr3:mb (first 40 of %llu):\n\n%s\n",
-               static_cast<unsigned long long>(total_rows),
-               rows.render().c_str());
-  std::fprintf(out, "victim rows detected           : %llu\n",
-               static_cast<unsigned long long>(total_rows));
+               total_rows, rows.render().c_str());
+  std::fprintf(out, "victim rows detected           : %llu\n", total_rows);
   std::fprintf(out, "faults a retirement would absorb: %llu\n",
-               static_cast<unsigned long long>(total_absorbable));
+               static_cast<unsigned long long>(ledger.absorbable));
   std::fprintf(out,
       "(dense non-hammer regions - degrading and stuck clusters - also "
       "appear here; the --hammer campaign adds the sharply clustered victim "

@@ -20,6 +20,7 @@
 #include "analysis/bitstats.hpp"
 #include "analysis/extraction.hpp"
 #include "analysis/grouping.hpp"
+#include "analysis/hammer_census.hpp"
 #include "analysis/interarrival.hpp"
 #include "analysis/markov.hpp"
 #include "analysis/metrics.hpp"
@@ -130,12 +131,12 @@ void print_ext_alignment(const analysis::AlignmentStats& stats,
 void print_ext_ecc(const analysis::ExtractionResult& extraction,
                 FILE* out = stdout);
 
-/// Extension: Rowhammer victim-row census — the extracted faults replayed
-/// through the spatial HammerRowDetector under every menu geometry
-/// (dram/mapping), plus the detected-row ledger for the primary geometry.
-/// Pure function of the extraction, so store and live paths render
+/// Extension: Rowhammer victim-row census — the per-geometry products of
+/// the folded census passes (one per dram/mapping menu geometry), plus the
+/// detected-row ledger for the primary geometry.  The passes are fault sinks
+/// (analysis/hammer_census.hpp), so store, live and aggregate paths render
 /// byte-identically.
-void print_ext_hammer(const analysis::ExtractionResult& extraction,
+void print_ext_hammer(const analysis::HammerCensusSet& census,
                 FILE* out = stdout);
 
 }  // namespace unp::bench

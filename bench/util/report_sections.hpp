@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "analysis/bitstats.hpp"
 #include "analysis/fault_sink.hpp"
 #include "analysis/grouping.hpp"
+#include "analysis/hammer_census.hpp"
 #include "analysis/interarrival.hpp"
 #include "analysis/markov.hpp"
 #include "analysis/metrics.hpp"
@@ -87,7 +89,7 @@ struct ReportInputs {
 /// Owns one instance of every fault-level analyzer a report can need and
 /// registers exactly those the wanted sections use.  Feed sinks() one
 /// in-order fault pass (run_fault_sinks or StoreReader::replay), then
-/// render().
+/// render(), which formats their finished products.
 class ReportAnalyzers {
  public:
   explicit ReportAnalyzers(const bool (&wanted)[kSectionCount]);
@@ -125,6 +127,7 @@ class ReportAnalyzers {
   analysis::RegimeDynamicsAnalyzer dynamics_;
   dram::AddressMap address_map_;
   analysis::AlignmentAnalyzer alignment_;
+  std::optional<analysis::HammerCensusSet> hammer_;  ///< with kExtHammer
   std::vector<analysis::FaultSink*> sinks_;
   std::vector<const char*> labels_;
 };

@@ -13,6 +13,7 @@
 #include "analysis/alignment.hpp"
 #include "analysis/bitstats.hpp"
 #include "analysis/grouping.hpp"
+#include "analysis/hammer_census.hpp"
 #include "analysis/interarrival.hpp"
 #include "analysis/markov.hpp"
 #include "analysis/metrics.hpp"
@@ -62,21 +63,28 @@ struct Fleet {
   RegimeDynamicsAnalyzer dynamics;
   dram::AddressMap map{dram::default_geometry()};
   AlignmentAnalyzer alignment{map};
+  HammerCensusSet hammer;  // five folded geometries, then the ledger
 
   std::vector<FaultSink*> sinks() {
-    return {&errors_grid, &patterns,      &adjacency, &direction,
-            &grouping,    &hourly,        &temperature, &daily,
-            &top_nodes,   &node_patterns, &regime,    &interarrival,
-            &dynamics,    &alignment};
+    std::vector<FaultSink*> all = {
+        &errors_grid, &patterns,      &adjacency, &direction,
+        &grouping,    &hourly,        &temperature, &daily,
+        &top_nodes,   &node_patterns, &regime,    &interarrival,
+        &dynamics,    &alignment};
+    for (FaultSink* sink : hammer.sinks()) all.push_back(sink);
+    return all;
   }
 };
 
 const std::vector<const char*>& sink_names() {
   static const std::vector<const char*> names = {
-      "errors_grid", "patterns",      "adjacency", "direction",
-      "grouping",    "hourly",        "temperature", "daily",
-      "top_nodes",   "node_patterns", "regime",    "interarrival",
-      "dynamics",    "alignment"};
+      "errors_grid",     "patterns",        "adjacency",
+      "direction",       "grouping",        "hourly",
+      "temperature",     "daily",           "top_nodes",
+      "node_patterns",   "regime",          "interarrival",
+      "dynamics",        "alignment",       "hammer:ddr3:1ch",
+      "hammer:ddr3:2ch", "hammer:ddr4:1ch", "hammer:ddr4:2ch",
+      "hammer:lpddr3:mb", "hammer-ledger"};
   return names;
 }
 
@@ -180,6 +188,17 @@ TEST(SinkState, AggregatedProductsMatchMonolithic) {
             mono.alignment.spread().mean_span_bytes);
   EXPECT_EQ(total.alignment.spread().max_span_bytes,
             mono.alignment.spread().max_span_bytes);
+  const std::vector<FaultSink*> census_total = total.hammer.sinks();
+  const std::vector<FaultSink*> census_mono = mono.hammer.sinks();
+  for (std::size_t k = 0; k < census_total.size(); ++k) {
+    const auto& t = static_cast<HammerCensusSink*>(census_total[k])->census();
+    const auto& m = static_cast<HammerCensusSink*>(census_mono[k])->census();
+    EXPECT_EQ(t.rows_triggered, m.rows_triggered) << k;
+    EXPECT_EQ(t.nodes_triggered, m.nodes_triggered) << k;
+    EXPECT_EQ(t.absorbable, m.absorbable) << k;
+    EXPECT_EQ(t.max_words, m.max_words) << k;
+    EXPECT_EQ(t.ledger.size(), m.ledger.size()) << k;
+  }
 }
 
 // Mixing locally streamed faults with merged partials is part of the
@@ -233,6 +252,39 @@ TEST(SinkState, MergeRejectsForeignAndCorruptBlobs) {
                ContractViolation);
   // Empty blob.
   EXPECT_THROW(fleet.errors_grid.merge_state(""), ContractViolation);
+
+  // The census sinks hold per-node outcomes; feed one partition so the
+  // blobs carry nodes.
+  Fleet fed;
+  begin_all(fed);
+  feed(fed, 2, 0);
+  HammerCensusSink& ledger = fleet.hammer.ledger;
+  HammerCensusSink& folded = *fleet.hammer.geometries.front();
+  for (HammerCensusSink* sink : {&fed.hammer.ledger,
+                                 fed.hammer.geometries.front().get()}) {
+    const std::string blob = sink->serialize_state();
+    HammerCensusSink& into = sink == &fed.hammer.ledger ? ledger : folded;
+    SCOPED_TRACE(into.label());
+    for (std::size_t cut = 0; cut < blob.size(); ++cut)
+      EXPECT_THROW(into.merge_state(blob.substr(0, cut)), ContractViolation)
+          << "cut " << cut;
+    EXPECT_THROW(into.merge_state(blob + "xx"), ContractViolation);
+    // Wrong tag: another sink's blob, or the other census mode's.
+    EXPECT_THROW(into.merge_state(grid_blob), ContractViolation);
+    EXPECT_THROW(
+        (&into == &ledger ? folded : ledger).merge_state(blob),
+        ContractViolation);
+  }
+  // Same mode, other geometry.
+  EXPECT_THROW(fleet.hammer.geometries[1]->merge_state(
+                   fed.hammer.geometries[0]->serialize_state()),
+               ContractViolation);
+  // None of the rejected blobs merged anything.
+  Fleet empty;
+  begin_all(empty);
+  EXPECT_EQ(ledger.serialize_state(), empty.hammer.ledger.serialize_state());
+  EXPECT_EQ(folded.serialize_state(),
+            empty.hammer.geometries.front()->serialize_state());
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 //
 // A study's stdout does not depend on which other studies run in the same
 // process: --all is the concatenation of every single-study run in --list
-// order.  The fault-only studies read the seed-42 campaign through
-// bench::default_data(), built once per process and shared, so --all loads
-// the cached campaign once.  The counterfactual studies (scrambling,
-// diurnal, altitude, component swap, overheat stress, seed sensitivity)
-// simulate their own variants with sim::run_campaign.
+// order.  Every study streams its campaign; none holds a record archive.
+// The fault-only studies read the seed-42 campaign's extraction and scan
+// profile through bench::default_data(), one cache replay built once per
+// process and shared, so --all replays the cache once for them;
+// ablation_dedup replays it once more, into one extractor per merge window.
+// The counterfactual studies (scrambling, diurnal, altitude, component
+// swap, overheat stress, seed sensitivity) simulate each variant on every
+// hardware thread through bench::simulate_data, uncached.
 //
 // Exit status: 0 when every selected study returns 0 (ext_component_swap
 // returns 1 when the errors do not follow the component), 1 otherwise,
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "analysis/extraction.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -65,17 +70,26 @@ int ablation_dedup() {
       "fault counts must be stable around the chosen window (300 s); "
       "degenerate windows multiply or fuse the weak-bit episodes");
 
-  const bench::CampaignData& data = bench::default_data();
-
-  TextTable table({"Merge window", "Independent faults", "Raw logs kept"});
-  for (std::int64_t window_s : {0L, 60L, 150L, 300L, 900L, 3600L, 86400L}) {
+  // One replay of the default campaign feeds an extractor per window; the
+  // filter candidate's body is shared among them, never copied.
+  constexpr std::int64_t kWindows[] = {0, 60, 150, 300, 900, 3600, 86400};
+  std::vector<analysis::StreamingExtractor> extractors;
+  std::vector<telemetry::RecordSink*> sinks;
+  extractors.reserve(std::size(kWindows));  // sinks point into it
+  for (const std::int64_t window_s : kWindows) {
     analysis::ExtractionConfig config;
     config.merge_window_s = window_s;
-    const analysis::ExtractionResult result =
-        analysis::extract_faults(data.archive, config);
+    sinks.push_back(&extractors.emplace_back(config));
+  }
+  bench::stream_campaign(sim::CampaignConfig{}, analysis::ExtractionConfig{},
+                         sinks, sim::default_campaign_threads());
+
+  TextTable table({"Merge window", "Independent faults", "Raw logs kept"});
+  for (std::size_t i = 0; i < extractors.size(); ++i) {
+    const analysis::ExtractionResult result = extractors[i].finish();
     std::uint64_t raw = 0;
     for (const auto& f : result.faults) raw += f.raw_logs;
-    table.add_row({std::to_string(window_s) + " s",
+    table.add_row({std::to_string(kWindows[i]) + " s",
                    format_count(result.faults.size()), format_count(raw)});
   }
   std::printf("%s\n", table.render().c_str());
@@ -96,10 +110,8 @@ analysis::HourOfDayProfile run_with_amplitude(double amplitude) {
   env::NeutronFluxModel::Config flux;
   flux.solar_amplitude = amplitude;
   config.faults.neutron.flux = env::NeutronFluxModel(flux);
-  const sim::CampaignResult campaign = sim::run_campaign(config);
-  const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
-  return analysis::hour_of_day_profile(extraction.faults);
+  return analysis::hour_of_day_profile(
+      bench::simulate_data(config).extraction.faults);
 }
 
 int ablation_diurnal() {
@@ -183,10 +195,7 @@ analysis::AdjacencyStats run_with_scrambler(const dram::BitScrambler& s) {
   sim::CampaignConfig config;
   config.faults.neutron.scrambler = s;
   config.faults.isolated_sdc.scrambler = s;
-  const sim::CampaignResult campaign = sim::run_campaign(config);
-  const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
-  return analysis::adjacency_stats(extraction.faults);
+  return analysis::adjacency_stats(bench::simulate_data(config).extraction.faults);
 }
 
 int ablation_scrambling() {
@@ -317,9 +326,8 @@ int ext_altitude() {
     config.faults.neutron.multibit_events_fleet *= factor;
     config.faults.neutron.single_shower_events_fleet *= factor;
 
-    const sim::CampaignResult campaign = sim::run_campaign(config);
     const analysis::ExtractionResult extraction =
-        analysis::extract_faults(campaign.archive);
+        bench::simulate_data(config).extraction;
     const analysis::AdjacencyStats adj =
         analysis::adjacency_stats(extraction.faults);
 
@@ -356,7 +364,7 @@ int ext_checkpoint_trace() {
       "bursty fault trace");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.archive.window();
+  const CampaignWindow& window = data.scan.window();
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
       data.extraction.faults, window);
 
@@ -428,9 +436,8 @@ int ext_component_swap() {
   config.faults.degrading.max_rate_per_scanned_hour = 60.0;
   // The administrative outages tied to 02-04's story don't apply here.
   config.wire_special_outages = false;
-  const sim::CampaignResult campaign = sim::run_campaign(config);
   const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
+      bench::simulate_data(config).extraction;
 
   std::uint64_t old_before = 0, old_after = 0, new_before = 0, new_after = 0;
   for (const auto& f : extraction.faults) {
@@ -566,12 +573,13 @@ struct SlotRates {
   }
 };
 
-SlotRates measure(const telemetry::CampaignArchive& archive,
-                  const analysis::ExtractionResult& extraction) {
+SlotRates measure(const bench::CampaignData& data) {
   SlotRates rates;
   for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
     const cluster::NodeId node = cluster::node_from_index(i);
-    const double hours = archive.log(node).monitored_hours();
+    const double hours =
+        data.scan.hours_grid().at(static_cast<std::size_t>(node.blade),
+                                  static_cast<std::size_t>(node.soc));
     if (node.soc == cluster::kOverheatingSoc) {
       rates.soc12_hours += hours;
     } else if (node.soc == cluster::kOverheatingSoc - 1 ||
@@ -579,7 +587,7 @@ SlotRates measure(const telemetry::CampaignArchive& archive,
       rates.neighbor_hours += hours;
     }
   }
-  for (const auto& f : extraction.faults) {
+  for (const auto& f : data.extraction.faults) {
     // Skip the three pathological nodes so the hot-column signal shows.
     if (f.node == cluster::NodeId{2, 4} || f.node == cluster::NodeId{4, 5} ||
         f.node == cluster::NodeId{58, 2}) {
@@ -601,15 +609,12 @@ int ext_overheat_stress() {
       "keeping SoC-12 powered multiplies its scanned hours and exposes the "
       "heat-stressed error rate against its neighbours");
 
-  const bench::CampaignData& data = bench::default_data();
-  const SlotRates baseline = measure(data.archive, data.extraction);
+  const SlotRates baseline = measure(bench::default_data());
 
   sim::CampaignConfig stress;
   // Cancel the admin shutdown: the column stays up all campaign.
   stress.availability.overheat_shutdown = stress.window.end;
-  const sim::CampaignResult stressed = sim::run_campaign(stress);
-  const SlotRates after =
-      measure(stressed.archive, analysis::extract_faults(stressed.archive));
+  const SlotRates after = measure(bench::simulate_data(stress));
 
   TextTable table({"Run", "SoC-12 hours", "SoC-12 errors", "SoC-12 err/Mh",
                    "Neighbor err/Mh"});
@@ -645,7 +650,7 @@ int ext_placement() {
       "avoiding the few loud nodes collapses the memory-error job-kill rate");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.archive.window();
+  const CampaignWindow& window = data.scan.window();
   const cluster::Topology topology =
       sim::campaign_topology(sim::CampaignConfig{});
   const auto& fleet = topology.monitored_nodes();
@@ -686,7 +691,7 @@ int ext_prediction() {
       "short error histories");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.archive.window();
+  const CampaignWindow& window = data.scan.window();
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
       data.extraction.faults, window);
 
@@ -796,8 +801,9 @@ int ext_scrubbing() {
       "node replacement");
 
   const bench::CampaignData& data = bench::default_data();
-  const analysis::HeadlineStats stats =
-      analysis::headline_stats(data.archive, data.extraction);
+  const analysis::HeadlineStats stats = analysis::headline_stats(
+      data.scan.total_monitored_hours(), data.scan.total_terabyte_hours(),
+      data.scan.monitored_nodes(), data.scan.window(), data.extraction);
 
   // Fleet-average single-bit rate per node-hour (dominated by the loud
   // nodes; that is the point).
@@ -850,7 +856,7 @@ int ext_solar_elevation() {
       "exposure-normalized rates must rise monotonically with the sun");
 
   const bench::CampaignData& data = bench::default_data();
-  const CampaignWindow& window = data.archive.window();
+  const CampaignWindow& window = data.scan.window();
 
   // Elevation bands: night, low, mid, high sun.
   const double edges[] = {-90.0, 0.0, 20.0, 40.0, 90.0};
@@ -996,9 +1002,8 @@ int seed_sensitivity() {
   for (const std::uint64_t seed : kSeeds) {
     sim::CampaignConfig config;
     config.seed = seed;
-    const sim::CampaignResult campaign = sim::run_campaign(config);
     const analysis::ExtractionResult extraction =
-        analysis::extract_faults(campaign.archive);
+        bench::simulate_data(config).extraction;
 
     const analysis::AdjacencyStats adj =
         analysis::adjacency_stats(extraction.faults);
@@ -1043,10 +1048,9 @@ struct Study {
   int (*run)();
 };
 
-/// The registry, in --list (and --all) order.  The shared campaign stays
-/// resident from its first use to exit, so the studies that simulate their
-/// own campaigns run before it is loaded: --all then peaks at its largest
-/// study's RSS instead of that plus the ~200 MB shared load.
+/// The registry, in --list (and --all) order.  The shared default_data()
+/// (faults and scan profile, no records) stays resident from its first use
+/// to exit; the studies that simulate their own campaigns come first.
 constexpr Study kStudies[] = {
     // No campaign.
     {"ecc_characterization", ecc_characterization},

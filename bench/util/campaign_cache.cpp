@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 
+#include "analysis/streaming_extractor.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "telemetry/archive_io.hpp"
@@ -82,30 +83,7 @@ void read_cache_header(std::istream& is, std::uint64_t expected) {
   UNP_REQUIRE(fingerprint == expected);
 }
 
-// --- load / store -------------------------------------------------------
-
-/// Reload `archive` from the cache file.  Any format violation reports
-/// failure, leaving `archive` partly filled, and falls back to simulation.
-bool load_cached_archive(const std::string& path, std::uint64_t fingerprint,
-                         telemetry::CampaignArchive& archive) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return false;
-  try {
-    read_cache_header(is, fingerprint);
-
-    // Move each decoded NodeLog straight into the archive rather than
-    // replaying it record-by-record through the sink interface; on the
-    // full campaign that halves reload time.
-    telemetry::ArchiveReader reader(is);
-    archive.begin_campaign(reader.window());
-    cluster::NodeId node{};
-    telemetry::NodeLog log;
-    while (reader.next(node, log)) archive.log(node) = std::move(log);
-  } catch (const ContractViolation&) {
-    return false;
-  }
-  return true;
-}
+// --- replay / spill -----------------------------------------------------
 
 /// Replay the cached record stream through `sink` with full framing,
 /// without materializing an archive.  Returns false (after possibly having
@@ -163,6 +141,17 @@ void simulate_and_spill(const std::string& path, std::uint64_t fingerprint,
   }
 }
 
+/// Push one campaign through a default StreamingExtractor and a
+/// ScanProfileSink: `acquire(sinks)` delivers the record stream.
+template <class Acquire>
+CampaignData collect_data(Acquire acquire) {
+  CampaignData data;
+  analysis::StreamingExtractor extractor;
+  acquire(std::vector<telemetry::RecordSink*>{&extractor, &data.scan});
+  data.extraction = extractor.finish();
+  return data;
+}
+
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const sim::CampaignConfig& config,
@@ -213,22 +202,17 @@ std::uint64_t campaign_fingerprint(const sim::CampaignConfig& config,
 }
 
 const CampaignData& default_data() {
-  static const CampaignData data = [] {
-    const sim::CampaignConfig& config = default_config();
-    const analysis::ExtractionConfig extraction;
-    const std::uint64_t fingerprint = campaign_fingerprint(config, extraction);
-    CampaignData d;
-    const std::string path =
-        cache_disabled() ? std::string{} : cache_path_for(fingerprint);
-    if (path.empty() || !load_cached_archive(path, fingerprint, d.archive)) {
-      d.archive = telemetry::CampaignArchive(config.window);
-      simulate_and_spill(path, fingerprint, config, {&d.archive},
-                         sim::default_campaign_threads());
-    }
-    d.extraction = analysis::extract_faults(d.archive, extraction);
-    return d;
-  }();
+  static const CampaignData data = collect_data([](const auto& sinks) {
+    stream_campaign(default_config(), analysis::ExtractionConfig{}, sinks,
+                    sim::default_campaign_threads());
+  });
   return data;
+}
+
+CampaignData simulate_data(const sim::CampaignConfig& config) {
+  return collect_data([&config](const auto& sinks) {
+    sim::run_campaign_streaming(config, sinks, sim::default_campaign_threads());
+  });
 }
 
 std::string default_cache_path() {

@@ -5,9 +5,10 @@
 // simulates it (multithreaded) while spilling the record stream to a cache
 // file; every later process — unp_report, unp_study, the perf gates —
 // replays that file instead of re-simulating seconds of fleet timeline.
-// Front ends stream it (stream_campaign); default_data() materializes
-// archive and extraction once per process for unp_study's fault-only
-// studies, which need the whole campaign in memory.
+// Every consumer streams it (stream_campaign) through its own sinks; no
+// bench code holds the whole record archive.  default_data() is one such
+// pass into a StreamingExtractor and a ScanProfileSink, kept for the rest
+// of the process for unp_study's fault-only studies.
 //
 // Cache file:
 //
@@ -30,9 +31,10 @@
 // window can never silently pair with pipeline products cached under the
 // default parameters.  A mismatch (changed config or format) invalidates
 // the file and triggers a fresh simulate-and-rewrite.  Nothing else of the
-// CampaignConfig is keyed: a stream_campaign caller that changes the
-// availability, planner, fault-model or session fields must not use the
-// cache (unp_study's counterfactual studies call sim::run_campaign instead).
+// CampaignConfig is keyed: a caller that changes the availability,
+// planner, fault-model or session fields must not use the cache
+// (unp_study's counterfactual studies go through simulate_data, which
+// calls sim::run_campaign_streaming and writes no file).
 // Location: $UNP_CACHE_DIR (default: the system temp dir) /
 // unp_campaign_<fingerprint>.unpc;  UNP_CAMPAIGN_CACHE=off disables the
 // cache entirely.
@@ -43,6 +45,7 @@
 #include <string>
 
 #include "analysis/extraction.hpp"
+#include "analysis/metrics.hpp"
 #include "sim/campaign.hpp"
 #include "sim/shard.hpp"
 #include "telemetry/archive_io.hpp"
@@ -50,10 +53,11 @@
 
 namespace unp::bench {
 
-/// The default campaign's record archive and its extraction.
+/// One campaign's extraction and scan profile, from a single pass of a
+/// StreamingExtractor and a ScanProfileSink over its record stream.
 struct CampaignData {
-  telemetry::CampaignArchive archive;
   analysis::ExtractionResult extraction;
+  analysis::ScanProfileSink scan;
 };
 
 /// Digest of everything that determines the shared pipeline's products:
@@ -75,11 +79,16 @@ struct CampaignData {
     const analysis::ExtractionConfig& extraction,
     const sim::ShardSpec& shard);
 
-/// The default campaign (seed 42) and its default-configuration
-/// extraction, built on first use and shared by every later caller in the
-/// process (reloaded from a valid cache file, else simulated and spilled
-/// for the next process).
+/// The default campaign (seed 42) under the default extraction, built by
+/// one stream_campaign pass on first use and shared by every later caller
+/// in the process (replayed from a valid cache file, else simulated and
+/// spilled for the next process).
 [[nodiscard]] const CampaignData& default_data();
+
+/// `config`'s campaign simulated on sim::default_campaign_threads() threads
+/// straight into the two sinks, under the default extraction.  Uncached:
+/// the fingerprint does not key most of a CampaignConfig (see above).
+[[nodiscard]] CampaignData simulate_data(const sim::CampaignConfig& config);
 
 /// Cache file the default campaign maps to ("" when caching is disabled).
 [[nodiscard]] std::string default_cache_path();

@@ -1,4 +1,5 @@
-// Shared runtime SIMD dispatch: which instruction set the process uses.
+// Shared runtime SIMD dispatch: which instruction set the process uses,
+// and which kernel set of a family runs on it.
 //
 // Exactly two kernel families carry per-ISA sets — the scanner's
 // memory-sweep kernels (src/scanner/kernels) and the store's column-decode
@@ -6,11 +7,10 @@
 // loop and never consults this module.  Both families must agree on the
 // answer to "which ISA runs here?", honour the same
 // UNP_KERNEL=scalar|sse2|avx2|neon override, and latch the decision
-// exactly once per process, so the detection and resolution logic lives in
-// this dependency-free home rather than being duplicated per family.
+// exactly once per process, so the detection, resolution and selection
+// logic lives in this dependency-free home rather than per family.
 //
-// Kernel *sets* stay with their subsystems; this module only answers the
-// ISA question:
+// The ISA question:
 //
 //   - is_supported(isa)      can this CPU execute isa's instructions?
 //   - best_supported_isa()   fastest ISA the CPU reports (avx2 > sse2 >
@@ -18,12 +18,20 @@
 //   - resolve_isa(env, w)    dispatch decision given an UNP_KERNEL value
 //   - active_isa()           the process-wide decision, resolved once from
 //                            the environment on first use
+//
+// Kernel sets stay with their subsystems: each ISA translation unit of a
+// family defines `const Set& kernel_set(simd::KernelTag<Set, isa>)` in the
+// family's namespace, and the two templates below are the one ISA switch
+// (select_kernels) and the one process-wide latch per family
+// (latched_kernels) over them.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/require.hpp"
 
 namespace unp::simd {
 
@@ -54,5 +62,43 @@ enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
 /// the UNP_KERNEL override on first use (a fallback warning goes to stderr
 /// exactly once, no matter how many kernel families consult it).
 [[nodiscard]] Isa active_isa();
+
+/// Names one family's kernel set for one ISA.  The family declares
+/// `const Set& kernel_set(KernelTag<Set, isa>) noexcept` in its own
+/// namespace (found by argument-dependent lookup) for every ISA, and
+/// defines it in the translation unit built for that ISA.  A function, not
+/// an extern object: a cross-TU data reference from a static archive needs
+/// a text relocation under a PIE link, a call does not.
+template <class Set, Isa kIsa>
+struct KernelTag {};
+
+/// `Set`'s kernel set for `isa`; requires is_supported(isa).  Only the
+/// sets the target architecture can express are referenced.
+template <class Set>
+[[nodiscard]] const Set& select_kernels(Isa isa) {
+  UNP_REQUIRE(is_supported(isa));
+  switch (isa) {
+#if defined(__x86_64__) || defined(_M_X64)
+    case Isa::kSse2:
+      return kernel_set(KernelTag<Set, Isa::kSse2>{});
+    case Isa::kAvx2:
+      return kernel_set(KernelTag<Set, Isa::kAvx2>{});
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      return kernel_set(KernelTag<Set, Isa::kNeon>{});
+#endif
+    default:
+      return kernel_set(KernelTag<Set, Isa::kScalar>{});
+  }
+}
+
+/// `Set`'s process-wide kernel set: select_kernels(active_isa()), latched
+/// on first use.
+template <class Set>
+[[nodiscard]] const Set& latched_kernels() {
+  static const Set& active = select_kernels<Set>(active_isa());
+  return active;
+}
 
 }  // namespace unp::simd

@@ -3,7 +3,7 @@
 // so nothing outside it may call these functions without the dispatcher's
 // is_supported() check.  Structure mirrors the SSE2 path: one cache line
 // (two vectors) per iteration, register spill only on the rare mismatch.
-#include "scanner/kernels/kernel_table.hpp"
+#include "scanner/kernels/kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -91,7 +91,7 @@ void verify_avx2(Word* data, std::size_t n, std::uint64_t base_index,
 
 }  // namespace
 
-const Kernels& avx2_kernel_set() noexcept {
+const Kernels& kernel_set(simd::KernelTag<Kernels, Isa::kAvx2>) noexcept {
   static const Kernels k{Isa::kAvx2, "avx2", &fill_avx2, &verify_avx2};
   return k;
 }

@@ -79,12 +79,27 @@ using simd::parse_isa;
 using simd::resolve_isa;
 using simd::supported_isas;
 
+// Each ISA's set, defined in that ISA's translation unit (which preprocesses
+// to nothing off its architecture); reached only through simd::select_kernels.
+[[nodiscard]] const Kernels& kernel_set(
+    simd::KernelTag<Kernels, Isa::kScalar>) noexcept;
+[[nodiscard]] const Kernels& kernel_set(
+    simd::KernelTag<Kernels, Isa::kSse2>) noexcept;
+[[nodiscard]] const Kernels& kernel_set(
+    simd::KernelTag<Kernels, Isa::kAvx2>) noexcept;
+[[nodiscard]] const Kernels& kernel_set(
+    simd::KernelTag<Kernels, Isa::kNeon>) noexcept;
+
 /// Kernel set for `isa`; requires is_supported(isa).
-[[nodiscard]] const Kernels& kernels_for(Isa isa);
+[[nodiscard]] inline const Kernels& kernels_for(Isa isa) {
+  return simd::select_kernels<Kernels>(isa);
+}
 
 /// The process-wide kernel set: resolved once from cpuid/HWCAP and the
 /// UNP_KERNEL override on first use (a fallback warning goes to stderr).
-[[nodiscard]] const Kernels& active_kernels();
+[[nodiscard]] inline const Kernels& active_kernels() {
+  return simd::latched_kernels<Kernels>();
+}
 
 /// Buffers larger than this benefit from non-temporal stores: a sweep
 /// touches every line exactly once, so caching the buffer only evicts

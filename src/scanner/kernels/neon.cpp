@@ -3,7 +3,7 @@
 // non-temporal word store exposed through NEON intrinsics (STNP is a pair
 // store the compiler may or may not emit), so the nontemporal hint is
 // accepted and ignored — the contract allows that.
-#include "scanner/kernels/kernel_table.hpp"
+#include "scanner/kernels/kernels.hpp"
 
 #if defined(__aarch64__)
 
@@ -71,7 +71,7 @@ void verify_neon(Word* data, std::size_t n, std::uint64_t base_index,
 
 }  // namespace
 
-const Kernels& neon_kernel_set() noexcept {
+const Kernels& kernel_set(simd::KernelTag<Kernels, Isa::kNeon>) noexcept {
   static const Kernels k{Isa::kNeon, "neon", &fill_neon, &verify_neon};
   return k;
 }

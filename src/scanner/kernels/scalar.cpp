@@ -45,7 +45,7 @@ void verify_scalar(Word* data, std::size_t n, std::uint64_t base_index,
 
 }  // namespace
 
-const Kernels& scalar_kernel_set() noexcept {
+const Kernels& kernel_set(simd::KernelTag<Kernels, Isa::kScalar>) noexcept {
   static const Kernels k{Isa::kScalar, "scalar", &fill_scalar,
                          &verify_scalar};
   return k;

@@ -4,7 +4,7 @@
 // healthy path — spills the loaded registers to re-check lane by lane.
 // Mismatch reports therefore stay in ascending address order and carry the
 // pre-overwrite values, exactly like the scalar oracle.
-#include "scanner/kernels/kernel_table.hpp"
+#include "scanner/kernels/kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -105,7 +105,7 @@ void verify_sse2(Word* data, std::size_t n, std::uint64_t base_index,
 
 }  // namespace
 
-const Kernels& sse2_kernel_set() noexcept {
+const Kernels& kernel_set(simd::KernelTag<Kernels, Isa::kSse2>) noexcept {
   static const Kernels k{Isa::kSse2, "sse2", &fill_sse2, &verify_sse2};
   return k;
 }

@@ -135,8 +135,9 @@ CampaignSummary run_campaign_streaming(
 /// Thread count used for the default campaign: every hardware thread.
 [[nodiscard]] std::size_t default_campaign_threads() noexcept;
 
-/// The calibrated default campaign (seed 42) used by every bench binary.
-/// Simulated multithreaded on first use (identical to a 1-thread run).
+/// The calibrated default campaign (seed 42), materialized for tests and
+/// examples (bench binaries stream it instead).  Simulated multithreaded on
+/// first use (identical to a 1-thread run).
 [[nodiscard]] const CampaignResult& default_campaign();
 
 }  // namespace unp::sim

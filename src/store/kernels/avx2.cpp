@@ -218,7 +218,8 @@ void mask_class_avx2(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
-const StoreKernels& avx2_store_kernel_set() noexcept {
+const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kAvx2>) noexcept {
   static constexpr StoreKernels kSet{
       Isa::kAvx2,          "avx2",
       decode_varints_avx2, unpack_bits_avx2,

@@ -1,7 +1,5 @@
-// Internal: the per-ISA store kernel set objects.  Each ISA translation
-// unit defines its set behind an architecture guard; the dispatcher links
-// only the ones the target architecture can express (runtime support is a
-// separate cpuid/HWCAP question answered by simd::is_supported()).
+// Internal: what the per-ISA store kernel translation units share.  Each
+// defines its set (kernel_set, kernels.hpp) behind an architecture guard.
 #pragma once
 
 #include <bit>
@@ -14,19 +12,6 @@
 #include "store/kernels/kernels.hpp"
 
 namespace unp::store::kernels {
-
-// Accessor functions (not extern const objects): cross-TU data references
-// from a static archive need text relocations under a PIE link, calls don't.
-[[nodiscard]] const StoreKernels& scalar_store_kernel_set() noexcept;
-
-#if defined(__x86_64__) || defined(_M_X64)
-[[nodiscard]] const StoreKernels& sse2_store_kernel_set() noexcept;
-[[nodiscard]] const StoreKernels& avx2_store_kernel_set() noexcept;
-#endif
-
-#if defined(__aarch64__)
-[[nodiscard]] const StoreKernels& neon_store_kernel_set() noexcept;
-#endif
 
 // Scalar building blocks the vector TUs reuse for tails and mixed blocks.
 // decode_varints_scalar IS telemetry::get_varint in a loop, so it defines

@@ -88,11 +88,26 @@ struct StoreKernels {
   DecodeZigzagDeltasFn decode_zigzag_deltas = nullptr;
 };
 
+// Each ISA's set, defined in that ISA's translation unit (which preprocesses
+// to nothing off its architecture); reached only through simd::select_kernels.
+[[nodiscard]] const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kScalar>) noexcept;
+[[nodiscard]] const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kSse2>) noexcept;
+[[nodiscard]] const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kAvx2>) noexcept;
+[[nodiscard]] const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kNeon>) noexcept;
+
 /// Kernel set for `isa`; requires simd::is_supported(isa).
-[[nodiscard]] const StoreKernels& store_kernels_for(Isa isa);
+[[nodiscard]] inline const StoreKernels& store_kernels_for(Isa isa) {
+  return simd::select_kernels<StoreKernels>(isa);
+}
 
 /// The process-wide set: resolved once alongside the scanner's from
 /// cpuid/HWCAP and the UNP_KERNEL override.
-[[nodiscard]] const StoreKernels& active_store_kernels();
+[[nodiscard]] inline const StoreKernels& active_store_kernels() {
+  return simd::latched_kernels<StoreKernels>();
+}
 
 }  // namespace unp::store::kernels

@@ -137,7 +137,8 @@ void mask_class_neon(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
-const StoreKernels& neon_store_kernel_set() noexcept {
+const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kNeon>) noexcept {
   static constexpr StoreKernels kSet{
       Isa::kNeon,          "neon",
       decode_varints_neon, unpack_bits_neon,

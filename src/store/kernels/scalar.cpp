@@ -75,7 +75,8 @@ void mask_class_scalar(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
-const StoreKernels& scalar_store_kernel_set() noexcept {
+const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kScalar>) noexcept {
   static constexpr StoreKernels kSet{
       Isa::kScalar,          "scalar",
       decode_varints_scalar, unpack_bits_scalar,

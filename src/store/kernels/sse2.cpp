@@ -171,7 +171,8 @@ void mask_class_sse2(const std::uint8_t* codes, std::size_t n,
 
 }  // namespace
 
-const StoreKernels& sse2_store_kernel_set() noexcept {
+const StoreKernels& kernel_set(
+    simd::KernelTag<StoreKernels, Isa::kSse2>) noexcept {
   static constexpr StoreKernels kSet{
       Isa::kSse2,          "sse2",
       decode_varints_sse2, unpack_bits_sse2,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -110,12 +111,15 @@ TEST(StreamingExtractor, BitIdenticalToBatchOnDefaultCampaign) {
 }
 
 // The warm report's feed: a cache replay decodes a frame's runs only when
-// the extractor collapses the node.  In every case the result is
-// bit-identical to the batch extraction, and the drain's counts show what
-// was decoded: under the defaults the filter candidate 21-07 is dropped
-// without ever being unpacked; a filter that keeps it decodes its held body
-// at finish(), after the drain; an observer, owed every node's faults at
-// its end_node, decodes every frame.
+// an extractor collapses the node.  In every case each extractor's result
+// is bit-identical to the batch extraction under its config, and the
+// drain's counts show what was decoded: under the defaults the filter
+// candidate 21-07 is dropped without ever being unpacked; a filter that
+// keeps it decodes its held body at finish(), after the drain; an
+// observer, owed every node's faults at its end_node, decodes every frame.
+// Several extractors with different merge windows behind one FanOutSink
+// (unp_study's ablation_dedup) share each frame and 21-07's held body, and
+// 21-07 is still only counted.
 TEST(StreamingExtractor, ReplayDecodesOnlyTheNodesItCollapses) {
   const sim::CampaignResult& campaign = sim::default_campaign();
   const cluster::NodeId heavy{21, 7};
@@ -128,36 +132,49 @@ TEST(StreamingExtractor, ReplayDecodesOnlyTheNodesItCollapses) {
 
   ExtractionConfig keeps_candidate;
   keeps_candidate.pathological_raw_fraction = 0.999;
+  std::vector<ExtractionConfig> merge_windows;
+  for (const std::int64_t window_s : {0, 300, 86400}) {
+    merge_windows.emplace_back().merge_window_s = window_s;
+  }
   struct Case {
     const char* name;
-    ExtractionConfig config;
+    std::vector<ExtractionConfig> configs;  ///< one extractor each
     bool observe;
     std::uint64_t decoded;
   };
   const Case cases[] = {
-      {"defaults", ExtractionConfig{}, false, total_runs - heavy_runs},
-      {"filter keeps the candidate", keeps_candidate, false,
+      {"defaults", {ExtractionConfig{}}, false, total_runs - heavy_runs},
+      {"filter keeps the candidate", {keeps_candidate}, false,
        total_runs - heavy_runs},
-      {"observer", ExtractionConfig{}, true, total_runs},
+      {"observer", {ExtractionConfig{}}, true, total_runs},
+      {"three merge windows on one drain", merge_windows, false,
+       total_runs - heavy_runs},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    StreamingExtractor extractor(c.config);
+    std::vector<StreamingExtractor> extractors(c.configs.begin(),
+                                               c.configs.end());
+    telemetry::FanOutSink fan;
+    for (StreamingExtractor& extractor : extractors) fan.add(extractor);
     std::size_t observed = 0;
     if (c.observe)
-      extractor.set_node_observer(
+      extractors.front().set_node_observer(
           [&](cluster::NodeId, std::span<const FaultRecord> faults) {
             observed += faults.size();
           });
     std::istringstream is(default_stream(), std::ios::binary);
-    const telemetry::ReplayStats stats =
-        telemetry::ArchiveReader(is).drain(extractor);
+    const telemetry::ReplayStats stats = telemetry::ArchiveReader(is).drain(fan);
     EXPECT_EQ(stats.runs_decoded, c.decoded);
     EXPECT_EQ(stats.runs_decoded + stats.runs_counted, total_runs);
-    const ExtractionResult batch = extract_faults(campaign.archive, c.config);
-    expect_identical(extractor.finish(), batch);
-    if (c.observe) {
-      EXPECT_GT(observed, batch.faults.size());
+    for (std::size_t i = 0; i < extractors.size(); ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "merge window " << c.configs[i].merge_window_s << " s");
+      const ExtractionResult batch =
+          extract_faults(campaign.archive, c.configs[i]);
+      expect_identical(extractors[i].finish(), batch);
+      if (c.observe) {
+        EXPECT_GT(observed, batch.faults.size());
+      }
     }
   }
 }

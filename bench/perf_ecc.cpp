@@ -34,6 +34,7 @@
 #include "common/thread_pool.hpp"
 #include "ecc/engine.hpp"
 #include "ecc/registry.hpp"
+#include "util/bench_json.hpp"
 #include "util/campaign_cache.hpp"
 #include "util/cli_args.hpp"
 
@@ -79,11 +80,7 @@ void write_json(const std::string& path, unsigned hw_threads,
                 std::uint64_t patterns, double t1_s, double t8_s,
                 double speedup, double required, bool scaling_ok,
                 bool invariance_ok, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_ecc\",\n"

@@ -30,6 +30,7 @@
 #include "policy/hammer.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/sink.hpp"
+#include "util/bench_json.hpp"
 #include "util/campaign_cache.hpp"
 #include "util/cli_args.hpp"
 
@@ -122,11 +123,7 @@ void write_json(const std::string& path, bool solver_ok, double baseline_s,
                 std::uint64_t true_rows, std::uint64_t retired_true,
                 std::uint64_t retired_spurious, std::uint64_t rows_retired,
                 double recall, bool mitigation_ok, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_hammer\",\n"

@@ -27,6 +27,7 @@
 #include "common/thread_pool.hpp"
 #include "scanner/kernels/kernels.hpp"
 #include "scanner/real_backend.hpp"
+#include "util/bench_json.hpp"
 
 namespace kernels = unp::scanner::kernels;
 
@@ -110,11 +111,7 @@ Row measure(kernels::Isa isa, std::uint64_t bytes, std::size_t threads,
 void write_json(const std::string& path, const std::vector<Row>& rows,
                 kernels::Isa best, double min_speedup,
                 double measured_speedup, bool gated, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f, "{\n  \"bench\": \"scanner_kernels\",\n");
   std::fprintf(f, "  \"active_kernel\": \"%s\",\n",
                kernels::active_kernels().name);

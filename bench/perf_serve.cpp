@@ -33,6 +33,7 @@
 #include "store/handle.hpp"
 #include "store/kernels/kernels.hpp"
 #include "store/reader.hpp"
+#include "util/bench_json.hpp"
 #include "util/campaign_cache.hpp"
 #include "util/cli_args.hpp"
 #include "util/query_render.hpp"
@@ -111,11 +112,7 @@ void write_json(const std::string& path, double scalar_gbps, double simd_gbps,
                 double speedup, const char* simd_name, bool identical,
                 std::size_t client_threads, std::size_t requests,
                 double p50_ms, double p99_ms, double qps, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_serve\",\n"

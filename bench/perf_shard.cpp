@@ -33,6 +33,7 @@
 #include "sim/campaign.hpp"
 #include "sim/shard.hpp"
 #include "telemetry/shard_merge.hpp"
+#include "util/bench_json.hpp"
 #include "util/campaign_cache.hpp"
 #include "util/cli_args.hpp"
 
@@ -130,11 +131,7 @@ bool run_exactness_canary(std::size_t threads) {
 void write_json(const std::string& path, bool canary, int members,
                 double node_days, double elapsed_s, double throughput,
                 double rss_mib, bool rss_ok, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  std::FILE* f = bench::open_json(path);
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"perf_shard\",\n"

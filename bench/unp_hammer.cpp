@@ -217,7 +217,7 @@ int run_solve(const Options& opts) {
   return all_exact ? 0 : 1;
 }
 
-int run_campaign(const Options& opts) {
+int run_census(const Options& opts) {
   const sim::CampaignConfig config = hammer_campaign(opts);
   analysis::StreamingExtractor extractor(opts.extraction);
   const bench::StreamStats acquire = bench::stream_campaign(
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opts)) return 2;
   try {
     if (opts.solve) return run_solve(opts);
-    if (opts.campaign) return run_campaign(opts);
+    if (opts.campaign) return run_census(opts);
     return run_mitigate(opts);
   } catch (const ContractViolation& e) {
     std::fprintf(stderr, "unp_hammer: fatal: %s\n", e.what());

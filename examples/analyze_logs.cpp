@@ -9,19 +9,28 @@
 //   analyze_logs node1.log node2.log ...       # analyze text log files
 //
 // --archive reads any UNPS stream: an --export-archive file or the merged
-// output of `unp_campaign --merge`.
+// output of `unp_campaign --merge`.  Either way the records stream through
+// the extractor and the scan profile; no input is held whole.
 //
 // Text logs use the line format produced by live_scan / telemetry codec;
-// each file may contain records of one node (host= field names it).
+// each file holds the records of one node (the host= field of its first
+// record names it).  A file with no records is skipped with a warning; two
+// files for one node are an error.  A missing or corrupt input ends in a
+// message and exit status 1.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "analysis/bitstats.hpp"
 #include "analysis/grouping.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
+#include "analysis/streaming_extractor.hpp"
+#include "common/require.hpp"
 #include "common/table.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/archive_io.hpp"
@@ -31,10 +40,24 @@ namespace {
 
 using namespace unp;
 
-void report(const telemetry::CampaignArchive& archive) {
-  const analysis::ExtractionResult extraction = analysis::extract_faults(archive);
-  const analysis::HeadlineStats stats =
-      analysis::headline_stats(archive, extraction);
+/// The two sinks every input streams through.
+struct Analysis {
+  analysis::StreamingExtractor extractor;
+  analysis::ScanProfileSink scan;
+  telemetry::FanOutSink fan;
+
+  Analysis() {
+    fan.add(extractor);
+    fan.add(scan);
+  }
+};
+
+void report(Analysis& in) {
+  const analysis::ExtractionResult extraction = in.extractor.finish();
+  const analysis::ScanProfileSink& scan = in.scan;
+  const analysis::HeadlineStats stats = analysis::headline_stats(
+      scan.total_monitored_hours(), scan.total_terabyte_hours(),
+      scan.monitored_nodes(), scan.window(), extraction);
 
   std::printf("== headline =============================================\n");
   std::printf("nodes with data      : %d\n", stats.monitored_nodes);
@@ -78,7 +101,7 @@ void report(const telemetry::CampaignArchive& archive) {
 
   std::printf("\n== spatial concentration ================================\n");
   const analysis::TopNodeSeries top =
-      analysis::top_node_series(extraction.faults, archive.window());
+      analysis::top_node_series(extraction.faults, scan.window());
   for (std::size_t k = 0; k < top.nodes.size(); ++k) {
     const analysis::NodePatternProfile profile =
         analysis::node_pattern_profile(extraction.faults, top.nodes[k]);
@@ -99,7 +122,7 @@ void report(const telemetry::CampaignArchive& archive) {
 
   std::printf("\n== regimes ==============================================\n");
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
-      extraction.faults, archive.window());
+      extraction.faults, scan.window());
   std::printf("normal days %llu (MTBF %.1f h) / degraded days %llu (MTBF %.2f h)\n",
               static_cast<unsigned long long>(regimes.regime.normal_days),
               regimes.regime.normal_mtbf_hours,
@@ -107,43 +130,89 @@ void report(const telemetry::CampaignArchive& archive) {
               regimes.regime.degraded_mtbf_hours);
 }
 
-}  // namespace
+/// The node a text log's records belong to, or nullopt for a log with no
+/// records.
+std::optional<cluster::NodeId> log_node(const telemetry::NodeLog& log) {
+  if (!log.starts().empty()) return log.starts()[0].node;
+  if (!log.error_runs().empty()) return log.error_runs()[0].first.node;
+  if (!log.ends().empty()) return log.ends()[0].node;
+  if (!log.alloc_fails().empty()) return log.alloc_fails()[0].node;
+  return std::nullopt;
+}
 
-int main(int argc, char** argv) {
+/// Analyze text node logs: one node per file, fed in ascending node order.
+int analyze_text_logs(int argc, char** argv) {
+  std::map<int, telemetry::NodeLog> logs;  // by node index
+  for (int i = 1; i < argc; ++i) {
+    std::ifstream is(argv[i]);
+    if (!is.good()) {
+      std::fprintf(stderr, "cannot open %s\n", argv[i]);
+      return 1;
+    }
+    telemetry::NodeLog log = telemetry::read_node_log(is);
+    const std::optional<cluster::NodeId> node = log_node(log);
+    if (!node) {
+      std::fprintf(stderr, "warning: %s holds no records; skipped\n", argv[i]);
+      continue;
+    }
+    if (!logs.try_emplace(cluster::node_index(*node), std::move(log)).second) {
+      std::fprintf(stderr, "%s: a second log for node %s\n", argv[i],
+                   cluster::node_name(*node).c_str());
+      return 1;
+    }
+  }
+  Analysis in;
+  in.fan.begin_campaign(CampaignWindow{});
+  for (const auto& [index, log] : logs) {
+    const cluster::NodeId node = cluster::node_from_index(index);
+    in.fan.begin_node(node);
+    telemetry::replay_node_log(log, in.fan);
+    in.fan.end_node(node);
+  }
+  in.fan.end_campaign();
+  report(in);
+  return 0;
+}
+
+int run(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "--export-archive") == 0) {
-    std::printf("simulating the default campaign...\n");
-    const sim::CampaignResult& campaign = sim::default_campaign();
     std::ofstream os(argv[2], std::ios::binary | std::ios::trunc);
-    telemetry::save_archive_stream(campaign.archive, os);
+    if (!os.good()) {
+      std::fprintf(stderr, "cannot write %s\n", argv[2]);
+      return 1;
+    }
+    std::printf("simulating the default campaign...\n");
+    telemetry::ArchiveWriter writer(os);
+    (void)sim::run_campaign_streaming(sim::CampaignConfig{}, {&writer},
+                                      sim::default_campaign_threads());
     std::printf("wrote %s\n", argv[2]);
     return 0;
   }
   if (argc >= 3 && std::strcmp(argv[1], "--archive") == 0) {
-    report(telemetry::load_archive_stream(argv[2]));
-    return 0;
-  }
-  if (argc >= 2 && argv[1][0] != '-') {
-    telemetry::CampaignArchive archive;
-    for (int i = 1; i < argc; ++i) {
-      std::ifstream is(argv[i]);
-      if (!is.good()) {
-        std::fprintf(stderr, "cannot open %s\n", argv[i]);
-        return 1;
-      }
-      const telemetry::NodeLog log = telemetry::read_node_log(is);
-      // Route records into the archive by the host field of each class.
-      const cluster::NodeId node =
-          !log.starts().empty()       ? log.starts()[0].node
-          : !log.error_runs().empty() ? log.error_runs()[0].first.node
-          : !log.ends().empty()       ? log.ends()[0].node
-                                      : cluster::NodeId{0, 1};
-      archive.log(node) = log;
+    std::ifstream is(argv[2], std::ios::binary);
+    if (!is.good()) {
+      std::fprintf(stderr, "cannot open %s\n", argv[2]);
+      return 1;
     }
-    report(archive);
+    Analysis in;
+    (void)telemetry::ArchiveReader(is).drain(in.fan);
+    report(in);
     return 0;
   }
+  if (argc >= 2 && argv[1][0] != '-') return analyze_text_logs(argc, argv);
   std::fprintf(stderr,
                "usage: analyze_logs --export-archive <file> | --archive <file> "
                "| <node.log> ...\n");
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const ContractViolation& e) {  // DecodeError included
+    std::fprintf(stderr, "analyze_logs: %s\n", e.what());
+    return 1;
+  }
 }

@@ -14,14 +14,39 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/bitstats.hpp"
 #include "analysis/export.hpp"
 #include "analysis/grouping.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/codec.hpp"
+#include "telemetry/sink.hpp"
+
+namespace {
+
+/// Keeps the records of one node, for --dump-node.
+class NodeLogCapture final : public unp::telemetry::RecordSink {
+ public:
+  explicit NodeLogCapture(unp::cluster::NodeId node) : node_(node) {}
+  unp::telemetry::NodeLog log;
+
+  void on_node_log(unp::telemetry::EncodedNodeLog& enc) override {
+    if (enc.node() == node_) log = enc.log();
+  }
+  void on_start(const unp::telemetry::StartRecord&) override {}
+  void on_end(const unp::telemetry::EndRecord&) override {}
+  void on_alloc_fail(const unp::telemetry::AllocFailRecord&) override {}
+  void on_error_run(const unp::telemetry::ErrorRun&) override {}
+
+ private:
+  unp::cluster::NodeId node_;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace unp;
@@ -75,25 +100,31 @@ int main(int argc, char** argv) {
 
   std::printf("running campaign: seed=%llu months=%d ...\n",
               static_cast<unsigned long long>(config.seed), months);
-  const sim::CampaignResult campaign = sim::run_campaign(config);
-  const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
+  analysis::StreamingExtractor extractor;
+  analysis::ScanProfileSink scan;
+  std::vector<telemetry::RecordSink*> sinks{&extractor, &scan};
+  NodeLogCapture capture(dump_node.empty() ? cluster::NodeId{}
+                                           : cluster::parse_node_name(dump_node));
+  if (!dump_node.empty()) sinks.push_back(&capture);
+  (void)sim::run_campaign_streaming(config, sinks,
+                                    sim::default_campaign_threads());
+  const analysis::ExtractionResult extraction = extractor.finish();
 
   if (!export_dir.empty()) {
-    const int files = analysis::write_figure_bundle(export_dir,
-                                                    campaign.archive, extraction);
+    const int files =
+        analysis::write_figure_bundle(export_dir, scan, extraction);
     std::printf("wrote %d CSV files to %s\n", files, export_dir.c_str());
   }
 
   if (!dump_node.empty()) {
-    const cluster::NodeId node = cluster::parse_node_name(dump_node);
     std::printf("---- raw log of node %s ----\n", dump_node.c_str());
-    telemetry::write_node_log(std::cout, campaign.archive.log(node));
+    telemetry::write_node_log(std::cout, capture.log);
     return 0;
   }
 
-  const analysis::HeadlineStats stats =
-      analysis::headline_stats(campaign.archive, extraction);
+  const analysis::HeadlineStats stats = analysis::headline_stats(
+      scan.total_monitored_hours(), scan.total_terabyte_hours(),
+      scan.monitored_nodes(), scan.window(), extraction);
   std::printf("\nnodes=%d  node-hours=%.0f  TB-h=%.0f\n", stats.monitored_nodes,
               stats.monitored_node_hours, stats.terabyte_hours);
   std::printf("raw logs=%llu  independent faults=%llu  cluster error every "
@@ -118,7 +149,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(co.max_bits_one_instant));
 
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
-      extraction.faults, campaign.archive.window());
+      extraction.faults, scan.window());
   std::printf("regimes: %llu normal days (MTBF %.0f h), %llu degraded days "
               "(MTBF %.2f h)%s\n",
               static_cast<unsigned long long>(regimes.regime.normal_days),

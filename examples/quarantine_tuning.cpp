@@ -6,9 +6,13 @@
 // page retirement would do in production.
 #include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "analysis/extraction.hpp"
 #include "analysis/regime.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "common/table.hpp"
 #include "policy/builtin.hpp"
 #include "policy/engine.hpp"
@@ -16,16 +20,22 @@
 #include "resilience/page_retirement.hpp"
 #include "resilience/quarantine.hpp"
 #include "sim/campaign.hpp"
-#include "telemetry/sink.hpp"
+#include "telemetry/archive_io.hpp"
 
 int main() {
   using namespace unp;
 
+  // One simulation feeds the extractor and spills the record stream (UNPS,
+  // in memory), which the online evaluation below replays.
   std::printf("replaying the 13-month campaign...\n");
-  const sim::CampaignResult& campaign = sim::default_campaign();
-  const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
-  const CampaignWindow& window = campaign.archive.window();
+  const sim::CampaignConfig campaign;
+  const CampaignWindow& window = campaign.window;
+  analysis::StreamingExtractor extractor;
+  std::ostringstream spill(std::ios::binary);
+  telemetry::ArchiveWriter writer(spill);
+  (void)sim::run_campaign_streaming(campaign, {&extractor, &writer},
+                                    sim::default_campaign_threads());
+  const analysis::ExtractionResult extraction = extractor.finish();
 
   // Pull the permanently failing node like the paper does.
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
@@ -118,14 +128,8 @@ int main() {
   engine.add_policy(std::make_unique<policy::PredictiveQuarantinePolicy>());
   engine.add_policy(std::make_unique<policy::AdaptiveCheckpointPolicy>());
 
-  engine.begin_campaign(window);
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    engine.begin_node(node);
-    telemetry::replay_node_log(campaign.archive.log(node), engine);
-    engine.end_node(node);
-  }
-  engine.end_campaign();
+  std::istringstream replay(std::move(spill).str(), std::ios::binary);
+  (void)telemetry::ArchiveReader(replay).drain(engine);
   const policy::EngineResult shadow = engine.finish();
 
   TextTable online({"Policy", "Errors", "Entries", "Node-days", "MTBF (h)"});

@@ -3,8 +3,9 @@
 // look at first.
 //
 // This walks the library's central pipeline:
-//   CampaignConfig -> run_campaign -> CampaignArchive
-//                  -> extract_faults -> FaultRecords
+//   CampaignConfig -> run_campaign_streaming -> record stream
+//                  -> StreamingExtractor -> FaultRecords
+//                     ScanProfileSink    -> scan totals
 //                  -> metrics / regime / resilience policies
 #include <cstdio>
 
@@ -12,6 +13,7 @@
 #include "analysis/extraction.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/regime.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "resilience/quarantine.hpp"
 #include "sim/campaign.hpp"
 
@@ -27,14 +29,18 @@ int main() {
 
   std::printf("running a 30-day campaign over %d candidate nodes...\n",
               cluster::kStudyNodeSlots);
-  const sim::CampaignResult campaign = sim::run_campaign(config);
+  // 2. Stream the campaign's records into two sinks: the extractor turns
+  //    raw logs into independent faults (Section II-C rules), the scan
+  //    profile totals the hours and terabyte-hours scanned.
+  analysis::StreamingExtractor extractor;
+  analysis::ScanProfileSink scan;
+  (void)sim::run_campaign_streaming(config, {&extractor, &scan},
+                                    sim::default_campaign_threads());
+  const analysis::ExtractionResult extraction = extractor.finish();
 
-  // 2. Extraction: raw logs -> independent faults (Section II-C rules).
-  const analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
-
-  const analysis::HeadlineStats stats =
-      analysis::headline_stats(campaign.archive, extraction);
+  const analysis::HeadlineStats stats = analysis::headline_stats(
+      scan.total_monitored_hours(), scan.total_terabyte_hours(),
+      scan.monitored_nodes(), scan.window(), extraction);
   std::printf("\n-- campaign summary ------------------------------------\n");
   std::printf("monitored nodes      : %d\n", stats.monitored_nodes);
   std::printf("node-hours scanned   : %.0f\n", stats.monitored_node_hours);

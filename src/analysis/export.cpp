@@ -76,10 +76,9 @@ std::string csv_temperature_profile(const TemperatureProfile& profile) {
   return out;
 }
 
-std::string csv_daily(const telemetry::CampaignArchive& archive,
-                      FaultView faults) {
-  const CampaignWindow& window = archive.window();
-  const std::vector<double> tbh = daily_terabyte_hours(archive);
+std::string csv_daily(const ScanProfileSink& scan, FaultView faults) {
+  const CampaignWindow& window = scan.window();
+  const std::vector<double>& tbh = scan.daily_terabyte_hours();
   const auto errors = daily_errors(faults, window);
 
   std::string out = "day,date,tbh_scanned,errors,multibit_errors\n";
@@ -130,7 +129,7 @@ std::string csv_viewpoints(const MultibitViewpoints& viewpoints) {
 }
 
 int write_figure_bundle(const std::string& directory,
-                        const telemetry::CampaignArchive& archive,
+                        const ScanProfileSink& scan,
                         const ExtractionResult& extraction) {
   std::filesystem::create_directories(directory);
   int files = 0;
@@ -144,9 +143,9 @@ int write_figure_bundle(const std::string& directory,
   };
 
   write("fig01_hours_scanned.csv",
-        csv_grid(hours_scanned_grid(archive), "hours"));
+        csv_grid(scan.hours_grid(), "hours"));
   write("fig02_terabyte_hours.csv",
-        csv_grid(terabyte_hours_grid(archive), "terabyte_hours"));
+        csv_grid(scan.terabyte_hours_grid(), "terabyte_hours"));
   write("fig03_errors_per_node.csv",
         csv_grid(errors_grid(extraction.faults), "errors"));
   const auto groups = group_simultaneous(extraction.faults);
@@ -155,7 +154,7 @@ int write_figure_bundle(const std::string& directory,
         csv_hour_profile(hour_of_day_profile(extraction.faults)));
   write("fig07_fig08_temperature.csv",
         csv_temperature_profile(temperature_profile(extraction.faults)));
-  write("fig09_fig10_fig11_daily.csv", csv_daily(archive, extraction.faults));
+  write("fig09_fig10_fig11_daily.csv", csv_daily(scan, extraction.faults));
   write("faults.csv", csv_faults(extraction.faults));
   return files;
 }

@@ -12,7 +12,6 @@
 #include "analysis/grouping.hpp"
 #include "analysis/metrics.hpp"
 #include "common/histogram.hpp"
-#include "telemetry/archive.hpp"
 
 namespace unp::analysis {
 
@@ -25,8 +24,9 @@ namespace unp::analysis {
 /// Temperature CSV: "bin_lo_c,bin_hi_c,bits1,...,bits6plus" (Figs 7-8).
 [[nodiscard]] std::string csv_temperature_profile(const TemperatureProfile& profile);
 
-/// Daily CSV: "day,date,tbh_scanned,errors,multibit_errors" (Figs 9-11).
-[[nodiscard]] std::string csv_daily(const telemetry::CampaignArchive& archive,
+/// Daily CSV: "day,date,tbh_scanned,errors,multibit_errors" (Figs 9-11),
+/// the scanned series from `scan`'s pass over the campaign's records.
+[[nodiscard]] std::string csv_daily(const ScanProfileSink& scan,
                                     FaultView faults);
 
 /// Full fault dump:
@@ -37,9 +37,10 @@ namespace unp::analysis {
 [[nodiscard]] std::string csv_viewpoints(const MultibitViewpoints& viewpoints);
 
 /// Write the complete figure bundle (fig01..fig11 plus faults.csv) into
-/// `directory` (created if needed).  Returns the number of files written.
+/// `directory` (created if needed), from one campaign's scan profile and
+/// extraction.  Returns the number of files written.
 int write_figure_bundle(const std::string& directory,
-                        const telemetry::CampaignArchive& archive,
+                        const ScanProfileSink& scan,
                         const ExtractionResult& extraction);
 
 }  // namespace unp::analysis

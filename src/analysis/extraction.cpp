@@ -76,14 +76,15 @@ void sort_canonical(std::vector<FaultRecord>& faults) {
             });
 }
 
-ExtractionResult extract_faults(const telemetry::CampaignArchive& archive,
+ExtractionResult extract_faults(std::span<const telemetry::NodeLog> logs,
                                 const ExtractionConfig& config) {
+  UNP_REQUIRE(logs.size() <= static_cast<std::size_t>(cluster::kStudyNodeSlots));
   ExtractionResult result;
-  result.total_raw_logs = archive.total_raw_errors();
+  for (const auto& log : logs) result.total_raw_logs += log.raw_error_count();
 
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    const telemetry::NodeLog& log = archive.log(node);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const cluster::NodeId node = cluster::node_from_index(static_cast<int>(i));
+    const telemetry::NodeLog& log = logs[i];
     const std::uint64_t raw = log.raw_error_count();
     if (raw == 0) continue;
 

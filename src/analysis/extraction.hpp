@@ -26,7 +26,7 @@
 #include "cluster/topology.hpp"
 #include "common/bitops.hpp"
 #include "common/civil_time.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace unp::analysis {
 
@@ -90,9 +90,12 @@ struct ExtractionResult {
 /// Sort faults into the canonical (time, node, address) order.
 void sort_canonical(std::vector<FaultRecord>& faults);
 
-/// Run the full extraction over a campaign archive.
+/// Run the full extraction over one campaign's node logs, `logs[i]` being
+/// node_from_index(i)'s (at most kStudyNodeSlots; missing slots are empty).
+/// The whole-campaign reference StreamingExtractor is tested against; the
+/// front ends stream instead.
 [[nodiscard]] ExtractionResult extract_faults(
-    const telemetry::CampaignArchive& archive,
+    std::span<const telemetry::NodeLog> logs,
     const ExtractionConfig& config = ExtractionConfig{});
 
 /// Collapse one node's error runs into independent faults (rule 2 only),

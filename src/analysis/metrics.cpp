@@ -32,28 +32,6 @@ std::size_t series_days(const CampaignWindow& window) {
 
 }  // namespace
 
-Grid2D hours_scanned_grid(const telemetry::CampaignArchive& archive) {
-  Grid2D grid = node_grid();
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    grid.at(static_cast<std::size_t>(node.blade),
-            static_cast<std::size_t>(node.soc)) =
-        archive.log(node).monitored_hours();
-  }
-  return grid;
-}
-
-Grid2D terabyte_hours_grid(const telemetry::CampaignArchive& archive) {
-  Grid2D grid = node_grid();
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    grid.at(static_cast<std::size_t>(node.blade),
-            static_cast<std::size_t>(node.soc)) =
-        archive.log(node).terabyte_hours();
-  }
-  return grid;
-}
-
 Grid2D errors_grid(FaultView faults) {
   ErrorsGridAnalyzer analyzer;
   analyzer.begin_faults({});
@@ -163,16 +141,6 @@ void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
       });
 }
 
-std::vector<double> daily_terabyte_hours(const telemetry::CampaignArchive& archive) {
-  const CampaignWindow& window = archive.window();
-  std::vector<double> series(series_days(window), 0.0);
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    accumulate_daily_terabyte_hours(archive.log(cluster::node_from_index(i)),
-                                    window, series);
-  }
-  return series;
-}
-
 DailyErrorSeries daily_errors(FaultView faults, const CampaignWindow& window) {
   DailyErrorsAnalyzer analyzer;
   analyzer.begin_faults({window});
@@ -203,12 +171,6 @@ PearsonResult scan_error_correlation(std::span<const double> daily_tbh,
   return pearson(x, y);
 }
 
-PearsonResult scan_error_correlation(const telemetry::CampaignArchive& archive,
-                                     FaultView faults) {
-  return scan_error_correlation(daily_terabyte_hours(archive),
-                                daily_errors(faults, archive.window()));
-}
-
 HeadlineStats headline_stats(double monitored_node_hours, double terabyte_hours,
                              int monitored_nodes, const CampaignWindow& window,
                              const ExtractionResult& extraction) {
@@ -227,19 +189,6 @@ HeadlineStats headline_stats(double monitored_node_hours, double terabyte_hours,
         static_cast<double>(stats.independent_faults);
   }
   return stats;
-}
-
-HeadlineStats headline_stats(const telemetry::CampaignArchive& archive,
-                             const ExtractionResult& extraction) {
-  int monitored_nodes = 0;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    if (archive.log(cluster::node_from_index(i)).monitored_hours() > 0.0) {
-      ++monitored_nodes;
-    }
-  }
-  return headline_stats(archive.total_monitored_hours(),
-                        archive.total_terabyte_hours(), monitored_nodes,
-                        archive.window(), extraction);
 }
 
 // --- Streaming analyzers --------------------------------------------------
@@ -300,9 +249,8 @@ void ScanProfileSink::add_node(cluster::NodeId node,
             static_cast<std::size_t>(node.soc)) = hours;
   tbh_.at(static_cast<std::size_t>(node.blade),
           static_cast<std::size_t>(node.soc)) = tbh;
-  // Nodes stream in ascending index order, so these running sums add in the
-  // same order as the batch loops over archive slots (absent slots add an
-  // exact 0.0 there), keeping the doubles bit-identical.
+  // Nodes stream in ascending index order, so these running sums add the
+  // per-node terms in node-slot order whatever the producer's thread count.
   total_hours_ += hours;
   total_tbh_ += tbh;
   if (hours > 0.0) ++monitored_nodes_;

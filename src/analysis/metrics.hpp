@@ -1,13 +1,14 @@
-// Figure-level metrics over the extracted faults and the raw archive:
+// Figure-level metrics over the extracted faults and the record stream:
 // the node-grid heat maps (Figs 1-3), hour-of-day profiles (Figs 5-6),
 // temperature profiles (Figs 7-8), daily series (Figs 9-11), the top-node
 // decomposition (Fig 12) and the scan-vs-error correlation (Section III-G).
 //
-// Each product exists in two shapes that share one implementation: a batch
-// function over a FaultView / CampaignArchive, and a streaming analyzer
-// (FaultSink or telemetry::RecordSink) that accumulates the same product
-// incrementally.  The batch functions are thin wrappers that drive the
-// analyzer over the view, so both paths are bit-identical by construction.
+// The fault products exist in two shapes that share one implementation: a
+// batch function over a FaultView, and a streaming FaultSink that
+// accumulates the same product incrementally.  The batch functions are thin
+// wrappers that drive the analyzer over the view, so both paths are
+// bit-identical by construction.  The scan products (Figs 1, 2, 9 and the
+// headline totals) come from one record-level sink, ScanProfileSink.
 #pragma once
 
 #include <array>
@@ -19,7 +20,7 @@
 #include "analysis/fault_sink.hpp"
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/sink.hpp"
 
 namespace unp::analysis {
 
@@ -35,11 +36,8 @@ using DailyErrorSeries = std::vector<std::array<std::uint64_t, kBitClasses>>;
 
 // --- Node-grid heat maps (blade rows x SoC columns) ---------------------
 
-/// Fig 1: hours each node was scanned (from START/END pairing).
-[[nodiscard]] Grid2D hours_scanned_grid(const telemetry::CampaignArchive& archive);
-
-/// Fig 2: terabyte-hours each node scanned.
-[[nodiscard]] Grid2D terabyte_hours_grid(const telemetry::CampaignArchive& archive);
+/// Figs 1 and 2 (hours and terabyte-hours each node scanned) are
+/// ScanProfileSink's grids.
 
 /// Fig 3: independent memory errors per node.
 [[nodiscard]] Grid2D errors_grid(FaultView faults);
@@ -80,9 +78,9 @@ struct TemperatureProfile {
 /// Splits complete sessions across local-day boundaries into a per-day
 /// terabyte-hour series (Fig 9), indexed by campaign day.  It keeps the
 /// campaign's first local day and the current UTC year's DST window, so a
-/// chunk costs no calendar arithmetic.  Shared by the batch
-/// daily_terabyte_hours and the streaming ScanProfileSink so both paths run
-/// identical floating-point arithmetic.
+/// chunk costs no calendar arithmetic.  Shared by the per-node
+/// accumulate_daily_terabyte_hours and the streaming ScanProfileSink so both
+/// run identical floating-point arithmetic.
 class DailyTerabyteHours {
  public:
   DailyTerabyteHours(const CampaignWindow& window, std::vector<double>& series);
@@ -96,16 +94,12 @@ class DailyTerabyteHours {
   std::vector<double>* series_;
 };
 
-/// Accumulate one node's contribution to the per-day terabyte-hour series:
-/// every complete session of `log` through DailyTerabyteHours.
+/// Accumulate one node's contribution to the per-day terabyte-hour series
+/// (Fig 9): every complete session of `log` through DailyTerabyteHours.
+/// The per-node reference for ScanProfileSink's series.
 void accumulate_daily_terabyte_hours(const telemetry::NodeLog& log,
                                      const CampaignWindow& window,
                                      std::vector<double>& series);
-
-/// Terabyte-hours scanned per campaign day (Fig 9), from START/END pairs
-/// split across local-day boundaries.
-[[nodiscard]] std::vector<double> daily_terabyte_hours(
-    const telemetry::CampaignArchive& archive);
 
 [[nodiscard]] DailyErrorSeries daily_errors(FaultView faults,
                                             const CampaignWindow& window);
@@ -128,9 +122,6 @@ struct TopNodeSeries {
 [[nodiscard]] PearsonResult scan_error_correlation(
     std::span<const double> daily_tbh, const DailyErrorSeries& errors);
 
-[[nodiscard]] PearsonResult scan_error_correlation(
-    const telemetry::CampaignArchive& archive, FaultView faults);
-
 // --- Headline statistics (Section III-B) ---------------------------------
 
 struct HeadlineStats {
@@ -147,25 +138,22 @@ struct HeadlineStats {
   double cluster_mtbe_minutes = 0.0;
 };
 
-/// Assemble the headline numbers from scan totals gathered either from a
-/// materialized archive or from a streaming ScanProfileSink pass.
+/// Assemble the headline numbers from the scan totals of a ScanProfileSink
+/// pass (or a store's scan profile).
 [[nodiscard]] HeadlineStats headline_stats(double monitored_node_hours,
                                            double terabyte_hours,
                                            int monitored_nodes,
                                            const CampaignWindow& window,
                                            const ExtractionResult& extraction);
 
-[[nodiscard]] HeadlineStats headline_stats(const telemetry::CampaignArchive& archive,
-                                           const ExtractionResult& extraction);
-
 // --- Streaming analyzers --------------------------------------------------
 
 /// Record-level analyzer: every product the figures read from the raw
-/// archive (Figs 1, 2, 9 and the headline scan totals), computed in one pass
-/// over the record stream without materializing a CampaignArchive.  A bulk
-/// node log is read in place through its sessions, so a replayed frame's
-/// runs are never decoded for it; on the per-record feed only START/END
-/// records are buffered, one node at a time.
+/// records (Figs 1, 2, 9 and the headline scan totals), computed in one
+/// pass over the record stream.  A bulk node log is read in place through
+/// its sessions, so a replayed frame's runs are never decoded for it; on
+/// the per-record feed only START/END records are buffered, one node at a
+/// time.
 class ScanProfileSink final : public telemetry::RecordSink {
  public:
   ScanProfileSink();

@@ -1,7 +1,6 @@
 #include "analysis/streaming_extractor.hpp"
 
 #include "common/require.hpp"
-#include "telemetry/archive.hpp"
 #include "telemetry/binary_codec.hpp"
 
 namespace unp::analysis {

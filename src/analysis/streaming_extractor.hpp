@@ -1,16 +1,16 @@
 // Single-pass streaming fault extraction.
 //
-// extract_faults() needs the whole CampaignArchive materialized; this sink
-// performs the same §II-C methodology incrementally while the records are
-// being produced (by sim::run_campaign) or replayed (by ArchiveReader), so
-// analyses can run without the raw archive ever being resident:
+// The §II-C methodology of extract_faults(), performed incrementally while
+// the records are being produced (by sim::run_campaign_streaming) or
+// replayed (by ArchiveReader), so no campaign's records are ever resident
+// at once:
 //
 //   - START/END/ALLOC-FAIL records pass through with only counters updated;
 //   - a bulk node log (on_node_log) is read in place: its raw total comes
 //     from raw_error_count() (counted at delivery, or summed by the
 //     campaign worker), and a node below pathological_min_raw collapses
-//     straight from the frame's log() via the exact collapse_node_log used
-//     by the batch path; its runs are never copied;
+//     straight from the frame's log() via the exact collapse_node_log
+//     extract_faults uses; its runs are never copied;
 //   - per-record ERROR runs buffer per node (runs, not expanded raw lines);
 //     when the node's frame closes, a node below pathological_min_raw
 //     collapses and its runs are freed right there, mid-stream;
@@ -30,9 +30,10 @@
 // With a node observer attached nothing is deferred: every node collapses
 // at its end_node, where the observer is owed its faults.
 //
-// The result is bit-identical to extract_faults on the same stream, which
-// tests/analysis/streaming_extractor_test.cpp asserts over a full campaign
-// through the per-record and bulk feeds.
+// The result is bit-identical to extract_faults over the same node logs.
+// tests/analysis/streaming_extractor_test.cpp asserts that over a full
+// campaign through the per-record and bulk feeds, pins the seed-42 result,
+// and checks both against hand-built logs with their faults written out.
 #pragma once
 
 #include <cstdint>

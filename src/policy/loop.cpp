@@ -7,7 +7,7 @@
 
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace unp::policy {
 

@@ -23,7 +23,7 @@
 #include "common/civil_time.hpp"
 #include "scanner/backend.hpp"
 #include "scanner/pattern.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 #include "telemetry/record.hpp"
 
 namespace unp::scanner {

@@ -430,21 +430,9 @@ CampaignSummary run_campaign_streaming(
   return run_campaign_shard(config, ShardSpec{}, sinks, threads);
 }
 
-CampaignResult run_campaign(const CampaignConfig& config, std::size_t threads) {
-  telemetry::CampaignArchive archive(config.window);
-  CampaignSummary summary = run_campaign_streaming(config, {&archive}, threads);
-  return CampaignResult{std::move(summary), std::move(archive)};
-}
-
 std::size_t default_campaign_threads() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-const CampaignResult& default_campaign() {
-  static const CampaignResult result =
-      run_campaign(CampaignConfig{}, default_campaign_threads());
-  return result;
 }
 
 }  // namespace unp::sim

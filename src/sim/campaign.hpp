@@ -6,8 +6,9 @@
 // campaign seed; node timelines are independent, so the per-node work can
 // be executed on any number of threads with bit-identical results.  The
 // record stream is emitted to sinks in ascending node-index order no matter
-// the thread count, so downstream consumers (archive, disk spill, streaming
-// extraction) observe one canonical stream per seed.
+// the thread count, so downstream consumers (disk spill, streaming
+// extraction, scan profile, policy engine) observe one canonical stream per
+// seed.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +20,6 @@
 #include "faults/suite.hpp"
 #include "sched/planner.hpp"
 #include "sim/session_sim.hpp"
-#include "telemetry/archive.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::sim {
@@ -40,7 +40,7 @@ struct CampaignConfig {
   bool wire_special_outages = true;
 };
 
-/// Per-node accounting next to the raw archive.
+/// Per-node accounting next to the record stream.
 struct NodeAccounting {
   cluster::NodeId node;
   double scanned_hours = 0.0;
@@ -60,21 +60,6 @@ struct CampaignSummary {
 
   [[nodiscard]] double total_scanned_hours() const noexcept;
   [[nodiscard]] double total_terabyte_hours() const noexcept;
-};
-
-/// A materialized campaign: the streaming run's summary plus the archive
-/// the CampaignArchive sink collected.  Totals forward to the summary so
-/// the accounting arithmetic exists once.
-struct CampaignResult {
-  CampaignSummary summary;
-  telemetry::CampaignArchive archive;
-
-  [[nodiscard]] double total_scanned_hours() const noexcept {
-    return summary.total_scanned_hours();
-  }
-  [[nodiscard]] double total_terabyte_hours() const noexcept {
-    return summary.total_terabyte_hours();
-  }
 };
 
 /// The topology the campaign instantiates for `config` (deterministic; lets
@@ -127,17 +112,8 @@ CampaignSummary run_campaign_streaming(
     const CampaignConfig& config,
     const std::vector<telemetry::RecordSink*>& sinks, std::size_t threads = 1);
 
-/// Run the campaign and materialize the archive (the CampaignArchive sink
-/// fed by run_campaign_streaming).
-[[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
-                                          std::size_t threads = 1);
-
-/// Thread count used for the default campaign: every hardware thread.
+/// Thread count the front ends simulate on by default: every hardware
+/// thread.
 [[nodiscard]] std::size_t default_campaign_threads() noexcept;
-
-/// The calibrated default campaign (seed 42), materialized for tests and
-/// examples (bench binaries stream it instead).  Simulated multithreaded on
-/// first use (identical to a 1-thread run).
-[[nodiscard]] const CampaignResult& default_campaign();
 
 }  // namespace unp::sim

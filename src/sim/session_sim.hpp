@@ -25,7 +25,7 @@
 #include "env/temperature.hpp"
 #include "faults/event.hpp"
 #include "sched/scan_plan.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace unp::sim {
 

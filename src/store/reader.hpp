@@ -124,7 +124,8 @@ class StoreReader {
       ThreadPool* pool = nullptr) const;
 
   /// Rebuild the ExtractionResult of the source campaign (all faults plus
-  /// the stored accounting) — the store-backed stand-in for extract_faults.
+  /// the stored accounting) — the store-backed stand-in for a
+  /// StreamingExtractor pass over the campaign's records.
   [[nodiscard]] analysis::ExtractionResult extraction_result(
       ThreadPool* pool = nullptr) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -279,33 +278,6 @@ ReplayStats drain_frames(
   }
   sink.end_campaign();
   return stats;
-}
-
-void save_archive_stream(const CampaignArchive& archive, std::ostream& os) {
-  ArchiveWriter writer(os);
-  writer.begin_campaign(archive.window());
-  std::string scratch;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    writer.begin_node(node);
-    EncodedNodeLog enc(node, archive.log(node), scratch);
-    writer.on_node_log(enc);
-    writer.end_node(node);
-  }
-  writer.finish();
-}
-
-CampaignArchive load_archive_stream(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  UNP_REQUIRE(is.good());
-  ArchiveReader reader(is);
-  CampaignArchive archive(reader.window());
-  // Decoded logs are moved in whole; replaying record-by-record through the
-  // sink interface would double the work.
-  cluster::NodeId node{};
-  NodeLog log;
-  while (reader.next(node, log)) archive.log(node) = std::move(log);
-  return archive;
 }
 
 }  // namespace unp::telemetry

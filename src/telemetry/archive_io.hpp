@@ -6,7 +6,7 @@
 // time.  ArchiveReader walks the stream node by node, either handing out
 // NodeLogs, raw frame bodies, or pushing records into another RecordSink —
 // which is how benches reload a cached campaign without re-simulating and
-// how analyses consume spilled telemetry without a resident archive.  Every
+// how analyses consume spilled telemetry one node at a time.  Every
 // other format that carries a UNPS payload (the UNPC campaign cache, the
 // UNPH shard archives, the merged stream) reads and writes it through these
 // two classes.
@@ -37,7 +37,6 @@
 #include <string>
 #include <string_view>
 
-#include "telemetry/archive.hpp"
 #include "telemetry/binary_codec.hpp"
 #include "telemetry/sink.hpp"
 
@@ -178,11 +177,5 @@ class ArchiveReader {
 ReplayStats drain_frames(
     const CampaignWindow& window, RecordSink& sink,
     const std::function<std::optional<EncodedNodeLog>()>& next);
-
-/// Spill a materialized archive as one UNPS stream to `os` (binary mode).
-void save_archive_stream(const CampaignArchive& archive, std::ostream& os);
-
-/// Load a whole stream file into a materialized archive.
-[[nodiscard]] CampaignArchive load_archive_stream(const std::string& path);
 
 }  // namespace unp::telemetry

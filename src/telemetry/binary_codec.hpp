@@ -22,7 +22,7 @@
 #include <string_view>
 
 #include "common/require.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace unp::telemetry {
 

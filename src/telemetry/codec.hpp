@@ -17,7 +17,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 #include "telemetry/record.hpp"
 
 namespace unp::telemetry {

@@ -1,4 +1,4 @@
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 #include <algorithm>
 
@@ -26,15 +26,6 @@ double NodeLog::terabyte_hours() const noexcept {
   return tbh;
 }
 
-void NodeLog::append(const NodeLog& other) {
-  starts_.insert(starts_.end(), other.starts_.begin(), other.starts_.end());
-  ends_.insert(ends_.end(), other.ends_.begin(), other.ends_.end());
-  alloc_fails_.insert(alloc_fails_.end(), other.alloc_fails_.begin(),
-                      other.alloc_fails_.end());
-  error_runs_.insert(error_runs_.end(), other.error_runs_.begin(),
-                     other.error_runs_.end());
-}
-
 void NodeLog::sort_by_time() {
   // Stable so records sharing a timestamp (several addresses caught in one
   // scan pass) keep their stored order; parsing a serialized log must not
@@ -53,24 +44,6 @@ void NodeLog::sort_by_time() {
   sort_if_needed(error_runs_, [](const ErrorRun& a, const ErrorRun& b) {
     return a.first.time < b.first.time;
   });
-}
-
-std::uint64_t CampaignArchive::total_raw_errors() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& log : logs_) total += log.raw_error_count();
-  return total;
-}
-
-double CampaignArchive::total_monitored_hours() const noexcept {
-  double total = 0.0;
-  for (const auto& log : logs_) total += log.monitored_hours();
-  return total;
-}
-
-double CampaignArchive::total_terabyte_hours() const noexcept {
-  double total = 0.0;
-  for (const auto& log : logs_) total += log.terabyte_hours();
-  return total;
 }
 
 }  // namespace unp::telemetry

@@ -109,9 +109,6 @@ class NodeLog {
     error_runs_.clear();
   }
 
-  /// Append every record of `other` in stored order.
-  void append(const NodeLog& other);
-
  private:
   std::vector<StartRecord> starts_;
   std::vector<EndRecord> ends_;

@@ -1,6 +1,5 @@
 #include "telemetry/sink.hpp"
 
-#include "telemetry/archive.hpp"
 #include "telemetry/binary_codec.hpp"
 
 namespace unp::telemetry {

@@ -2,10 +2,11 @@
 //
 // The campaign is inherently a stream: 923 node timelines, each producing
 // START/END/ALLOC-FAIL/ERROR records in time order, flowing into whatever
-// wants them — the in-memory CampaignArchive, an on-disk spill file, or an
-// incremental analysis.  RecordSink is that consumer interface; producers
-// (sim::run_campaign, ArchiveReader) push records through it node by node
-// so no stage needs the whole 13-month archive resident.
+// wants them — an on-disk spill file, the streaming extractor, the scan
+// profile, the policy engine.  RecordSink is that consumer interface;
+// producers (sim::run_campaign_streaming, ArchiveReader) push records
+// through it node by node so no stage needs the whole 13-month record set
+// resident.
 //
 // Protocol (per producer pass):
 //
@@ -61,15 +62,15 @@ struct EncodeKernels;
 /// and its node-log body (encode_node_log bytes), each produced only when a
 /// sink asks for it.
 ///
-/// Live frames (the campaign, save_archive_stream) wrap the producer's log;
-/// bytes() encodes on first call into the producer's scratch, unless a
-/// worker already did.  Replayed frames (ArchiveReader::drain,
-/// ShardMergeReader::drain) own the body as read and validate all of it at
-/// delivery: construction decodes the START/END/ALLOCFAIL sections and
-/// walks the run section once, counting runs and raw lines under every
-/// check decode_node_log makes.  A corrupt body therefore throws
-/// DecodeError before any sink sees the frame, and log() on a frame that
-/// was delivered cannot fail.
+/// Live frames (the campaign driver, or any caller wrapping a NodeLog it
+/// holds) wrap the producer's log; bytes() encodes on first call into the
+/// producer's scratch, unless a worker already did.  Replayed frames
+/// (ArchiveReader::drain, ShardMergeReader::drain) own the body as read and
+/// validate all of it at delivery: construction decodes the
+/// START/END/ALLOCFAIL sections and walks the run section once, counting
+/// runs and raw lines under every check decode_node_log makes.  A corrupt
+/// body therefore throws DecodeError before any sink sees the frame, and
+/// log() on a frame that was delivered cannot fail.
 ///
 /// What each accessor decodes:
 ///   - sessions(), raw_error_count(), error_run_count(), empty(): nothing
@@ -198,8 +199,8 @@ class RecordSink {
   [[nodiscard]] virtual bool wants_encoded_node_log() const { return false; }
 };
 
-/// Broadcast one stream to several sinks (archive + spill file + extractor
-/// in a single producer pass).  Does not own the sinks.
+/// Broadcast one stream to several sinks (spill file + extractor + scan
+/// profile in a single producer pass).  Does not own the sinks.
 class FanOutSink final : public RecordSink {
  public:
   FanOutSink() = default;

@@ -4,6 +4,9 @@
 
 #include <filesystem>
 #include <sstream>
+#include <vector>
+
+#include "support/campaign_stream.hpp"
 
 namespace unp::analysis {
 namespace {
@@ -46,12 +49,19 @@ TEST(Export, HourProfileCsvShape) {
   EXPECT_NE(csv.find("13,0,5,0,0,0,0,5,5\n"), std::string::npos);
 }
 
+/// The scan profile of node logs (indexed by node slot) over the default
+/// campaign window, fed per record.
+ScanProfileSink scan_of(const std::vector<telemetry::NodeLog>& logs) {
+  ScanProfileSink scan;
+  test_support::feed_logs(logs, CampaignWindow{}, scan);
+  return scan;
+}
+
 TEST(Export, DailyCsvHasDates) {
-  telemetry::CampaignArchive archive;
-  const CampaignWindow w = archive.window();
+  const CampaignWindow w;
   const std::vector<FaultRecord> faults{
       fault({1, 1}, w.start + 10 * kSecondsPerDay + 3600, 2)};
-  const std::string csv = csv_daily(archive, faults);
+  const std::string csv = csv_daily(scan_of({}), faults);
   EXPECT_NE(csv.find("2015-02-11"), std::string::npos);
   EXPECT_NE(csv.find(",1,1\n"), std::string::npos);  // one error, one multibit
 }
@@ -82,15 +92,15 @@ TEST(Export, FigureBundleWritesAllFiles) {
       std::filesystem::temp_directory_path() / "unp_export_test";
   std::filesystem::remove_all(dir);
 
-  telemetry::CampaignArchive archive;
-  archive.log({1, 1}).add_start(
-      {archive.window().start, {1, 1}, 3ULL << 30, 30.0});
-  archive.log({1, 1}).add_end(
-      {archive.window().start + 3600, {1, 1}, 30.0});
+  const CampaignWindow w;
+  std::vector<telemetry::NodeLog> logs(
+      static_cast<std::size_t>(cluster::node_index({1, 1})) + 1);
+  logs.back().add_start({w.start, {1, 1}, 3ULL << 30, 30.0});
+  logs.back().add_end({w.start + 3600, {1, 1}, 30.0});
   ExtractionResult extraction;
-  extraction.faults.push_back(fault({1, 1}, archive.window().start + 100));
+  extraction.faults.push_back(fault({1, 1}, w.start + 100));
 
-  const int files = write_figure_bundle(dir.string(), archive, extraction);
+  const int files = write_figure_bundle(dir.string(), scan_of(logs), extraction);
   EXPECT_EQ(files, 8);
   EXPECT_TRUE(std::filesystem::exists(dir / "fig01_hours_scanned.csv"));
   EXPECT_TRUE(std::filesystem::exists(dir / "faults.csv"));

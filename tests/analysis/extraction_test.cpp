@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "analysis/streaming_extractor.hpp"
+#include "support/campaign_stream.hpp"
+#include "telemetry/archive_io.hpp"
+
 namespace unp::analysis {
 namespace {
 
@@ -105,37 +114,83 @@ TEST(Collapse, SplitInvariance) {
   EXPECT_EQ(a[0].last_seen, b[0].last_seen);
 }
 
+/// Node logs indexed by node slot, each run on the log of its own node.
+std::vector<telemetry::NodeLog> logs_of(
+    std::initializer_list<telemetry::ErrorRun> runs) {
+  std::vector<telemetry::NodeLog> logs(
+      static_cast<std::size_t>(cluster::kStudyNodeSlots));
+  for (const auto& run : runs)
+    logs[static_cast<std::size_t>(cluster::node_index(run.first.node))]
+        .add_error_run(run);
+  return logs;
+}
+
+/// Extract `logs` three ways and hold each result to `want`, written out by
+/// hand: the reference extract_faults, and a StreamingExtractor fed per
+/// record and through a spilled stream (ArchiveWriter, then
+/// ArchiveReader::drain).
+void expect_extraction(const std::vector<telemetry::NodeLog>& logs,
+                       const ExtractionResult& want) {
+  const CampaignWindow window;
+  StreamingExtractor per_record;
+  test_support::feed_logs(logs, window, per_record);
+  std::ostringstream os(std::ios::binary);
+  telemetry::ArchiveWriter writer(os);
+  test_support::feed_logs(logs, window, writer);
+  StreamingExtractor drained;
+  (void)test_support::feed_bulk(os.str(), drained);
+
+  const std::pair<const char*, ExtractionResult> results[] = {
+      {"extract_faults", extract_faults(logs)},
+      {"per-record feed", per_record.finish()},
+      {"drained stream", drained.finish()}};
+  for (const auto& [name, got] : results) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(got.total_raw_logs, want.total_raw_logs);
+    EXPECT_EQ(got.removed_raw_logs, want.removed_raw_logs);
+    EXPECT_EQ(got.removed_nodes, want.removed_nodes);
+    EXPECT_EQ(got.faults, want.faults);
+  }
+}
+
 TEST(Extract, PathologicalNodeFiltered) {
-  telemetry::CampaignArchive archive;
   // A node drowning the campaign in raw logs...
   telemetry::ErrorRecord bad = make_error(1000, 64);
   bad.node = {9, 9};
-  archive.log({9, 9}).add_error_run({bad, 150, 2000000});
   // ...and a normal node with two real faults.
   telemetry::ErrorRecord ok = make_error(2000, 64);
   ok.node = {1, 1};
-  archive.log({1, 1}).add_error(ok);
-  ok.time = 100000;
-  archive.log({1, 1}).add_error(ok);
+  ok.temperature_c = 41.5;
+  telemetry::ErrorRecord again = ok;
+  again.time = 100000;
+  again.temperature_c = telemetry::kNoTemperature;
+  const std::vector<telemetry::NodeLog> logs =
+      logs_of({{bad, 150, 2000000}, {ok, 0, 1}, {again, 0, 1}});
 
-  const ExtractionResult result = extract_faults(archive);
-  ASSERT_EQ(result.removed_nodes.size(), 1u);
-  EXPECT_EQ(result.removed_nodes[0], (cluster::NodeId{9, 9}));
-  EXPECT_GT(result.removed_fraction(), 0.99);
-  EXPECT_EQ(result.faults.size(), 2u);
-  EXPECT_EQ(result.total_raw_logs, 2000002u);
-  EXPECT_EQ(result.removed_raw_logs, 2000000u);
+  ExtractionResult want;
+  want.total_raw_logs = 2000002;
+  want.removed_raw_logs = 2000000;
+  want.removed_nodes = {{9, 9}};
+  want.faults = {
+      // node   first   last    raw vaddr expected     actual       temp
+      {{1, 1}, 2000, 2000, 1, 64, 0xFFFFFFFFu, 0xFFFFFFFEu, 41.5},
+      {{1, 1}, 100000, 100000, 1, 64, 0xFFFFFFFFu, 0xFFFFFFFEu,
+       telemetry::kNoTemperature}};
+  expect_extraction(logs, want);
+  EXPECT_GT(extract_faults(logs).removed_fraction(), 0.99);
 }
 
 TEST(Extract, SmallNoisyNodeKept) {
   // Below the absolute threshold a node is loud but not pathological.
-  telemetry::CampaignArchive archive;
   telemetry::ErrorRecord r = make_error(1000, 64);
   r.node = {9, 9};
-  archive.log({9, 9}).add_error_run({r, 150, 5000});
-  const ExtractionResult result = extract_faults(archive);
-  EXPECT_TRUE(result.removed_nodes.empty());
-  EXPECT_EQ(result.faults.size(), 1u);
+  ExtractionResult want;
+  want.total_raw_logs = 5000;
+  want.faults = {
+      // node   first  last            raw   vaddr expected     actual
+      {{9, 9}, 1000, 1000 + 150 * 4999, 5000, 64, 0xFFFFFFFFu, 0xFFFFFFFEu,
+       telemetry::kNoTemperature}};
+  expect_extraction(logs_of({{r, 150, 5000}}), want);
 }
 
 TEST(Extract, FaultRecordDerivedFields) {

@@ -20,22 +20,21 @@
 #include "common/thread_pool.hpp"
 #include "dram/address_map.hpp"
 #include "sim/campaign.hpp"
-#include "telemetry/sink.hpp"
+#include "util/campaign_cache.hpp"
 
 namespace unp::analysis {
 namespace {
 
-const ExtractionResult& default_extraction() {
-  static const ExtractionResult result =
-      extract_faults(sim::default_campaign().archive);
-  return result;
+/// The seed-42 campaign's extraction and scan profile, streamed once.
+const bench::CampaignData& default_data() {
+  static const bench::CampaignData data =
+      bench::simulate_data(sim::CampaignConfig{});
+  return data;
 }
 
-FaultView default_faults() { return default_extraction().faults; }
+FaultView default_faults() { return default_data().extraction.faults; }
 
-const CampaignWindow& default_window() {
-  return sim::default_campaign().archive.window();
-}
+const CampaignWindow& default_window() { return default_data().scan.window(); }
 
 void expect_grid_eq(const Grid2D& streamed, const Grid2D& batch) {
   ASSERT_EQ(streamed.rows(), batch.rows());
@@ -228,56 +227,6 @@ TEST(FaultSink, ProductsInvariantAcrossThreadCounts) {
     Fleet fleet;
     run_fleet(fleet, &pool);
     expect_fleet_matches_batch(fleet);
-  }
-}
-
-void expect_scan_profile_matches_archive(bool bulk) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
-
-  ScanProfileSink scan;
-  scan.begin_campaign(campaign.archive.window());
-  std::string scratch;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    scan.begin_node(node);
-    if (bulk) {
-      telemetry::EncodedNodeLog enc(node, campaign.archive.log(node), scratch);
-      scan.on_node_log(enc);
-    } else {
-      telemetry::replay_node_log(campaign.archive.log(node), scan);
-    }
-    scan.end_node(node);
-  }
-  scan.end_campaign();
-
-  expect_grid_eq(scan.hours_grid(), hours_scanned_grid(campaign.archive));
-  expect_grid_eq(scan.terabyte_hours_grid(),
-                 terabyte_hours_grid(campaign.archive));
-  EXPECT_EQ(scan.daily_terabyte_hours(),
-            daily_terabyte_hours(campaign.archive));
-
-  const HeadlineStats batch = headline_stats(campaign.archive,
-                                             default_extraction());
-  const HeadlineStats streamed = headline_stats(
-      scan.total_monitored_hours(), scan.total_terabyte_hours(),
-      scan.monitored_nodes(), scan.window(), default_extraction());
-  EXPECT_EQ(streamed.raw_logs, batch.raw_logs);
-  EXPECT_EQ(streamed.removed_fraction, batch.removed_fraction);
-  EXPECT_EQ(streamed.independent_faults, batch.independent_faults);
-  EXPECT_EQ(streamed.monitored_node_hours, batch.monitored_node_hours);
-  EXPECT_EQ(streamed.terabyte_hours, batch.terabyte_hours);
-  EXPECT_EQ(streamed.monitored_nodes, batch.monitored_nodes);
-  EXPECT_EQ(streamed.node_mtbf_hours, batch.node_mtbf_hours);
-  EXPECT_EQ(streamed.cluster_mtbe_minutes, batch.cluster_mtbe_minutes);
-}
-
-// The record-level sink: scan totals, grids and the daily series from a
-// framed replay, per record or as bulk node logs, must equal the
-// archive-based batch metrics.
-TEST(FaultSink, ScanProfileSinkMatchesArchiveMetrics) {
-  for (const bool bulk : {false, true}) {
-    SCOPED_TRACE(bulk ? "bulk" : "per-record");
-    expect_scan_profile_matches_archive(bulk);
   }
 }
 

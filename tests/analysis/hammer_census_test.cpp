@@ -15,6 +15,7 @@
 #include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/campaign.hpp"
+#include "util/campaign_cache.hpp"
 
 namespace unp::analysis {
 namespace {
@@ -30,17 +31,14 @@ sim::CampaignConfig hammer_config() {
   return config;
 }
 
-const sim::CampaignResult& campaign() {
-  static const sim::CampaignResult result = sim::run_campaign(hammer_config());
-  return result;
+const bench::CampaignData& campaign() {
+  static const bench::CampaignData data = bench::simulate_data(hammer_config());
+  return data;
 }
 
-const ExtractionResult& extraction() {
-  static const ExtractionResult result = extract_faults(campaign().archive);
-  return result;
-}
+const ExtractionResult& extraction() { return campaign().extraction; }
 
-FaultStreamContext context() { return {campaign().archive.window()}; }
+FaultStreamContext context() { return {campaign().scan.window()}; }
 
 /// The census computed the direct way: every fault through one detector
 /// per node, keyed by node index.

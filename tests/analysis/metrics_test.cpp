@@ -9,11 +9,30 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "support/campaign_stream.hpp"
 
 namespace unp::analysis {
 namespace {
 
 constexpr std::uint64_t kGiB = 1ULL << 30;
+
+/// Hand-built node logs, indexed by node slot.
+struct NodeLogs {
+  std::vector<telemetry::NodeLog> logs{
+      static_cast<std::size_t>(cluster::kStudyNodeSlots)};
+
+  telemetry::NodeLog& operator[](cluster::NodeId node) {
+    return logs[static_cast<std::size_t>(cluster::node_index(node))];
+  }
+
+  /// The scan profile of the logs, fed per record with full framing over
+  /// the default campaign window.
+  [[nodiscard]] ScanProfileSink scan() const {
+    ScanProfileSink sink;
+    test_support::feed_logs(logs, CampaignWindow{}, sink);
+    return sink;
+  }
+};
 
 FaultRecord fault(cluster::NodeId node, TimePoint t, int bits = 1,
                   double temp = 35.0) {
@@ -39,14 +58,23 @@ TEST(BitClass, Mapping) {
 }
 
 TEST(Grids, HoursGridPlacesNodes) {
-  telemetry::CampaignArchive archive;
-  archive.log({5, 7}).add_start({0, {5, 7}, 3 * kGiB, 30.0});
-  archive.log({5, 7}).add_end({7200, {5, 7}, 30.0});
-  const Grid2D grid = hours_scanned_grid(archive);
+  NodeLogs logs;
+  logs[{5, 7}].add_start({0, {5, 7}, 3 * kGiB, 30.0});
+  logs[{5, 7}].add_end({7200, {5, 7}, 30.0});
+  logs[{0, 1}].add_start({0, {0, 1}, 3 * kGiB, 30.0});
+  logs[{0, 1}].add_end({3600, {0, 1}, 30.0});
+  const ScanProfileSink scan = logs.scan();
+  const Grid2D& grid = scan.hours_grid();
   EXPECT_EQ(grid.rows(), 63u);
   EXPECT_EQ(grid.cols(), 15u);
   EXPECT_DOUBLE_EQ(grid.at(5, 7), 2.0);
-  EXPECT_DOUBLE_EQ(grid.sum(), 2.0);
+  EXPECT_DOUBLE_EQ(grid.at(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(grid.sum(), 3.0);
+  EXPECT_NEAR(scan.terabyte_hours_grid().at(5, 7), 6.0 / 1024.0, 1e-9);
+  // The campaign totals add across nodes.
+  EXPECT_DOUBLE_EQ(scan.total_monitored_hours(), 3.0);
+  EXPECT_NEAR(scan.total_terabyte_hours(), 9.0 / 1024.0, 1e-9);
+  EXPECT_EQ(scan.monitored_nodes(), 2);
 }
 
 TEST(Grids, ErrorsGrid) {
@@ -94,13 +122,14 @@ TEST(TemperatureProfile, SplitsByReadingPresence) {
 }
 
 TEST(DailySeries, TerabyteHoursSplitAcrossDays) {
-  telemetry::CampaignArchive archive;
-  const CampaignWindow w = archive.window();
+  NodeLogs logs;
+  const CampaignWindow w;
   // A 3 GiB session from 22:00 local on day 3 to 02:00 local on day 4.
   const TimePoint start = w.start + 3 * kSecondsPerDay + 21 * kSecondsPerHour;
-  archive.log({1, 1}).add_start({start, {1, 1}, 3 * kGiB, 30.0});
-  archive.log({1, 1}).add_end({start + 4 * kSecondsPerHour, {1, 1}, 30.0});
-  const auto series = daily_terabyte_hours(archive);
+  logs[{1, 1}].add_start({start, {1, 1}, 3 * kGiB, 30.0});
+  logs[{1, 1}].add_end({start + 4 * kSecondsPerHour, {1, 1}, 30.0});
+  const ScanProfileSink scan = logs.scan();
+  const std::vector<double>& series = scan.daily_terabyte_hours();
   const double tb = 3.0 / 1024.0;
   EXPECT_NEAR(series[3], 2.0 * tb, 1e-9);
   EXPECT_NEAR(series[4], 2.0 * tb, 1e-9);
@@ -240,36 +269,40 @@ TEST(TopNodes, FewerNodesThanRequested) {
 }
 
 TEST(Correlation, WiredThroughDailySeries) {
-  telemetry::CampaignArchive archive;
-  const CampaignWindow w = archive.window();
+  NodeLogs logs;
+  const CampaignWindow w;
   std::vector<FaultRecord> faults;
   // Sessions every day of the whole campaign with identical size; errors on
   // alternating days -> no correlation with the flat scanning series.
   for (int d = 0; d < static_cast<int>(w.duration_days()); ++d) {
     const TimePoint start = w.start + d * kSecondsPerDay + 6 * kSecondsPerHour;
-    archive.log({1, 1}).add_start({start, {1, 1}, 3 * kGiB, 30.0});
-    archive.log({1, 1}).add_end({start + 10 * kSecondsPerHour, {1, 1}, 30.0});
+    logs[{1, 1}].add_start({start, {1, 1}, 3 * kGiB, 30.0});
+    logs[{1, 1}].add_end({start + 10 * kSecondsPerHour, {1, 1}, 30.0});
     if (d % 2 == 0) faults.push_back(fault({1, 1}, start + 3600));
   }
-  const PearsonResult r = scan_error_correlation(archive, faults);
+  const PearsonResult r = scan_error_correlation(
+      logs.scan().daily_terabyte_hours(), daily_errors(faults, w));
   EXPECT_GT(r.n, 300u);
   EXPECT_LT(std::abs(r.r), 0.35);
 }
 
 TEST(Headline, ComputesRates) {
-  telemetry::CampaignArchive archive;
-  const CampaignWindow w = archive.window();
-  archive.log({1, 1}).add_start({w.start, {1, 1}, 3 * kGiB, 30.0});
-  archive.log({1, 1}).add_end({w.start + 100 * kSecondsPerHour, {1, 1}, 30.0});
+  NodeLogs logs;
+  const CampaignWindow w;
+  logs[{1, 1}].add_start({w.start, {1, 1}, 3 * kGiB, 30.0});
+  logs[{1, 1}].add_end({w.start + 100 * kSecondsPerHour, {1, 1}, 30.0});
   telemetry::ErrorRecord e;
   e.node = {1, 1};
   e.time = w.start + 3600;
   e.expected = 0xFFFFFFFFu;
   e.actual = 0xFFFFFFFEu;
-  archive.log({1, 1}).add_error(e);
+  logs[{1, 1}].add_error(e);
 
-  const ExtractionResult extraction = extract_faults(archive);
-  const HeadlineStats stats = headline_stats(archive, extraction);
+  const ExtractionResult extraction = extract_faults(logs.logs);
+  const ScanProfileSink scan = logs.scan();
+  const HeadlineStats stats = headline_stats(
+      scan.total_monitored_hours(), scan.total_terabyte_hours(),
+      scan.monitored_nodes(), scan.window(), extraction);
   EXPECT_EQ(stats.independent_faults, 1u);
   EXPECT_EQ(stats.monitored_nodes, 1);
   EXPECT_DOUBLE_EQ(stats.monitored_node_hours, 100.0);

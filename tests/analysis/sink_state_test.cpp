@@ -22,6 +22,7 @@
 #include "common/require.hpp"
 #include "dram/address_map.hpp"
 #include "sim/campaign.hpp"
+#include "util/campaign_cache.hpp"
 
 namespace unp::analysis {
 namespace {
@@ -34,17 +35,14 @@ sim::CampaignConfig short_config() {
   return config;
 }
 
-const sim::CampaignResult& campaign() {
-  static const sim::CampaignResult result = sim::run_campaign(short_config());
-  return result;
+const bench::CampaignData& campaign() {
+  static const bench::CampaignData data = bench::simulate_data(short_config());
+  return data;
 }
 
-const ExtractionResult& extraction() {
-  static const ExtractionResult result = extract_faults(campaign().archive);
-  return result;
-}
+const ExtractionResult& extraction() { return campaign().extraction; }
 
-FaultStreamContext context() { return {campaign().archive.window()}; }
+FaultStreamContext context() { return {campaign().scan.window()}; }
 
 /// Every mergeable analyzer, in one fixed order (mirrors the report fleet).
 struct Fleet {

@@ -1,7 +1,9 @@
-// StreamingExtractor must be bit-identical to the batch extract_faults -
-// the property that licenses running analyses without a resident archive.
-// Every identity check runs over both feeds: per-record replay and the bulk
-// on_node_log path ArchiveReader::drain takes.
+// The record-level sinks must be bit-identical to their per-node references
+// over the same node logs - the property that licenses running analyses
+// without a campaign's records resident: StreamingExtractor to
+// extract_faults (and its seed-42 result is pinned), ScanProfileSink to the
+// NodeLog scan sums.  Every identity check runs over both feeds: per-record
+// replay and the bulk on_node_log path ArchiveReader::drain takes.
 #include "analysis/streaming_extractor.hpp"
 
 #include <gtest/gtest.h>
@@ -16,34 +18,23 @@
 #include <vector>
 
 #include "analysis/extraction.hpp"
+#include "analysis/metrics.hpp"
 #include "sim/campaign.hpp"
+#include "support/campaign_stream.hpp"
 #include "telemetry/archive_io.hpp"
 #include "telemetry/sink.hpp"
 
 namespace unp::analysis {
 namespace {
 
-void stream_archive(const telemetry::CampaignArchive& archive,
-                    telemetry::RecordSink& sink) {
-  sink.begin_campaign(archive.window());
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    sink.begin_node(node);
-    telemetry::replay_node_log(archive.log(node), sink);
-    sink.end_node(node);
-  }
-  sink.end_campaign();
-}
+using test_support::default_stream;
 
-/// The default campaign as a UNPS stream, spilled once.
-const std::string& default_stream() {
-  static const std::string bytes = [] {
-    std::ostringstream os(std::ios::binary);
-    telemetry::ArchiveWriter writer(os);
-    stream_archive(sim::default_campaign().archive, writer);
-    return os.str();
-  }();
-  return bytes;
+/// The default campaign's node logs, indexed by node slot: the reference
+/// extraction's input.
+const std::vector<telemetry::NodeLog>& default_logs() {
+  static const std::vector<telemetry::NodeLog> logs =
+      test_support::node_logs(default_stream());
+  return logs;
 }
 
 enum class Feed { kPerRecord, kBulk };
@@ -52,14 +43,14 @@ const char* feed_name(Feed feed) {
   return feed == Feed::kBulk ? "bulk" : "per-record";
 }
 
-/// Feed the default campaign to `sink` per record, or in bulk through
-/// ArchiveReader::drain (one on_node_log per frame).
+/// Feed the default campaign to `sink` per record, from its resident node
+/// logs, or in bulk through ArchiveReader::drain (one on_node_log per
+/// frame).
 void feed_default(Feed feed, telemetry::RecordSink& sink) {
   if (feed == Feed::kBulk) {
-    std::istringstream is(default_stream(), std::ios::binary);
-    telemetry::ArchiveReader(is).drain(sink);
+    (void)test_support::feed_bulk(default_stream(), sink);
   } else {
-    stream_archive(sim::default_campaign().archive, sink);
+    test_support::feed_logs(default_logs(), sim::CampaignConfig{}.window, sink);
   }
 }
 
@@ -90,7 +81,6 @@ void expect_identical(const ExtractionResult& streamed,
 // 0.999 fraction (it holds ~99.8% of the raw logs) the filter keeps it and
 // finish() must collapse it.
 TEST(StreamingExtractor, BitIdenticalToBatchOnDefaultCampaign) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
   ExtractionConfig keeps_candidate;
   keeps_candidate.pathological_raw_fraction = 0.999;
   const std::vector<cluster::NodeId> heavy{cluster::NodeId{21, 7}};
@@ -100,13 +90,65 @@ TEST(StreamingExtractor, BitIdenticalToBatchOnDefaultCampaign) {
   for (const auto& [config, removed] : cases) {
     SCOPED_TRACE(testing::Message() << "fraction "
                                     << config.pathological_raw_fraction);
-    const ExtractionResult batch = extract_faults(campaign.archive, config);
+    const ExtractionResult batch = extract_faults(default_logs(), config);
     EXPECT_EQ(batch.removed_nodes, removed);
     EXPECT_GT(batch.faults.size(), 10000u);
     for (const Feed feed : {Feed::kPerRecord, Feed::kBulk}) {
       SCOPED_TRACE(feed_name(feed));
       expect_identical(extract_default(feed, config), batch);
     }
+  }
+}
+
+/// FNV-1a 64 over the little-endian bytes of 64-bit words.
+struct Fnv1a64 {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void word(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      value ^= (v >> (8 * b)) & 0xFF;
+      value *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Folds every field of every fault, in order, into one digest, except the
+/// temperature value, of which only the presence counts: temperatures are
+/// raw doubles from libm, which builds may round differently in the last
+/// bit (CampaignEmit.DefaultCampaignStreamIsPinned leaves them out too).
+std::uint64_t fault_digest(FaultView faults) {
+  Fnv1a64 digest;
+  for (const FaultRecord& f : faults) {
+    digest.word(static_cast<std::uint64_t>(cluster::node_index(f.node)));
+    digest.word(static_cast<std::uint64_t>(f.first_seen));
+    digest.word(static_cast<std::uint64_t>(f.last_seen));
+    digest.word(f.raw_logs);
+    digest.word(f.virtual_address);
+    digest.word(f.expected);
+    digest.word(f.actual);
+    digest.word(telemetry::has_temperature(f.temperature_c) ? 1 : 0);
+  }
+  return digest.value;
+}
+
+// The seed-42 extraction every report is built from, pinned without an
+// oracle: the raw count, the removed node and its raw lines, the fault
+// count and a digest of every fault, through both feeds.  A change that
+// moves them on purpose updates the pins and says why.
+TEST(StreamingExtractor, DefaultCampaignExtractionIsPinned) {
+  constexpr std::uint64_t kPinnedRawLogs = 26'492'874;
+  constexpr std::uint64_t kPinnedRemovedRawLogs = 26'433'770;
+  constexpr std::size_t kPinnedFaults = 53'112;
+  constexpr std::uint64_t kPinnedFaultDigest = 0xbb06db316ec7d78eull;
+  const std::vector<cluster::NodeId> removed{cluster::NodeId{21, 7}};
+  for (const Feed feed : {Feed::kPerRecord, Feed::kBulk}) {
+    SCOPED_TRACE(feed_name(feed));
+    const ExtractionResult result = extract_default(feed, ExtractionConfig{});
+    EXPECT_EQ(result.total_raw_logs, kPinnedRawLogs);
+    EXPECT_EQ(result.removed_nodes, removed);
+    EXPECT_EQ(result.removed_raw_logs, kPinnedRemovedRawLogs);
+    EXPECT_EQ(result.faults.size(), kPinnedFaults);
+    EXPECT_EQ(fault_digest(result.faults), kPinnedFaultDigest)
+        << std::hex << "0x" << fault_digest(result.faults);
   }
 }
 
@@ -121,13 +163,14 @@ TEST(StreamingExtractor, BitIdenticalToBatchOnDefaultCampaign) {
 // (unp_study's ablation_dedup) share each frame and 21-07's held body, and
 // 21-07 is still only counted.
 TEST(StreamingExtractor, ReplayDecodesOnlyTheNodesItCollapses) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
   const cluster::NodeId heavy{21, 7};
-  const std::uint64_t heavy_runs = campaign.archive.log(heavy).error_runs().size();
+  const std::uint64_t heavy_runs =
+      default_logs()[static_cast<std::size_t>(cluster::node_index(heavy))]
+          .error_runs()
+          .size();
   std::uint64_t total_runs = 0;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i)
-    total_runs +=
-        campaign.archive.log(cluster::node_from_index(i)).error_runs().size();
+  for (const telemetry::NodeLog& log : default_logs())
+    total_runs += log.error_runs().size();
   ASSERT_GT(heavy_runs, total_runs / 2);
 
   ExtractionConfig keeps_candidate;
@@ -162,15 +205,15 @@ TEST(StreamingExtractor, ReplayDecodesOnlyTheNodesItCollapses) {
           [&](cluster::NodeId, std::span<const FaultRecord> faults) {
             observed += faults.size();
           });
-    std::istringstream is(default_stream(), std::ios::binary);
-    const telemetry::ReplayStats stats = telemetry::ArchiveReader(is).drain(fan);
+    const telemetry::ReplayStats stats =
+        test_support::feed_bulk(default_stream(), fan);
     EXPECT_EQ(stats.runs_decoded, c.decoded);
     EXPECT_EQ(stats.runs_decoded + stats.runs_counted, total_runs);
     for (std::size_t i = 0; i < extractors.size(); ++i) {
       SCOPED_TRACE(testing::Message()
                    << "merge window " << c.configs[i].merge_window_s << " s");
       const ExtractionResult batch =
-          extract_faults(campaign.archive, c.configs[i]);
+          extract_faults(default_logs(), c.configs[i]);
       expect_identical(extractors[i].finish(), batch);
       if (c.observe) {
         EXPECT_GT(observed, batch.faults.size());
@@ -212,11 +255,12 @@ class FrameTracker final : public telemetry::RecordSink {
 // 21-07's included, reach the observer during that node's own end_node, in
 // collapse_node_log order, on both feeds.
 TEST(StreamingExtractor, ObserverSeesEveryNodeAtItsEndNode) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
-  const ExtractionResult batch = extract_faults(campaign.archive);
+  const ExtractionResult batch = extract_faults(default_logs());
   const cluster::NodeId heavy{21, 7};
   const std::vector<FaultRecord> heavy_faults = collapse_node_log(
-      heavy, campaign.archive.log(heavy), ExtractionConfig{}.merge_window_s);
+      heavy,
+      default_logs()[static_cast<std::size_t>(cluster::node_index(heavy))],
+      ExtractionConfig{}.merge_window_s);
   ASSERT_GT(heavy_faults.size(), 100000u);
 
   for (const Feed feed : {Feed::kPerRecord, Feed::kBulk}) {
@@ -245,8 +289,8 @@ TEST(StreamingExtractor, ObserverSeesEveryNodeAtItsEndNode) {
 }
 
 // Same property fed directly from the simulator's sink emission (no
-// archive replay in between), alongside an archive sink, on a short
-// campaign with a non-default extraction config.
+// stream replay in between), alongside a sink that collects the records
+// per node, on a short campaign with a non-default extraction config.
 TEST(StreamingExtractor, MatchesBatchWhenFedByCampaignStream) {
   sim::CampaignConfig config;
   config.seed = 9;
@@ -256,11 +300,12 @@ TEST(StreamingExtractor, MatchesBatchWhenFedByCampaignStream) {
   ExtractionConfig extraction_config;
   extraction_config.merge_window_s = 120;
 
-  telemetry::CampaignArchive archive;
+  test_support::LogCollector records;
   StreamingExtractor extractor(extraction_config);
-  (void)sim::run_campaign_streaming(config, {&archive, &extractor}, 2);
+  (void)sim::run_campaign_streaming(config, {&records, &extractor}, 2);
 
-  expect_identical(extractor.finish(), extract_faults(archive, extraction_config));
+  expect_identical(extractor.finish(),
+                   extract_faults(records.logs, extraction_config));
 
   // Every node with errors a filter candidate: the extractor holds each
   // body (the costliest node's handed over uncopied) and decodes the kept
@@ -279,23 +324,65 @@ TEST(StreamingExtractor, MatchesBatchWhenFedByCampaignStream) {
       std::vector<telemetry::RecordSink*> sinks{&held_extractor};
       if (with_writer) sinks.insert(sinks.begin(), &writer);
       (void)sim::run_campaign_streaming(config, sinks, threads);
-      expect_identical(held_extractor.finish(), extract_faults(archive, held));
+      expect_identical(held_extractor.finish(),
+                       extract_faults(records.logs, held));
     }
   }
 }
 
 TEST(StreamingExtractor, CountsSessionsAndRawErrors) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
   std::uint64_t starts = 0;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    starts += campaign.archive.log(cluster::node_from_index(i)).starts().size();
+  std::uint64_t raw = 0;
+  for (const telemetry::NodeLog& log : default_logs()) {
+    starts += log.starts().size();
+    raw += log.raw_error_count();
   }
   for (const Feed feed : {Feed::kPerRecord, Feed::kBulk}) {
     SCOPED_TRACE(feed_name(feed));
     StreamingExtractor extractor;
     feed_default(feed, extractor);
-    EXPECT_EQ(extractor.raw_errors_seen(), campaign.archive.total_raw_errors());
+    EXPECT_EQ(extractor.raw_errors_seen(), raw);
     EXPECT_EQ(extractor.sessions_seen(), starts);
+  }
+}
+
+// The scan products (Figs 1, 2, 9 and the headline totals) from a framed
+// replay, per record or as bulk node logs, equal the per-node references
+// summed in node-slot order.
+TEST(ScanProfileSink, MatchesPerNodeReferencesOnDefaultCampaign) {
+  const CampaignWindow window = sim::CampaignConfig{}.window;
+  for (const Feed feed : {Feed::kPerRecord, Feed::kBulk}) {
+    SCOPED_TRACE(feed_name(feed));
+    ScanProfileSink scan;
+    feed_default(feed, scan);
+    EXPECT_EQ(scan.window().start, window.start);
+    EXPECT_EQ(scan.window().end, window.end);
+
+    const std::vector<double>& daily = scan.daily_terabyte_hours();
+    ASSERT_GE(daily.size(), static_cast<std::size_t>(window.duration_days()));
+    std::vector<double> want_daily(daily.size(), 0.0);
+    double hours = 0.0;
+    double tbh = 0.0;
+    int monitored = 0;
+    for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
+      const telemetry::NodeLog& log = default_logs()[static_cast<std::size_t>(i)];
+      const cluster::NodeId node = cluster::node_from_index(i);
+      const auto row = static_cast<std::size_t>(node.blade);
+      const auto col = static_cast<std::size_t>(node.soc);
+      ASSERT_EQ(scan.hours_grid().at(row, col), log.monitored_hours())
+          << cluster::node_name(node);
+      ASSERT_EQ(scan.terabyte_hours_grid().at(row, col), log.terabyte_hours())
+          << cluster::node_name(node);
+      accumulate_daily_terabyte_hours(log, window, want_daily);
+      hours += log.monitored_hours();
+      tbh += log.terabyte_hours();
+      if (log.monitored_hours() > 0.0) ++monitored;
+    }
+    EXPECT_EQ(daily, want_daily);
+    EXPECT_EQ(scan.total_monitored_hours(), hours);
+    EXPECT_EQ(scan.total_terabyte_hours(), tbh);
+    EXPECT_EQ(scan.monitored_nodes(), monitored);
+    EXPECT_EQ(monitored, 923);
   }
 }
 

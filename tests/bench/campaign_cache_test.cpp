@@ -119,8 +119,9 @@ TEST(CampaignCacheSpill, FileIsHeaderThenStreamAndNothingElse) {
   expected.push_back('\x02');
   for (int i = 0; i < 8; ++i)
     expected.push_back(static_cast<char>((miss.fingerprint >> (8 * i)) & 0xFF));
-  std::ostringstream stream;
-  telemetry::save_archive_stream(sim::run_campaign(config, 2).archive, stream);
+  std::ostringstream stream(std::ios::binary);
+  telemetry::ArchiveWriter writer(stream);
+  (void)sim::run_campaign_streaming(config, {&writer}, 2);
   expected += stream.str();
 
   std::ifstream file(miss.cache_path, std::ios::binary);

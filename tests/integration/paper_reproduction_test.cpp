@@ -18,14 +18,15 @@
 #include "resilience/ecc_whatif.hpp"
 #include "resilience/quarantine.hpp"
 #include "sim/campaign.hpp"
+#include "util/campaign_cache.hpp"
 
 namespace unp {
 namespace {
 
 struct Pipeline {
-  const sim::CampaignResult& campaign = sim::default_campaign();
-  analysis::ExtractionResult extraction =
-      analysis::extract_faults(campaign.archive);
+  bench::CampaignData data = bench::simulate_data(sim::CampaignConfig{});
+  const analysis::ExtractionResult& extraction = data.extraction;
+  const analysis::ScanProfileSink& scan = data.scan;
   std::vector<analysis::SimultaneousGroup> groups =
       analysis::group_simultaneous(extraction.faults);
 };
@@ -37,8 +38,9 @@ const Pipeline& pipeline() {
 
 TEST(PaperHeadline, SectionIIIB) {
   const Pipeline& p = pipeline();
-  const analysis::HeadlineStats stats =
-      analysis::headline_stats(p.campaign.archive, p.extraction);
+  const analysis::HeadlineStats stats = analysis::headline_stats(
+      p.scan.total_monitored_hours(), p.scan.total_terabyte_hours(),
+      p.scan.monitored_nodes(), p.scan.window(), p.extraction);
 
   EXPECT_EQ(stats.monitored_nodes, 923);              // paper: 923
   EXPECT_GT(stats.raw_logs, 20000000u);               // paper: >25M
@@ -54,8 +56,8 @@ TEST(PaperHeadline, SectionIIIB) {
 
 TEST(PaperScanAccounting, Figs1And2) {
   const Pipeline& p = pipeline();
-  const Grid2D hours = analysis::hours_scanned_grid(p.campaign.archive);
-  const Grid2D tbh = analysis::terabyte_hours_grid(p.campaign.archive);
+  const Grid2D& hours = p.scan.hours_grid();
+  const Grid2D& tbh = p.scan.terabyte_hours_grid();
 
   // Login slots (SoC 0 of the first blades) never scan.
   for (std::size_t blade = 0; blade < 9; ++blade) {
@@ -83,7 +85,7 @@ TEST(PaperScanAccounting, Figs1And2) {
 TEST(PaperSpatial, Fig3AndFig12) {
   const Pipeline& p = pipeline();
   const analysis::TopNodeSeries top = analysis::top_node_series(
-      p.extraction.faults, p.campaign.archive.window());
+      p.extraction.faults, p.scan.window());
 
   ASSERT_EQ(top.nodes.size(), 3u);
   // The degrading node dominates with tens of thousands of faults.
@@ -230,7 +232,8 @@ TEST(PaperTemperature, Figs7And8) {
 TEST(PaperMethodology, SectionIIIGCorrelation) {
   const Pipeline& p = pipeline();
   const PearsonResult corr = analysis::scan_error_correlation(
-      p.campaign.archive, p.extraction.faults);
+      p.scan.daily_terabyte_hours(),
+      analysis::daily_errors(p.extraction.faults, p.scan.window()));
   // Paper: r = -0.17966 - a *low* (anti-)correlation; the essential claim
   // is that scanning volume does not drive the error count.
   EXPECT_LT(std::abs(corr.r), 0.35);
@@ -240,7 +243,7 @@ TEST(PaperMethodology, SectionIIIGCorrelation) {
 TEST(PaperRegime, SectionIIIIAndFig13) {
   const Pipeline& p = pipeline();
   const analysis::AutoRegime result = analysis::classify_regime_excluding_loudest(
-      p.extraction.faults, p.campaign.archive.window());
+      p.extraction.faults, p.scan.window());
 
   ASSERT_TRUE(result.excluded.has_value());
   EXPECT_EQ(*result.excluded, (cluster::NodeId{2, 4}));
@@ -255,7 +258,7 @@ TEST(PaperRegime, SectionIIIIAndFig13) {
 
 TEST(PaperQuarantine, TableII) {
   const Pipeline& p = pipeline();
-  const CampaignWindow& window = p.campaign.archive.window();
+  const CampaignWindow& window = p.scan.window();
   resilience::QuarantineConfig base;
   base.excluded_nodes.push_back({2, 4});
   const auto sweep = resilience::quarantine_sweep(
@@ -304,7 +307,7 @@ TEST(PaperSdc, SectionIIID) {
 
 TEST(PaperNovemberBurst, Fig11) {
   const Pipeline& p = pipeline();
-  const CampaignWindow& window = p.campaign.archive.window();
+  const CampaignWindow& window = p.scan.window();
   int november = 0, other_months_max = 0;
   std::map<int, int> by_month;
   for (const auto& f : p.extraction.faults) {

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "analysis/extraction.hpp"
+#include "analysis/streaming_extractor.hpp"
 #include "common/civil_time.hpp"
 #include "sim/campaign.hpp"
 
@@ -72,8 +73,9 @@ TEST(ClosedLoop, AccountingIsConsistent) {
 TEST(ClosedLoop, OpenLoopPassMatchesTheExtractedCampaign) {
   const ClosedLoopConfig config = short_config(2);
   const ClosedLoopResult result = run_closed_loop(config);
-  const analysis::ExtractionResult extracted = analysis::extract_faults(
-      sim::run_campaign(config.campaign, 2).archive, config.extraction);
+  analysis::StreamingExtractor extractor(config.extraction);
+  (void)sim::run_campaign_streaming(config.campaign, {&extractor}, 2);
+  const analysis::ExtractionResult extracted = extractor.finish();
 
   std::map<int, std::uint64_t> extracted_per_node;
   for (const analysis::FaultRecord& f : extracted.faults)

@@ -210,7 +210,7 @@ TEST(PolicyEngine, LoudestNodeExcludedFromLedgers) {
 // entire batch Table II sweep bit-identically (`unp_policy --sweep` prints
 // the engine's outcomes; resilience::quarantine_sweep is the oracle).
 TEST(PolicyEngine, DefaultCampaignSweepBitIdenticalToBatch) {
-  const sim::CampaignResult& campaign = sim::default_campaign();
+  const sim::CampaignConfig campaign;
   PolicyEngine engine;
   const std::vector<int> periods{0, 5, 10, 15, 20, 25, 30};
   for (const int p : periods) {
@@ -218,22 +218,16 @@ TEST(PolicyEngine, DefaultCampaignSweepBitIdenticalToBatch) {
     tq.period_days = p;
     engine.add_policy(std::make_unique<ThresholdQuarantinePolicy>(tq));
   }
-  engine.begin_campaign(campaign.archive.window());
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    engine.begin_node(node);
-    telemetry::replay_node_log(campaign.archive.log(node), engine);
-    engine.end_node(node);
-  }
-  engine.end_campaign();
+  (void)sim::run_campaign_streaming(campaign, {&engine},
+                                    sim::default_campaign_threads());
   const EngineResult result = engine.finish();
 
   const analysis::AutoRegime regimes = analysis::classify_regime_excluding_loudest(
-      result.extraction.faults, campaign.archive.window());
+      result.extraction.faults, campaign.window);
   resilience::QuarantineConfig base;
   if (regimes.excluded) base.excluded_nodes.push_back(*regimes.excluded);
   const auto batch = resilience::quarantine_sweep(
-      result.extraction.faults, campaign.archive.window(), periods, base);
+      result.extraction.faults, campaign.window, periods, base);
   ASSERT_EQ(result.outcomes.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     expect_bit_identical(result.outcomes[i].quarantine, batch[i]);

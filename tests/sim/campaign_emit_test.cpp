@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "sim/shard.hpp"
+#include "support/campaign_stream.hpp"
 #include "telemetry/archive_io.hpp"
 
 namespace unp::sim {
@@ -29,18 +30,21 @@ CampaignConfig short_config(std::uint64_t seed = 5) {
   return config;
 }
 
-/// Re-encode a materialized archive through ArchiveWriter's bulk path: one
-/// EncodedNodeLog per node slot, as the campaign driver delivers them
-/// (empty logs write no frame).
-std::string reencode(const telemetry::CampaignArchive& archive) {
+using test_support::LogCollector;
+
+/// Re-encode node logs (indexed by node slot) through ArchiveWriter's bulk
+/// path: one EncodedNodeLog per node slot, as the campaign driver delivers
+/// them (empty logs write no frame).
+std::string reencode(const std::vector<telemetry::NodeLog>& logs,
+                     const CampaignWindow& window) {
   std::ostringstream os(std::ios::binary);
   telemetry::ArchiveWriter writer(os);
-  writer.begin_campaign(archive.window());
+  writer.begin_campaign(window);
   std::string scratch;
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    const cluster::NodeId node = cluster::node_from_index(static_cast<int>(i));
     writer.begin_node(node);
-    telemetry::EncodedNodeLog enc(node, archive.log(node), scratch);
+    telemetry::EncodedNodeLog enc(node, logs[i], scratch);
     writer.on_node_log(enc);
     writer.end_node(node);
   }
@@ -48,14 +52,14 @@ std::string reencode(const telemetry::CampaignArchive& archive) {
   return os.str();
 }
 
-void expect_same_logs(const telemetry::CampaignArchive& got,
-                      const telemetry::CampaignArchive& want) {
-  for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-    const cluster::NodeId node = cluster::node_from_index(i);
-    ASSERT_EQ(got.log(node).starts(), want.log(node).starts()) << i;
-    ASSERT_EQ(got.log(node).ends(), want.log(node).ends()) << i;
-    ASSERT_EQ(got.log(node).alloc_fails(), want.log(node).alloc_fails()) << i;
-    ASSERT_EQ(got.log(node).error_runs(), want.log(node).error_runs()) << i;
+void expect_same_logs(const std::vector<telemetry::NodeLog>& got,
+                      const std::vector<telemetry::NodeLog>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].starts(), want[i].starts()) << i;
+    ASSERT_EQ(got[i].ends(), want[i].ends()) << i;
+    ASSERT_EQ(got[i].alloc_fails(), want[i].alloc_fails()) << i;
+    ASSERT_EQ(got[i].error_runs(), want[i].error_runs()) << i;
   }
 }
 
@@ -162,33 +166,35 @@ TEST(CampaignEmit, StreamBytesIdenticalAcrossThreads) {
                                     std::size_t{8}}) {
     std::ostringstream os(std::ios::binary);
     telemetry::ArchiveWriter writer(os);
-    telemetry::CampaignArchive archive;
-    std::vector<telemetry::RecordSink*> sinks{&writer, &archive};
+    LogCollector records;
+    std::vector<telemetry::RecordSink*> sinks{&writer, &records};
     (void)run_campaign_streaming(short_config(), sinks, threads);
     const std::string stream = os.str();
     if (expect.empty()) expect = stream;
     ASSERT_GT(stream.size(), 1u << 12);
     EXPECT_EQ(stream, expect) << "threads=" << threads;
-    EXPECT_EQ(reencode(archive), stream) << "threads=" << threads;
+    EXPECT_EQ(reencode(records.logs, short_config().window), stream)
+        << "threads=" << threads;
   }
 
   // Two shards at 3 threads: each shard's stream is its own records
   // re-encoded, and the shards' node logs together re-encode to the
   // monolithic stream.
-  telemetry::CampaignArchive merged(short_config().window);
+  std::vector<telemetry::NodeLog> merged(
+      static_cast<std::size_t>(cluster::kStudyNodeSlots));
   for (int index = 0; index < 2; ++index) {
     std::ostringstream os(std::ios::binary);
     telemetry::ArchiveWriter writer(os);
-    telemetry::CampaignArchive archive;
-    std::vector<telemetry::RecordSink*> sinks{&writer, &archive};
+    LogCollector records;
+    std::vector<telemetry::RecordSink*> sinks{&writer, &records};
     (void)run_campaign_shard(short_config(), ShardSpec{2, index}, sinks, 3);
-    EXPECT_EQ(reencode(archive), os.str()) << "shard " << index;
-    for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
-      const cluster::NodeId node = cluster::node_from_index(i);
-      if (!archive.log(node).empty()) merged.log(node) = archive.log(node);
+    EXPECT_EQ(reencode(records.logs, short_config().window), os.str())
+        << "shard " << index;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      if (!records.logs[i].empty()) merged[i] = records.logs[i];
     }
   }
-  EXPECT_EQ(reencode(merged), expect);
+  EXPECT_EQ(reencode(merged, short_config().window), expect);
 }
 
 TEST(CampaignEmit, RunCountIsExactOnEveryNode) {
@@ -326,17 +332,17 @@ TEST(CampaignEmit, SinkExceptionReachesTheCallerAfterWorkersStop) {
         << "at " << at;
     EXPECT_EQ(sink.nodes, at + 1) << "at " << at;
   }
-  telemetry::CampaignArchive archive;
-  std::vector<telemetry::RecordSink*> sinks{&archive};
+  LogCollector records;
+  std::vector<telemetry::RecordSink*> sinks{&records};
   (void)run_campaign_streaming(short_config(), sinks, 4);
-  EXPECT_GT(archive.total_raw_errors(), 0u);
+  EXPECT_GT(records.raw_errors(), 0u);
 }
 
 TEST(CampaignEmit, MixedSinksShareOneEncodedBody) {
-  // A byte sink (ArchiveWriter) and a record sink (CampaignArchive) fed from
+  // A byte sink (ArchiveWriter) and a record sink (LogCollector) fed from
   // the same streaming run: the writer's stream must equal a writer-only run
-  // and the archive must hold, node by node, the records of an archive-only
-  // run — one encode per node serves both.
+  // and the collector must hold, node by node, the records of a
+  // collector-only run — one encode per node serves both.
   std::ostringstream solo_os(std::ios::binary);
   {
     telemetry::ArchiveWriter writer(solo_os);
@@ -346,18 +352,18 @@ TEST(CampaignEmit, MixedSinksShareOneEncodedBody) {
 
   std::ostringstream os(std::ios::binary);
   telemetry::ArchiveWriter writer(os);
-  telemetry::CampaignArchive archive;
-  std::vector<telemetry::RecordSink*> sinks{&writer, &archive};
+  LogCollector records;
+  std::vector<telemetry::RecordSink*> sinks{&writer, &records};
   (void)run_campaign_streaming(short_config(), sinks, 2);
 
   EXPECT_EQ(os.str(), solo_os.str());
 
-  telemetry::CampaignArchive solo_archive;
-  std::vector<telemetry::RecordSink*> archive_sinks{&solo_archive};
-  (void)run_campaign_streaming(short_config(), archive_sinks, 1);
-  ASSERT_GT(solo_archive.total_raw_errors(), 0u);
-  EXPECT_EQ(archive.total_raw_errors(), solo_archive.total_raw_errors());
-  expect_same_logs(archive, solo_archive);
+  LogCollector solo_records;
+  std::vector<telemetry::RecordSink*> record_sinks{&solo_records};
+  (void)run_campaign_streaming(short_config(), record_sinks, 1);
+  ASSERT_GT(solo_records.raw_errors(), 0u);
+  EXPECT_EQ(records.raw_errors(), solo_records.raw_errors());
+  expect_same_logs(records.logs, solo_records.logs);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/extraction.hpp"
+#include <utility>
+#include <vector>
+
+#include "support/campaign_stream.hpp"
 
 namespace unp::sim {
 namespace {
@@ -15,19 +18,44 @@ CampaignConfig short_config(std::uint64_t seed = 5) {
   return config;
 }
 
+/// A campaign run: its summary and its records, one NodeLog per node slot.
+struct CampaignRun {
+  CampaignSummary summary;
+  std::vector<telemetry::NodeLog> logs;
+
+  [[nodiscard]] std::uint64_t raw_errors() const {
+    std::uint64_t total = 0;
+    for (const auto& log : logs) total += log.raw_error_count();
+    return total;
+  }
+  [[nodiscard]] const telemetry::NodeLog& log(cluster::NodeId node) const {
+    return logs[static_cast<std::size_t>(cluster::node_index(node))];
+  }
+};
+
+CampaignRun run(const CampaignConfig& config, std::size_t threads = 1) {
+  test_support::LogCollector records;
+  CampaignRun out;
+  out.summary = run_campaign_streaming(config, {&records}, threads);
+  out.logs = std::move(records.logs);
+  return out;
+}
+
 TEST(Campaign, DeterministicAcrossRuns) {
-  const CampaignResult a = run_campaign(short_config());
-  const CampaignResult b = run_campaign(short_config());
+  const CampaignRun a = run(short_config());
+  const CampaignRun b = run(short_config());
   EXPECT_EQ(a.summary.ground_truth.size(), b.summary.ground_truth.size());
-  EXPECT_DOUBLE_EQ(a.total_scanned_hours(), b.total_scanned_hours());
-  EXPECT_EQ(a.archive.total_raw_errors(), b.archive.total_raw_errors());
+  EXPECT_DOUBLE_EQ(a.summary.total_scanned_hours(),
+                   b.summary.total_scanned_hours());
+  EXPECT_EQ(a.raw_errors(), b.raw_errors());
 }
 
 TEST(Campaign, DeterministicAcrossThreadCounts) {
-  const CampaignResult a = run_campaign(short_config(), 1);
-  const CampaignResult b = run_campaign(short_config(), 4);
-  EXPECT_EQ(a.archive.total_raw_errors(), b.archive.total_raw_errors());
-  EXPECT_DOUBLE_EQ(a.total_terabyte_hours(), b.total_terabyte_hours());
+  const CampaignRun a = run(short_config(), 1);
+  const CampaignRun b = run(short_config(), 4);
+  EXPECT_EQ(a.raw_errors(), b.raw_errors());
+  EXPECT_DOUBLE_EQ(a.summary.total_terabyte_hours(),
+                   b.summary.total_terabyte_hours());
   ASSERT_EQ(a.summary.ground_truth.size(), b.summary.ground_truth.size());
   for (std::size_t i = 0; i < a.summary.ground_truth.size(); ++i) {
     EXPECT_EQ(a.summary.ground_truth[i].time, b.summary.ground_truth[i].time);
@@ -37,59 +65,74 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Campaign, SeedChangesOutcome) {
-  const CampaignResult a = run_campaign(short_config(1));
-  const CampaignResult b = run_campaign(short_config(2));
-  EXPECT_NE(a.archive.total_raw_errors(), b.archive.total_raw_errors());
+  const CampaignRun a = run(short_config(1));
+  const CampaignRun b = run(short_config(2));
+  EXPECT_NE(a.raw_errors(), b.raw_errors());
 }
 
 TEST(Campaign, AccountingCoversMonitoredFleet) {
-  const CampaignResult result = run_campaign(short_config());
-  EXPECT_EQ(result.summary.accounting.size(), 923u);
+  const CampaignSummary summary = run_campaign_streaming(short_config(), {});
+  EXPECT_EQ(summary.accounting.size(), 923u);
   double hours = 0.0;
-  for (const auto& acc : result.summary.accounting) {
+  for (const auto& acc : summary.accounting) {
     EXPECT_GE(acc.scanned_hours, 0.0);
     hours += acc.scanned_hours;
   }
-  EXPECT_NEAR(hours, result.total_scanned_hours(), 1e-6);
+  EXPECT_NEAR(hours, summary.total_scanned_hours(), 1e-6);
   EXPECT_GT(hours, 0.0);
 }
 
 TEST(Campaign, ArchiveAgreesWithAccounting) {
   // Hours derived from the telemetry (START/END pairs) must track the
   // planner's ground-truth hours (up to lost-END sessions).
-  const CampaignResult result = run_campaign(short_config());
-  const double archive_hours = result.archive.total_monitored_hours();
-  EXPECT_NEAR(archive_hours, result.total_scanned_hours(),
-              0.02 * result.total_scanned_hours());
+  const CampaignRun result = run(short_config());
+  double record_hours = 0.0;
+  for (const auto& log : result.logs) record_hours += log.monitored_hours();
+  EXPECT_NEAR(record_hours, result.summary.total_scanned_hours(),
+              0.02 * result.summary.total_scanned_hours());
 }
 
 TEST(Campaign, LoginAndDeadNodesNeverLog) {
-  const CampaignResult result = run_campaign(short_config());
+  const CampaignRun result = run(short_config());
   for (int i = 0; i < cluster::kStudyNodeSlots; ++i) {
     const cluster::NodeId node = cluster::node_from_index(i);
     if (!result.summary.topology.is_monitored(node)) {
-      EXPECT_EQ(result.archive.log(node).starts().size(), 0u);
-      EXPECT_EQ(result.archive.log(node).raw_error_count(), 0u);
+      EXPECT_EQ(result.log(node).starts().size(), 0u);
+      EXPECT_EQ(result.log(node).raw_error_count(), 0u);
     }
   }
 }
 
 TEST(Campaign, GroundTruthSortedAndOnMonitoredNodes) {
-  const CampaignResult result = run_campaign(short_config());
-  for (std::size_t i = 0; i < result.summary.ground_truth.size(); ++i) {
+  const CampaignSummary summary = run_campaign_streaming(short_config(), {});
+  for (std::size_t i = 0; i < summary.ground_truth.size(); ++i) {
     if (i > 0) {
-      EXPECT_LE(result.summary.ground_truth[i - 1].time, result.summary.ground_truth[i].time);
+      EXPECT_LE(summary.ground_truth[i - 1].time, summary.ground_truth[i].time);
     }
-    EXPECT_TRUE(result.summary.topology.is_monitored(result.summary.ground_truth[i].node));
+    EXPECT_TRUE(summary.topology.is_monitored(summary.ground_truth[i].node));
   }
 }
 
+/// Every node's log of the full seed-3 campaign (the December window needs
+/// all of it), indexed by node slot.
+const std::vector<telemetry::NodeLog>& seed3_logs() {
+  static const std::vector<telemetry::NodeLog> logs = [] {
+    CampaignConfig config;
+    config.seed = 3;
+    test_support::LogCollector collector;
+    (void)run_campaign_streaming(config, {&collector},
+                                 default_campaign_threads());
+    return std::move(collector.logs);
+  }();
+  return logs;
+}
+
+const telemetry::NodeLog& seed3_log(cluster::NodeId node) {
+  return seed3_logs()[static_cast<std::size_t>(cluster::node_index(node))];
+}
+
 TEST(Campaign, SpecialOutagesSilenceDegradingNodeInDecember) {
-  CampaignConfig config;  // full campaign needed for the December window
-  config.seed = 3;
-  const CampaignResult result = run_campaign(config);
-  const cluster::NodeId degrading = config.faults.degrading.node;
-  const auto& log = result.archive.log(degrading);
+  const auto& log = seed3_log(CampaignConfig{}.faults.degrading.node);
   int december_sessions = 0;
   for (const auto& start : log.starts()) {
     const CivilDateTime c = to_civil_utc(start.time);
@@ -103,10 +146,8 @@ TEST(Campaign, SpecialOutagesSilenceDegradingNodeInDecember) {
 }
 
 TEST(Campaign, PathologicalNodeStopsAtRemoval) {
-  CampaignConfig config;
-  config.seed = 3;
-  const CampaignResult result = run_campaign(config);
-  const auto& log = result.archive.log(config.faults.pathological.node);
+  const CampaignConfig config;
+  const auto& log = seed3_log(config.faults.pathological.node);
   for (const auto& start : log.starts()) {
     EXPECT_LT(start.time, config.faults.pathological.removal);
   }

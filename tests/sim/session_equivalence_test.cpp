@@ -4,9 +4,9 @@
 //      the ERROR stream that the real MemoryScanner would when driven
 //      pass-by-pass over a fault-injected backend - the test that licenses
 //      replacing 10^17 word operations with the analytic model;
-//   2. the campaign driver must produce byte-identical archives and
-//      accounting for any thread count - the test that licenses running
-//      default_campaign() on all hardware threads.
+//   2. the campaign driver must produce byte-identical record streams and
+//      accounting for any thread count - the test that licenses simulating
+//      on all hardware threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "scanner/sim_backend.hpp"
 #include "sim/campaign.hpp"
 #include "sim/session_sim.hpp"
+#include "support/campaign_stream.hpp"
 #include "telemetry/archive_io.hpp"
 
 namespace unp::sim {
@@ -143,41 +144,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionEquivalence,
                          ::testing::Range<std::uint64_t>(1, 25));
 
 // Campaign-level determinism: thread counts {1, 2, 8} must produce
-// byte-identical archives (compared through their UNPS streams) and
-// identical accounting, including the block-streamed sink emission.
+// byte-identical UNPS streams and identical accounting, including the
+// block-streamed sink emission.
 TEST(CampaignThreadEquivalence, ArchivesAndAccountingAreByteIdentical) {
   CampaignConfig config;
   config.seed = 7;
   config.window.start = from_civil_utc({2015, 9, 1, 0, 0, 0});
   config.window.end = from_civil_utc({2015, 9, 22, 0, 0, 0});
 
-  const CampaignResult reference = run_campaign(config, 1);
+  // The campaign at `threads`: its stream into `os`, its summary back.
+  const auto run = [&config](std::size_t threads, std::ostream& os) {
+    telemetry::ArchiveWriter writer(os);
+    return run_campaign_streaming(config, {&writer}, threads);
+  };
   std::ostringstream reference_bytes(std::ios::binary);
-  telemetry::save_archive_stream(reference.archive, reference_bytes);
-  EXPECT_GT(reference.archive.total_raw_errors(), 0u);
+  const CampaignSummary reference_summary = run(1, reference_bytes);
+  std::uint64_t raw_errors = 0;
+  test_support::for_each_node_log(
+      reference_bytes.str(), [&](cluster::NodeId, const telemetry::NodeLog& log) {
+        raw_errors += log.raw_error_count();
+      });
+  EXPECT_GT(raw_errors, 0u);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const CampaignResult other = run_campaign(config, threads);
     std::ostringstream bytes(std::ios::binary);
-    telemetry::save_archive_stream(other.archive, bytes);
+    const CampaignSummary other_summary = run(threads, bytes);
     EXPECT_TRUE(bytes.view() == reference_bytes.view())
         << threads << " threads";
 
-    ASSERT_EQ(other.summary.accounting.size(), reference.summary.accounting.size());
-    for (std::size_t i = 0; i < reference.summary.accounting.size(); ++i) {
-      const NodeAccounting& a = reference.summary.accounting[i];
-      const NodeAccounting& b = other.summary.accounting[i];
+    ASSERT_EQ(other_summary.accounting.size(), reference_summary.accounting.size());
+    for (std::size_t i = 0; i < reference_summary.accounting.size(); ++i) {
+      const NodeAccounting& a = reference_summary.accounting[i];
+      const NodeAccounting& b = other_summary.accounting[i];
       ASSERT_EQ(a.node, b.node);
       ASSERT_EQ(a.scanned_hours, b.scanned_hours);  // bitwise, not NEAR
       ASSERT_EQ(a.terabyte_hours, b.terabyte_hours);
       ASSERT_EQ(a.sessions, b.sessions);
     }
 
-    ASSERT_EQ(other.summary.ground_truth.size(), reference.summary.ground_truth.size());
-    for (std::size_t i = 0; i < reference.summary.ground_truth.size(); ++i) {
-      ASSERT_EQ(other.summary.ground_truth[i].time, reference.summary.ground_truth[i].time);
-      ASSERT_EQ(other.summary.ground_truth[i].node, reference.summary.ground_truth[i].node);
-      ASSERT_EQ(other.summary.ground_truth[i].words, reference.summary.ground_truth[i].words);
+    ASSERT_EQ(other_summary.ground_truth.size(), reference_summary.ground_truth.size());
+    for (std::size_t i = 0; i < reference_summary.ground_truth.size(); ++i) {
+      ASSERT_EQ(other_summary.ground_truth[i].time, reference_summary.ground_truth[i].time);
+      ASSERT_EQ(other_summary.ground_truth[i].node, reference_summary.ground_truth[i].node);
+      ASSERT_EQ(other_summary.ground_truth[i].words, reference_summary.ground_truth[i].words);
     }
   }
 }

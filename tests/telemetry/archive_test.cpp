@@ -1,4 +1,4 @@
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 
 #include <gtest/gtest.h>
 
@@ -77,21 +77,9 @@ TEST(NodeLog, SortByTime) {
   EXPECT_EQ(log.error_runs()[0].first.time, 10);
 }
 
-TEST(Archive, AggregatesAcrossNodes) {
-  CampaignArchive archive;
-  archive.log({0, 1}) = make_session_log(0, 3600);
-  archive.log({5, 9}) = make_session_log(0, 7200);
-  ErrorRecord e;
-  e.node = {0, 1};
-  archive.log({0, 1}).add_error(e);
-  EXPECT_DOUBLE_EQ(archive.total_monitored_hours(), 3.0);
-  EXPECT_NEAR(archive.total_terabyte_hours(), 9.0 / 1024.0, 1e-9);
-  EXPECT_EQ(archive.total_raw_errors(), 1u);
-}
-
-TEST(Archive, WindowDefaultsToCampaign) {
-  const CampaignArchive archive;
-  EXPECT_EQ(archive.window().duration_days(), 394);
+TEST(CampaignWindow, DefaultsToTheStudy) {
+  const CampaignWindow window;
+  EXPECT_EQ(window.duration_days(), 394);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // edits of valid input: text lines plus unstructured garbage, and the binary
 // formats that are actually read back - a UNPS stream drained through
 // ArchiveReader and a 2-shard UNPH partition drained through
-// ShardMergeReader, each into a materialized archive and into the warm
+// ShardMergeReader, each into a sink decoding every record and into the warm
 // report's sinks, which decode no run, and must reject exactly what full
 // decoding rejects - and single node-log bodies, whose count pass must
 // agree with full decoding error for error.
@@ -21,6 +21,7 @@
 #include "analysis/streaming_extractor.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "support/campaign_stream.hpp"
 #include "telemetry/archive_io.hpp"
 #include "telemetry/binary_codec.hpp"
 #include "telemetry/codec.hpp"
@@ -212,8 +213,8 @@ TEST_P(BinaryCodecFuzz, MutatedStreamsNeverCrash) {
     }
     try {
       std::istringstream is(bytes, std::ios::binary);
-      CampaignArchive archive;
-      (void)ArchiveReader(is).drain(archive);
+      test_support::LogCollector records;
+      (void)ArchiveReader(is).drain(records);
     } catch (const ContractViolation&) {
     }
     EXPECT_EQ(accepted_by_report_sinks([&](RecordSink& sink) {
@@ -259,8 +260,8 @@ TEST_P(BinaryCodecFuzz, MutatedShardPartitionsNeverCrash) {
       decoded = false;
     }
     try {
-      CampaignArchive archive;
-      (void)ShardMergeReader({paths[0], paths[1]}).drain(archive);
+      test_support::LogCollector records;
+      (void)ShardMergeReader({paths[0], paths[1]}).drain(records);
     } catch (const ContractViolation&) {
     }
     EXPECT_EQ(accepted_by_report_sinks([&](RecordSink& sink) {

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "telemetry/archive.hpp"
+#include "telemetry/node_log.hpp"
 #include "telemetry/binary_codec.hpp"
 
 namespace unp::telemetry::kernels {

@@ -35,14 +35,24 @@ double TemperatureModel::sample_node_c(TimePoint t, std::uint32_t node_id,
                                   rng);
 }
 
+double TemperatureModel::mean_with_idle_delta_c(TimePoint t,
+                                                double idle_delta_c,
+                                                bool overheating) const noexcept {
+  double temp = room_c(t) + idle_delta_c;
+  if (overheating) temp += config_.overheat_delta_c;
+  return temp;
+}
+
 double TemperatureModel::sample_with_idle_delta_c(TimePoint t,
                                                   double idle_delta_c,
                                                   bool overheating,
                                                   RngStream& rng) const noexcept {
-  double temp = room_c(t) + idle_delta_c;
-  if (overheating) temp += config_.overheat_delta_c;
-  temp += rng.normal(0.0, config_.sensor_noise_c);
-  return temp;
+  return mean_with_idle_delta_c(t, idle_delta_c, overheating) +
+         sensor_noise_c(rng);
+}
+
+double TemperatureModel::sensor_noise_c(RngStream& rng) const noexcept {
+  return rng.normal(0.0, config_.sensor_noise_c);
 }
 
 }  // namespace unp::env

@@ -62,6 +62,14 @@ class TemperatureModel {
                                                 bool overheating,
                                                 RngStream& rng) const noexcept;
 
+  /// The two terms of that sample: the noise-free node temperature and one
+  /// sensor-noise draw.  A sample is exactly their sum, so a caller that
+  /// draws a node's noise sequence ahead of time (the split campaign node,
+  /// sim/session_sim) reproduces every sample bit for bit.
+  [[nodiscard]] double mean_with_idle_delta_c(TimePoint t, double idle_delta_c,
+                                              bool overheating) const noexcept;
+  [[nodiscard]] double sensor_noise_c(RngStream& rng) const noexcept;
+
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 
@@ -78,20 +79,24 @@ std::uint64_t campaign_session_seed(const CampaignConfig& config) noexcept {
 /// fault events into (optionally pre-encoded) telemetry, until the calling
 /// thread has handed it to the sinks.  A ring slot is reused for every
 /// node that maps to it, so steady-state simulation+encoding allocates
-/// nothing per node.
+/// nothing per node.  The costliest node's slot holds its assembled body
+/// instead when that node was split.
 struct NodeSlot {
   telemetry::NodeLog log;
   std::string encoded;  ///< pre-encoded node-log body
   std::size_t runs_at = 0;  ///< where `encoded`'s run section begins
   std::uint64_t raw = 0;  ///< log.raw_error_count(), summed in the worker
+  std::optional<telemetry::NodeBody> body;  ///< the split node's, when set
   bool done = false;    ///< filled and not yet delivered (pipeline mutex)
 };
 
-/// The ordered pipeline of phase 3.  Workers simulate owned nodes in
-/// dispatch order — the costliest node first, into a slot of its own, then
-/// the rest ascending through a ring of `ring` slots — while the calling
-/// thread delivers nodes in ascending order as soon as each is done.  A
-/// worker takes a ring slot only once the node that used it last has been
+/// The ordered pipeline of phase 3.  Workers first run the costliest
+/// node's chunks (the worker whose chunk completes the node's body moves
+/// it into a slot of its own), or simulate that node whole into its slot
+/// when it is not split, then simulate the other owned nodes
+/// ascending through a ring of `ring` slots, while the calling thread
+/// delivers nodes in ascending order as soon as each is done.  A worker
+/// takes a ring slot only once the node that used it last has been
 /// delivered, so at most `ring` + 1 logs are resident.
 ///
 /// Owned positions are indices into the shard's ascending owned list; a
@@ -103,8 +108,15 @@ class NodePipeline {
       std::function<void(std::size_t, NodeSlot&, SessionSimArena&)>;
   using Deliver = std::function<void(std::size_t, NodeSlot&)>;
 
-  NodePipeline(std::size_t owned, std::size_t costly, std::size_t ring)
-      : owned_(owned), costly_(costly), ring_(ring) {}
+  /// `split` is the costliest node's, or null to simulate it whole.
+  NodePipeline(std::size_t owned, std::size_t costly, NodeSplit* split,
+               std::size_t ring)
+      : owned_(owned),
+        costly_(costly),
+        split_(split),
+        head_(split != nullptr ? split->chunks() : 1),
+        tasks_(head_ + owned - 1),
+        ring_(ring) {}
 
   /// Run `lanes` workers on `pool` and deliver on the calling thread.  An
   /// exception from a worker or from `deliver` stops dispatch and is
@@ -147,21 +159,24 @@ class NodePipeline {
     return p > costly_ ? p - 1 : p;
   }
 
-  /// Dispatch order: the costliest position, then the others ascending.
-  [[nodiscard]] std::size_t dispatched(std::size_t task) const noexcept {
-    if (task == 0) return costly_;
-    return task - 1 < costly_ ? task - 1 : task;
+  /// Dispatch order: the costliest node (whole, or its chunks), then the
+  /// other positions ascending.  Returns the position of a task past it.
+  [[nodiscard]] std::size_t position(std::size_t task) const noexcept {
+    const std::size_t rank = task - head_;
+    return rank < costly_ ? rank : rank + 1;
   }
 
   void work(const Simulate& simulate) {
     SessionSimArena arena;  // this lane's scratch, reused across its nodes
     for (;;) {
-      std::size_t p = 0;
+      std::size_t task = 0;
+      std::size_t p = costly_;
       {
         std::unique_lock lock(mutex_);
-        if (stop_ || next_task_ == owned_) return;
-        p = dispatched(next_task_++);
-        if (p != costly_) {
+        if (stop_ || next_task_ == tasks_) return;
+        task = next_task_++;
+        if (task >= head_) {
+          p = position(task);
           const std::size_t rank = rank_of(p);
           free_cv_.wait(lock, [&] {
             return stop_ || rank < delivered_ranks_ + ring_.size();
@@ -171,7 +186,12 @@ class NodePipeline {
       }
       NodeSlot& slot = slot_of(p);
       try {
-        simulate(p, slot, arena);
+        if (p != costly_ || split_ == nullptr) {
+          simulate(p, slot, arena);
+        } else {
+          if (!split_->run_chunk(task, arena)) continue;
+          slot.body = split_->take_body();
+        }
       } catch (...) {
         fail(std::current_exception());
         return;
@@ -196,6 +216,9 @@ class NodePipeline {
 
   const std::size_t owned_;
   const std::size_t costly_;
+  NodeSplit* split_;
+  const std::size_t head_;  ///< tasks of the costliest node
+  const std::size_t tasks_;
   std::vector<NodeSlot> ring_;
   NodeSlot costly_slot_;
 
@@ -341,19 +364,23 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
         std::size_t>(cluster::node_index(nodes[owned[p]]))]);
   };
 
-  // Every owned node's exact error-run count: it sizes the node's log once
-  // and names the costliest node, which the pipeline dispatches first.
+  // Every owned node's exact error-run count and per-session tallies: the
+  // count sizes each node's log once and names the costliest node, whose
+  // tallies split it.
   std::vector<std::size_t> runs(owned.size());
+  std::vector<std::vector<SessionTally>> tallies(owned.size());
   const auto count = [&](std::size_t p) {
     SessionSimArena arena;
     runs[p] = count_node_runs(config.session, plans[owned[p]], fleet_truth,
-                              events_of(p), arena);
+                              events_of(p), arena, tallies[p]);
   };
   if (pool) {
     pool->parallel_for(owned.size(), count);
   } else {
     for (std::size_t p = 0; p < owned.size(); ++p) count(p);
   }
+  const std::size_t costly = static_cast<std::size_t>(
+      std::max_element(runs.begin(), runs.end()) - runs.begin());
 
   summary.accounting.resize(owned.size());
   for (std::size_t p = 0; p < owned.size(); ++p) {
@@ -377,25 +404,37 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
       slot.runs_at = telemetry::encode_node_log_into(slot.log, slot.encoded);
     }
   };
-  const std::size_t costly = static_cast<std::size_t>(
-      std::max_element(runs.begin(), runs.end()) - runs.begin());
   const auto deliver = [&](std::size_t p, NodeSlot& slot) {
     const cluster::NodeId node = nodes[owned[p]];
+    const auto send = [&](telemetry::EncodedNodeLog& frame) {
+      for (auto* sink : sinks) {
+        sink->begin_node(node);
+        sink->on_node_log(frame);
+        sink->end_node(node);
+      }
+    };
+    if (slot.body) {
+      // The split costliest node: its body is the frame's own, so a sink
+      // that keeps it (the streaming extractor's filter candidate) takes
+      // it without a copy, and its runs are decoded only if a sink reads
+      // them.
+      telemetry::EncodedNodeLog frame(node, std::move(*slot.body));
+      slot.body.reset();
+      send(frame);
+      return;
+    }
     // One EncodedNodeLog shared across sinks: the body is encoded at most
     // once per node (already done in the worker if any sink wants bytes)
     // and spliced — never re-encoded, never re-copied per sink.  The raw
     // total was summed in the worker too.
-    telemetry::EncodedNodeLog enc_log(node, slot.log, slot.encoded);
-    if (wants_encoded) enc_log.set_encoded(slot.runs_at);
-    enc_log.set_raw_error_count(slot.raw);
-    // The costliest body is freed below anyway, so a sink that keeps it
-    // (the streaming extractor's filter candidate) takes it without a copy.
-    if (p == costly) enc_log.adopt_body();
-    for (auto* sink : sinks) {
-      sink->begin_node(node);
-      sink->on_node_log(enc_log);
-      sink->end_node(node);
-    }
+    telemetry::EncodedNodeLog frame(node, slot.log, slot.encoded);
+    if (wants_encoded) frame.set_encoded(slot.runs_at);
+    frame.set_raw_error_count(slot.raw);
+    // The costliest log is freed below anyway, so a sink that keeps its
+    // body (the streaming extractor's filter candidate) takes it without a
+    // copy.
+    if (p == costly) frame.adopt_body();
+    send(frame);
     // The costliest log is an outlier; no later node reuses its capacity.
     if (p == costly) {
       slot.log = telemetry::NodeLog{};
@@ -403,20 +442,43 @@ CampaignSummary run_campaign_shard(const CampaignConfig& config,
     }
   };
 
-  if (!pool) {
-    NodeSlot slot;
-    SessionSimArena arena;
-    for (std::size_t p = 0; p < owned.size(); ++p) {
-      simulate(p, slot, arena);
-      deliver(p, slot);
+  if (!owned.empty()) {
+    // When some sink wants bytes, the costliest node runs as chunks of its
+    // walk, one per lane, so it no longer holds one worker for the whole
+    // campaign.  Record-reading sinks take it as a whole log instead: a
+    // split node reaches them as a body they would decode again, and its
+    // per-lane run buffers stay in the lanes' malloc arenas once freed.
+    std::optional<NodeSplit> split;
+    if (wants_encoded) {
+      const cluster::NodeId node = nodes[owned[costly]];
+      split.emplace(config.session, node, plans[owned[costly]],
+                    cluster::Topology::is_overheating_slot(node),
+                    plan.session_seed, fleet_truth, events_of(costly),
+                    tallies[costly], threads);
     }
-  } else if (!owned.empty()) {
-    // At most this many logs are resident: the ring plus the costliest's
-    // own slot.
-    const std::size_t resident = std::max<std::size_t>(threads * 8, 32);
-    NodePipeline pipeline(owned.size(), costly,
-                          std::min(resident - 1, owned.size() - 1));
-    pipeline.run(*pool, threads, simulate, deliver);
+    tallies = {};
+
+    if (!pool) {
+      NodeSlot slot;
+      SessionSimArena arena;
+      for (std::size_t p = 0; p < owned.size(); ++p) {
+        if (p == costly && split) {
+          for (std::size_t k = 0; k < split->chunks(); ++k)
+            (void)split->run_chunk(k, arena);
+          slot.body = split->take_body();
+        } else {
+          simulate(p, slot, arena);
+        }
+        deliver(p, slot);
+      }
+    } else {
+      // At most this many logs are resident: the ring plus the costliest's
+      // own slot.
+      const std::size_t resident = std::max<std::size_t>(threads * 8, 32);
+      NodePipeline pipeline(owned.size(), costly, split ? &*split : nullptr,
+                            std::min(resident - 1, owned.size() - 1));
+      pipeline.run(*pool, threads, simulate, deliver);
+    }
   }
 
   for (auto* sink : sinks) sink->end_campaign();

@@ -98,10 +98,13 @@ struct CampaignPlan {
 /// Stream the campaign through `sinks`.  Per-node records are pushed with
 /// full framing (begin_campaign .. end_campaign, nodes ascending by index),
 /// each node as soon as it and every earlier node are simulated.  Workers
-/// simulate the node with the most error runs first (count_node_runs) and
-/// the rest ascending, into a bounded ring of slots: at most
-/// max(threads*8, 32) node logs are ever resident.  Sinks are called only
-/// from the calling thread.  Each node reaches every sink as one bulk
+/// take the node with the most error runs (count_node_runs) first: when
+/// some sink wants bytes, as `threads` ranges of its walk (NodeSplit) that
+/// they simulate and encode in parallel and that reach the sinks as one
+/// owned-body frame; else whole.  The other nodes follow ascending, into a
+/// bounded ring of slots: at most max(threads*8, 32) node logs are ever
+/// resident.  Sinks are called only from the calling thread.  Each node
+/// reaches every sink as one bulk
 /// `on_node_log(EncodedNodeLog)` call; when some sink wants bytes, the
 /// node-log body is encoded once per node in the simulation workers and
 /// shared by every sink.  `threads` > 1 parallelizes planning and session

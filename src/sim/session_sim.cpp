@@ -1,10 +1,13 @@
 #include "sim/session_sim.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <span>
 
 #include "common/require.hpp"
 #include "scanner/pattern.hpp"
+#include "telemetry/binary_codec.hpp"
 
 namespace unp::sim {
 
@@ -18,34 +21,70 @@ using telemetry::ErrorRecord;
 using telemetry::ErrorRun;
 using telemetry::NodeLog;
 
+/// Each record's temperature: nothing before the sensors came online, else
+/// the node's noise-free temperature plus the next sensor-noise value, in
+/// walk order.  The noise is drawn live from the node's stream, or read
+/// from the stretch of its pre-drawn sequence a split chunk starts at
+/// (NodeSplit); the two give the same doubles.
 struct TempSampler {
   const SessionSimConfig* config;
-  cluster::NodeId node;
   bool overheating;
-  RngStream* rng;
   /// Hoisted per-node idle delta: a pure function of the node id, resolved
   /// once here instead of redrawing it for every record's sample.
   double idle_delta_c;
+  RngStream* rng = nullptr;
+  const double* noise = nullptr;  ///< the next pre-drawn value, without rng
 
-  TempSampler(const SessionSimConfig* cfg, cluster::NodeId n, bool hot,
-              RngStream* r)
+  TempSampler(const SessionSimConfig* cfg, cluster::NodeId n, bool hot)
       : config(cfg),
-        node(n),
         overheating(hot),
-        rng(r),
         idle_delta_c(cfg->temperature.node_idle_delta_c(
             static_cast<std::uint32_t>(cluster::node_index(n)))) {}
 
-  [[nodiscard]] double at(TimePoint t) const {
+  [[nodiscard]] double at(TimePoint t) {
     if (t < config->sensors_online) return telemetry::kNoTemperature;
-    return config->temperature.sample_with_idle_delta_c(t, idle_delta_c,
-                                                        overheating, *rng);
+    if (rng != nullptr) {
+      return config->temperature.sample_with_idle_delta_c(t, idle_delta_c,
+                                                          overheating, *rng);
+    }
+    return config->temperature.mean_with_idle_delta_c(t, idle_delta_c,
+                                                      overheating) +
+           *noise++;
+  }
+  /// Pass over the sample at `t` without taking it (pre-drawn noise only:
+  /// the whole-node walk takes every sample).
+  void skip(TimePoint t) {
+    if (t >= config->sensors_online) ++noise;
   }
 };
 
+/// The key a session's runs are put in order and split by: the check index
+/// of an instant on the session's check grid (start + i*period, i >= 1),
+/// 0 at or before the start, and one shared last key from the window end
+/// on.  It is a monotone function of the time alone.
+struct CheckKey {
+  TimePoint start;
+  std::int64_t period;
+  std::uint64_t last;
+
+  explicit CheckKey(const sched::ScanSession& session)
+      : start(session.window.start),
+        period(session.pass_period_s),
+        last(session.iterations() + 1) {}
+
+  std::uint64_t operator()(TimePoint t) const {
+    if (t <= start) return 0;
+    return std::min(static_cast<std::uint64_t>((t - start) / period), last);
+  }
+};
+
+/// A START's key and an END's: before and after every run's.
+constexpr std::uint64_t kStartKey = 0;
+constexpr std::uint64_t kEndKey = ~std::uint64_t{0};
+
 ErrorRecord make_error(TimePoint when, cluster::NodeId node,
                        std::uint64_t word_index, Word expected, Word actual,
-                       const TempSampler& temp) {
+                       TempSampler& temp) {
   ErrorRecord r;
   r.time = when;
   r.node = node;
@@ -62,42 +101,102 @@ ErrorRecord make_error(TimePoint when, cluster::NodeId node,
 /// rules: it decides which checks see a fault and hands each visible run
 /// (a single log is a run of count 1) to its sink.  RunCounter only tallies
 /// them, so the exact run count comes from the same code that emits the
-/// log, with no record built and no random number drawn.
+/// log, with no record built and no random number drawn.  Per session it
+/// also counts the sites LogWriter draws a temperature at, when asked.
 struct RunCounter {
+  TimePoint sensors_online;
+  std::vector<SessionTally>* sessions = nullptr;  ///< per-session tallies
   std::size_t runs = 0;
+  SessionTally open;  ///< the session being walked
+
+  void site(TimePoint t) {
+    if (t >= sensors_online) ++open.temperature_sites;
+  }
+  void begin_session(const sched::ScanSession& session) {
+    open = {};
+    site(session.window.start);
+  }
+  void end_session(const sched::ScanSession& session) {
+    if (!session.end_lost) site(session.window.end);
+    runs += open.runs;
+    if (sessions != nullptr) sessions->push_back(open);
+  }
+  void run(TimePoint when, std::uint64_t /*word_index*/, Word /*expected*/,
+           Word /*actual*/, std::int64_t /*period_s*/,
+           std::uint64_t /*count*/) {
+    ++open.runs;
+    site(when);
+  }
+};
+
+/// Tallies one session's runs by check key: where NodeSplit cuts it.
+struct KeyCounter {
+  CheckKey key;
+  std::vector<std::size_t>& runs;  ///< indexed by key
 
   void begin_session(const sched::ScanSession& /*session*/) {}
   void end_session(const sched::ScanSession& /*session*/) {}
-  void run(TimePoint /*when*/, std::uint64_t /*word_index*/,
-           Word /*expected*/, Word /*actual*/, std::int64_t /*period_s*/,
+  void run(TimePoint when, std::uint64_t /*word_index*/, Word /*expected*/,
+           Word /*actual*/, std::int64_t /*period_s*/,
            std::uint64_t /*count*/) {
-    ++runs;
+    ++runs[key(when)];
   }
 };
 
 /// The emitting sink: builds each record (drawing its temperature sample in
 /// walk order), frames every session with its START/END records and puts
-/// the session's runs in check order as it closes.
+/// the session's runs in check order as it closes.  It writes the records
+/// whose place lies in [from, to) and passes over the others' temperature
+/// samples, so a walk over part of a node draws exactly what the whole
+/// walk draws there.
 struct LogWriter {
   cluster::NodeId node;
-  const TempSampler& temp;
+  TempSampler& temp;
   SessionSimArena& arena;
   NodeLog& log;
+  WalkPoint from{};
+  WalkPoint to{~std::size_t{0}, 0};
+  std::size_t session = 0;  ///< index of the open session in the plan
+  /// Write the START and END records (else only pass over their samples).
+  bool frames = true;
   std::size_t session_runs = 0;  ///< first run of the open session
+  std::optional<CheckKey> cut{};  ///< the open session's key, if cut
 
-  void begin_session(const sched::ScanSession& session) {
-    session_runs = log.error_runs().size();
-    log.add_start({session.window.start, node, session.allocated_bytes,
-                   temp.at(session.window.start)});
+  [[nodiscard]] bool keeps(std::uint64_t key) const {
+    const WalkPoint place{session, key};
+    return from <= place && place < to;
   }
-  void end_session(const sched::ScanSession& session) {
-    order_session_runs(session, log.error_runs_from(session_runs), arena);
-    if (!session.end_lost) {
-      log.add_end({session.window.end, node, temp.at(session.window.end)});
+
+  void begin_session(const sched::ScanSession& session_info) {
+    session_runs = log.error_runs().size();
+    cut.reset();
+    if (!keeps(kStartKey) || !keeps(kEndKey)) cut.emplace(session_info);
+    if (frames && keeps(kStartKey)) {
+      log.add_start({session_info.window.start, node,
+                     session_info.allocated_bytes,
+                     temp.at(session_info.window.start)});
+    } else {
+      temp.skip(session_info.window.start);
     }
+  }
+  void end_session(const sched::ScanSession& session_info) {
+    order_session_runs(session_info, log.error_runs_from(session_runs), arena);
+    if (!session_info.end_lost) {
+      if (frames && keeps(kEndKey)) {
+        log.add_end({session_info.window.end, node,
+                     temp.at(session_info.window.end)});
+      } else {
+        temp.skip(session_info.window.end);
+      }
+    }
+    ++session;
   }
   void run(TimePoint when, std::uint64_t word_index, Word expected,
            Word actual, std::int64_t period_s, std::uint64_t count) {
+    if (cut && !keeps((*cut)(when))) {
+      temp.skip(when);
+      return;
+    }
     ErrorRun r;
     r.first = make_error(when, node, word_index, expected, actual, temp);
     r.period_s = period_s;
@@ -200,14 +299,24 @@ void walk_stuck(const sched::ScanSession& session, const FaultEvent& ev,
   }
 }
 
-/// Walk every session of `plan` against the node's time-sorted transients
-/// and its stuck faults.
+/// Walk `sessions` (a plan's, or a contiguous range of them) against the
+/// node's time-sorted transients and its stuck faults.
 template <class Sink>
-void walk_sessions(const SessionSimConfig& config, const sched::ScanPlan& plan,
+void walk_sessions(const SessionSimConfig& config,
+                   std::span<const sched::ScanSession> sessions,
                    std::span<const FaultEvent* const> transients,
                    std::span<const FaultEvent* const> stucks, Sink& sink) {
   std::size_t next_transient = 0;
-  for (const auto& session : plan.sessions) {
+  if (!sessions.empty()) {
+    // Transients before the first session are skipped below anyway.
+    next_transient = static_cast<std::size_t>(
+        std::partition_point(transients.begin(), transients.end(),
+                             [&](const FaultEvent* ev) {
+                               return ev->time < sessions.front().window.start;
+                             }) -
+        transients.begin());
+  }
+  for (const auto& session : sessions) {
     sink.begin_session(session);
 
     // Transients before this session fell into busy (job-owned) time and
@@ -244,15 +353,11 @@ void order_session_runs(const sched::ScanSession& session,
   UNP_REQUIRE(runs.size() <= 0xFFFFFFFFull);
   UNP_REQUIRE(session.pass_period_s > 0);
 
-  const TimePoint start = session.window.start;
-  const std::int64_t period = session.pass_period_s;
   // Times at or past the window end (none are emitted) share one last key.
-  const std::uint64_t last_key = session.iterations() + 1;
-  UNP_REQUIRE(last_key < 0xFFFFFFFFull);
-  const auto check_index = [&](TimePoint t) -> std::uint32_t {
-    if (t <= start) return 0;
-    return static_cast<std::uint32_t>(std::min(
-        static_cast<std::uint64_t>((t - start) / period), last_key));
+  const CheckKey key_of(session);
+  UNP_REQUIRE(key_of.last < 0xFFFFFFFFull);
+  const auto check_index = [&](TimePoint t) {
+    return static_cast<std::uint32_t>(key_of(t));
   };
 
   const std::size_t n = runs.size();
@@ -334,10 +439,19 @@ void load_events(std::span<const faults::FaultEvent> fleet,
 
 std::size_t count_partitioned_runs(const SessionSimConfig& config,
                                    const sched::ScanPlan& plan,
-                                   const SessionSimArena& arena) {
-  RunCounter counter;
-  walk_sessions(config, plan, arena.transients, arena.stucks, counter);
+                                   const SessionSimArena& arena,
+                                   std::vector<SessionTally>* sessions) {
+  RunCounter counter{config.sensors_online, sessions, 0, {}};
+  walk_sessions(config, plan.sessions, arena.transients, arena.stucks,
+                counter);
   return counter.runs;
+}
+
+/// The node's temperature stream: its sensor noise, in walk order, is the
+/// only thing it draws.
+RngStream node_stream(std::uint64_t seed, cluster::NodeId node) {
+  return RngStream(seed, /*stream_id=*/0x5E55,
+                   static_cast<std::uint64_t>(cluster::node_index(node)));
 }
 
 /// Shared tail of the simulate_node entry points: `arena` holds this node's
@@ -354,16 +468,16 @@ void simulate_node_core(const SessionSimConfig& config, cluster::NodeId node,
   log.reserve_ends(plan.sessions.size());
   log.reserve_alloc_fails(plan.failures.size());
   log.reserve_error_runs(runs);
-  RngStream rng(seed, /*stream_id=*/0x5E55,
-                static_cast<std::uint64_t>(cluster::node_index(node)));
-  const TempSampler temp{&config, node, overheating, &rng};
+  RngStream rng = node_stream(seed, node);
+  TempSampler temp(&config, node, overheating);
+  temp.rng = &rng;
 
   for (const auto& failure : plan.failures) {
     log.add_alloc_fail({failure.time, node});
   }
 
   LogWriter writer{node, temp, arena, log};
-  walk_sessions(config, plan, arena.transients, arena.stucks, writer);
+  walk_sessions(config, plan.sessions, arena.transients, arena.stucks, writer);
 
   // Sessions do not overlap, so the node's runs are in time order now; the
   // guard's stable sort runs only if some run left the check grid.
@@ -376,9 +490,12 @@ std::size_t count_node_runs(const SessionSimConfig& config,
                             const sched::ScanPlan& plan,
                             std::span<const faults::FaultEvent> fleet,
                             std::span<const std::uint32_t> indices,
-                            SessionSimArena& arena) {
+                            SessionSimArena& arena,
+                            std::vector<SessionTally>& sessions) {
   load_events(fleet, indices, arena);
-  return count_partitioned_runs(config, plan, arena);
+  sessions.clear();
+  sessions.reserve(plan.sessions.size());
+  return count_partitioned_runs(config, plan, arena, &sessions);
 }
 
 void simulate_node_shared_into(const SessionSimConfig& config,
@@ -404,8 +521,192 @@ telemetry::NodeLog simulate_node(const SessionSimConfig& config,
   partition_events(arena);
   NodeLog log;
   simulate_node_core(config, node, plan, overheating, seed,
-                     count_partitioned_runs(config, plan, arena), arena, log);
+                     count_partitioned_runs(config, plan, arena, nullptr),
+                     arena, log);
   return log;
+}
+
+NodeSplit::NodeSplit(const SessionSimConfig& config, cluster::NodeId node,
+                     const sched::ScanPlan& plan, bool overheating,
+                     std::uint64_t seed,
+                     std::span<const faults::FaultEvent> fleet,
+                     std::span<const std::uint32_t> indices,
+                     std::span<const SessionTally> sessions,
+                     std::size_t chunks)
+    : config_(&config), node_(node), plan_(&plan), overheating_(overheating) {
+  UNP_REQUIRE(sessions.size() == plan.sessions.size());
+  UNP_REQUIRE(chunks >= 1);
+  load_events(fleet, indices, events_);
+
+  const std::size_t n = sessions.size();
+  std::vector<std::size_t> runs_before(n + 1, 0);
+  std::vector<std::size_t> sites_before(n + 1, 0);
+  std::vector<std::size_t> cost_before(n + 1, 0);  ///< runs plus sessions
+  for (std::size_t i = 0; i < n; ++i) {
+    runs_before[i + 1] = runs_before[i] + sessions[i].runs;
+    sites_before[i + 1] = sites_before[i] + sessions[i].temperature_sites;
+    cost_before[i + 1] = cost_before[i] + sessions[i].runs + 1;
+  }
+
+  // Cut the walk where the running cost (a session's runs plus one) reaches
+  // k/chunks of the total.  A cut inside a session falls between two check
+  // keys, found from that session's runs tallied by key, so one heavy
+  // session (862,620 of node 21-07's runs sit in one) spreads over
+  // several chunks too.  Coinciding cuts merge, so there are at most
+  // `chunks` ranges.
+  struct Cut {
+    WalkPoint place;
+    std::size_t runs_before = 0;
+  };
+  std::vector<Cut> cuts{{}};
+  std::vector<std::size_t> by_key;  ///< runs per check key of session `keyed`
+  std::size_t keyed = n;
+  std::size_t i = 0;
+  for (std::size_t k = 1; k < chunks; ++k) {
+    const std::size_t target = cost_before[n] * k / chunks;
+    while (i < n && cost_before[i + 1] <= target) ++i;
+    if (i == n) break;
+    Cut cut{{i, kStartKey}, runs_before[i]};
+    if (std::size_t want = target - cost_before[i]; want > 0) {
+      if (keyed != i) {
+        const sched::ScanSession& session = plan.sessions[i];
+        KeyCounter counter{CheckKey(session), by_key};
+        by_key.assign(counter.key.last + 1, 0);
+        walk_sessions(config, std::span(&session, 1), events_.transients,
+                      events_.stucks, counter);
+        keyed = i;
+      }
+      // The first key whose runs, with all before it, reach `want`.
+      std::uint64_t key = 0;
+      std::size_t below = 0;
+      while (below < want) below += by_key[key++];
+      cut = {{i, key}, runs_before[i] + below};
+    }
+    if (cuts.back().place < cut.place) cuts.push_back(cut);
+  }
+  cuts.push_back({{n, kStartKey}, runs_before[n]});
+
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    Chunk& chunk = chunks_.emplace_back();
+    chunk.from = cuts[k].place;
+    chunk.to = cuts[k + 1].place;
+    chunk.walk_end = chunk.to.key == kStartKey ? chunk.to.session
+                                               : chunk.to.session + 1;
+    chunk.noise_at = sites_before[chunk.from.session];
+    chunk.noise_end = sites_before[chunk.walk_end];
+    chunk.runs = cuts[k + 1].runs_before - cuts[k].runs_before;
+  }
+
+  // The node's whole noise sequence, drawn once in walk order: each chunk
+  // reads its sessions' stretch from its offset on.
+  RngStream rng = node_stream(seed, node);
+  noise_.resize(sites_before[n]);
+  for (double& v : noise_) v = config.temperature.sensor_noise_c(rng);
+
+  // The session records, each reading taken where the walk takes it: a
+  // START is its session's first temperature site, an END its last.  With
+  // them the body's head is known before any chunk runs.
+  NodeLog& log = body_.sessions;
+  log.reserve_starts(n);
+  log.reserve_ends(n);
+  log.reserve_alloc_fails(plan.failures.size());
+  TempSampler temp(&config, node, overheating);
+  for (std::size_t j = 0; j < n; ++j) {
+    const sched::ScanSession& session = plan.sessions[j];
+    temp.noise = noise_.data() + sites_before[j];
+    log.add_start({session.window.start, node, session.allocated_bytes,
+                   temp.at(session.window.start)});
+    if (!session.end_lost) {
+      if (session.window.end >= config.sensors_online)
+        temp.noise = noise_.data() + sites_before[j + 1] - 1;
+      log.add_end({session.window.end, node, temp.at(session.window.end)});
+    }
+  }
+  for (const auto& failure : plan.failures) {
+    log.add_alloc_fail({failure.time, node});
+  }
+  log.sort_by_time();
+  body_.runs = runs_before[n];
+  body_.bytes.reserve(telemetry::node_log_encoded_bound(log) +
+                      body_.runs * telemetry::kErrorRunEncodedBound);
+  body_.runs_at = telemetry::encode_session_sections_into(log, body_.bytes);
+  telemetry::put_varint(body_.bytes, body_.runs);
+}
+
+bool NodeSplit::run_chunk(std::size_t k, SessionSimArena& arena) {
+  Chunk& chunk = chunks_[k];
+  {
+    const std::span<const sched::ScanSession> sessions =
+        std::span(plan_->sessions)
+            .subspan(chunk.from.session, chunk.walk_end - chunk.from.session);
+    NodeLog log;
+    log.reserve_error_runs(chunk.runs);
+    TempSampler temp(config_, node_, overheating_);
+    temp.noise = noise_.data() + chunk.noise_at;
+    LogWriter writer{node_, temp, arena, log, chunk.from, chunk.to,
+                     chunk.from.session, false};
+    walk_sessions(*config_, sessions, events_.transients, events_.stucks,
+                  writer);
+    UNP_REQUIRE(temp.noise == noise_.data() + chunk.noise_end);
+    log.sort_by_time();
+
+    const std::vector<ErrorRun>& runs = log.error_runs();
+    UNP_REQUIRE(runs.size() == chunk.runs);
+    chunk.raw = log.raw_error_count();
+    if (!runs.empty()) {
+      chunk.first = runs.front();
+      chunk.last = runs.back().first.time;
+      if (k == 0) {
+        // Nothing precedes the first chunk's runs: they go straight into
+        // the body, after its head.
+        telemetry::encode_error_runs_into(runs, 0, body_.bytes);
+      } else {
+        telemetry::encode_error_runs_into(std::span(runs).subspan(1),
+                                          chunk.first.first.time, chunk.tail);
+      }
+    }
+  }  // the chunk's runs are freed here; only their bytes stay
+
+  // Append every encoded chunk that continues the body, in order.  Whoever
+  // finds the next one ready appends it, and any that follow, so the body
+  // grows while later chunks still run and at most one caller writes it.
+  std::unique_lock lock(mutex_);
+  chunk.encoded = true;
+  if (appending_) return false;
+  appending_ = true;
+  while (appended_ < chunks_.size() && chunks_[appended_].encoded) {
+    Chunk& next = chunks_[appended_];
+    const bool first = appended_ == 0;
+    lock.unlock();
+    append(next, first);
+    lock.lock();
+    ++appended_;
+  }
+  appending_ = false;
+  return appended_ == chunks_.size();
+}
+
+void NodeSplit::append(Chunk& chunk, bool first) {
+  body_.raw += chunk.raw;
+  if (chunk.runs == 0) return;
+  // Plan sessions are time-ordered and disjoint and every run lies inside
+  // its session, so the chunks follow each other in time and their
+  // concatenation is the node's sort_by_time order.
+  UNP_REQUIRE(!after_runs_ || chunk.first.first.time >= last_);
+  if (!first) {
+    telemetry::encode_error_runs_into(std::span(&chunk.first, 1), last_,
+                                      body_.bytes);
+    body_.bytes += chunk.tail;
+    std::string().swap(chunk.tail);
+  }
+  after_runs_ = true;
+  last_ = chunk.last;
+}
+
+telemetry::NodeBody NodeSplit::take_body() {
+  UNP_REQUIRE(appended_ == chunks_.size());
+  noise_ = {};
+  return std::move(body_);
 }
 
 }  // namespace unp::sim

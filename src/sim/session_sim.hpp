@@ -16,16 +16,29 @@
 //
 // Equivalence with the real scanner (MemoryScanner + SimulatedMemoryBackend
 // stepped pass-by-pass) is asserted by tests/sim/session_equivalence_test.
+//
+// A node's random stream feeds one thing: the sensor noise added to each
+// temperature, drawn at every START, END and ERROR site at or after
+// sensors_online, in walk order.  The noise values are therefore one fixed
+// sequence, and a session's stretch of it starts at the number of
+// temperature sites before it, which the counting walk knows.  That lets
+// NodeSplit simulate a node as ranges of its sessions (cut inside a heavy
+// session at a check) on several workers, byte for byte the node
+// simulate_node gives.  The campaign does so with its costliest node (node
+// 21-07 in the study campaign) whenever a sink wants its bytes.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "env/temperature.hpp"
 #include "faults/event.hpp"
 #include "sched/scan_plan.hpp"
 #include "telemetry/node_log.hpp"
+#include "telemetry/sink.hpp"
 
 namespace unp::sim {
 
@@ -75,15 +88,27 @@ void order_session_runs(const sched::ScanSession& session,
     const sched::ScanPlan& plan, const std::vector<faults::FaultEvent>& events,
     bool overheating, std::uint64_t seed);
 
+/// One session of a node's log as the counting walk sees it.
+struct SessionTally {
+  std::size_t runs = 0;  ///< error runs the session emits
+  /// Sensor-noise draws: the START, the runs and the END (unless lost) at
+  /// or after sensors_online.
+  std::size_t temperature_sites = 0;
+};
+
 /// The exact number of error runs simulate_node_shared_into emits for the
 /// same inputs.  It runs the simulator's own visibility walk (transient,
 /// alternating-phase and counter checks) with a counting sink: no record is
-/// built and no random number drawn.  The campaign driver dispatches the
-/// costliest node first by it and sizes each node's log from it.
-[[nodiscard]] std::size_t count_node_runs(
-    const SessionSimConfig& config, const sched::ScanPlan& plan,
-    std::span<const faults::FaultEvent> fleet,
-    std::span<const std::uint32_t> indices, SessionSimArena& arena);
+/// built and no random number drawn.  It also leaves one tally per plan
+/// session in `sessions` (cleared first).  The campaign driver sizes each
+/// node's log from the count and names its costliest node by it; NodeSplit
+/// balances and offsets that node's chunks by the tallies.
+std::size_t count_node_runs(const SessionSimConfig& config,
+                            const sched::ScanPlan& plan,
+                            std::span<const faults::FaultEvent> fleet,
+                            std::span<const std::uint32_t> indices,
+                            SessionSimArena& arena,
+                            std::vector<SessionTally>& sessions);
 
 /// Arena form, the campaign hot path: the node's events are the `indices`
 /// rows of the shared fleet-truth vector, read in place.  `runs` is
@@ -100,5 +125,91 @@ void simulate_node_shared_into(const SessionSimConfig& config,
                                std::span<const std::uint32_t> indices,
                                std::size_t runs, SessionSimArena& arena,
                                telemetry::NodeLog& out);
+
+/// A place in a node's walk: a plan session and a check key in it.  A
+/// session's START sits at key 0, each of its runs at the check index its
+/// time falls on (>= 1), and its END after every run, so a node's records
+/// ascend by place in the order its log stores them.
+struct WalkPoint {
+  std::size_t session = 0;
+  std::uint64_t key = 0;
+  friend auto operator<=>(const WalkPoint&, const WalkPoint&) = default;
+};
+
+/// One node simulated and encoded as contiguous ranges of its walk
+/// (chunks), each on whichever worker runs it.  Construction partitions the
+/// node's events once, draws its whole noise sequence serially with the
+/// same calls in the same order as simulate_node, and writes the body's
+/// head: the START, END and ALLOCFAIL sections (each reading taken from the
+/// sequence where the walk takes it) and the run count.  Chunk k then walks
+/// the sessions its range touches with its own log, reading noise from its
+/// offset, writes the runs inside its range, puts each session's in check
+/// order, encodes them and frees them.  The body is the head followed by
+/// each chunk's runs, the first chunk's encoded straight into it and each
+/// later chunk's first run time a delta from the chunk before's last:
+/// the bytes encode_node_log writes for simulate_node's log.  At no point
+/// is the node's whole run vector, or a second copy of its body, resident.
+///
+/// The plan's sessions must be time-ordered and disjoint (as the planner
+/// makes them); `fleet` must outlive the split.
+class NodeSplit {
+ public:
+  /// Plan at most `chunks` ranges, balanced by `sessions` (count_node_runs'
+  /// tallies for the same inputs).
+  NodeSplit(const SessionSimConfig& config, cluster::NodeId node,
+            const sched::ScanPlan& plan, bool overheating, std::uint64_t seed,
+            std::span<const faults::FaultEvent> fleet,
+            std::span<const std::uint32_t> indices,
+            std::span<const SessionTally> sessions, std::size_t chunks);
+
+  /// The ranges planned: fewer than asked when the node has too few runs
+  /// and sessions to cut it that often, and never zero.
+  [[nodiscard]] std::size_t chunks() const noexcept { return chunks_.size(); }
+
+  /// Simulate and encode chunk `k`, using `arena` for scratch, and append
+  /// what the body can take so far.  Distinct chunks may run concurrently;
+  /// each runs once.  Returns true for the one call after which the body
+  /// is complete.
+  bool run_chunk(std::size_t k, SessionSimArena& arena);
+
+  /// The node's body, its sessions, and its run and raw counts, once
+  /// run_chunk returned true.
+  [[nodiscard]] telemetry::NodeBody take_body();
+
+ private:
+  struct Chunk {
+    WalkPoint from;  ///< the runs placed in [from, to) are this chunk's
+    WalkPoint to;
+    std::size_t walk_end = 0;   ///< one past the last session it walks
+    std::size_t noise_at = 0;   ///< its first session's first noise value
+    std::size_t noise_end = 0;  ///< one past its last session's last one
+    std::size_t runs = 0;       ///< tallied, then checked
+    // Filled by run_chunk:
+    telemetry::ErrorRun first;  ///< its first run
+    TimePoint last = 0;         ///< its last run's time
+    std::string tail;  ///< the runs after the first, a delta chain from it
+    std::uint64_t raw = 0;
+    bool encoded = false;  ///< ready to append (mutex_)
+  };
+
+  /// Put `chunk`'s runs at the end of the body (the first chunk's are
+  /// there already).
+  void append(Chunk& chunk, bool first);
+
+  const SessionSimConfig* config_;
+  cluster::NodeId node_;
+  const sched::ScanPlan* plan_;
+  bool overheating_;
+  SessionSimArena events_;  ///< the node's partitioned events, shared
+  std::vector<double> noise_;
+  std::vector<Chunk> chunks_;
+  telemetry::NodeBody body_;
+
+  std::mutex mutex_;
+  std::size_t appended_ = 0;  ///< chunks in the body (mutex_)
+  bool appending_ = false;    ///< some caller is appending (mutex_)
+  TimePoint last_ = 0;        ///< last run time in the body (the appender's)
+  bool after_runs_ = false;   ///< the body holds a run (the appender's)
+};
 
 }  // namespace unp::sim

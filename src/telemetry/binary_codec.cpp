@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "common/require.hpp"
 #include "telemetry/kernels/kernels.hpp"
@@ -102,23 +103,41 @@ std::size_t node_log_encoded_bound(const NodeLog& log) noexcept {
   // temp, period, count.
   return 4 * 10 + log.starts().size() * (10 + 10 + 9) +
          log.ends().size() * (10 + 9) + log.alloc_fails().size() * 10 +
-         log.error_runs().size() * (6 * 10 + 9 + 10);
+         log.error_runs().size() * kErrorRunEncodedBound;
 }
 
-std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
-  // Pre-size to the record-count bound so no append below reallocates.
-  out.reserve(out.size() + node_log_encoded_bound(log));
+namespace {
 
+void put_temp(kernels::VarintWriter& w, double celsius) {
+  if (!has_temperature(celsius)) {
+    w.byte('\0');
+    return;
+  }
+  w.byte('\1');
+  w.f64(celsius);
+}
+
+/// The run records of a run section, each time a delta from the one
+/// before, the first from `previous`.
+void put_error_runs(kernels::VarintWriter& w, std::span<const ErrorRun> runs,
+                    TimePoint previous) {
+  for (const auto& run : runs) {
+    w.varint(zigzag_encode(run.first.time - previous));
+    previous = run.first.time;
+    w.varint(run.first.virtual_address);
+    w.varint(run.first.expected);
+    w.varint(run.first.actual);
+    put_temp(w, run.first.temperature_c);
+    w.varint(run.first.physical_page);
+    w.varint(static_cast<std::uint64_t>(run.period_s));
+    w.varint(run.count);
+  }
+}
+
+}  // namespace
+
+std::size_t encode_session_sections_into(const NodeLog& log, std::string& out) {
   kernels::VarintWriter w(out);
-  const auto temp = [&w](double celsius) {
-    if (!has_temperature(celsius)) {
-      w.byte('\0');
-      return;
-    }
-    w.byte('\1');
-    w.f64(celsius);
-  };
-
   {  // STARTs
     w.varint(log.starts().size());
     TimePoint previous = 0;
@@ -126,7 +145,7 @@ std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
       w.varint(zigzag_encode(r.time - previous));
       previous = r.time;
       w.varint(r.allocated_bytes);
-      temp(r.temperature_c);
+      put_temp(w, r.temperature_c);
     }
   }
   {  // ENDs
@@ -135,7 +154,7 @@ std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
     for (const auto& r : log.ends()) {
       w.varint(zigzag_encode(r.time - previous));
       previous = r.time;
-      temp(r.temperature_c);
+      put_temp(w, r.temperature_c);
     }
   }
   {  // ALLOCFAILs
@@ -147,22 +166,23 @@ std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
     }
   }
   w.flush();
-  const std::size_t runs_at = out.size();
-  {  // ERROR runs
-    w.varint(log.error_runs().size());
-    TimePoint previous = 0;
-    for (const auto& run : log.error_runs()) {
-      w.varint(zigzag_encode(run.first.time - previous));
-      previous = run.first.time;
-      w.varint(run.first.virtual_address);
-      w.varint(run.first.expected);
-      w.varint(run.first.actual);
-      temp(run.first.temperature_c);
-      w.varint(run.first.physical_page);
-      w.varint(static_cast<std::uint64_t>(run.period_s));
-      w.varint(run.count);
-    }
-  }
+  return out.size();
+}
+
+void encode_error_runs_into(std::span<const ErrorRun> runs, TimePoint previous,
+                            std::string& out) {
+  out.reserve(out.size() + runs.size() * kErrorRunEncodedBound);
+  kernels::VarintWriter w(out);
+  put_error_runs(w, runs, previous);
+}
+
+std::size_t encode_node_log_into(const NodeLog& log, std::string& out) {
+  // Pre-size to the record-count bound so no append below reallocates.
+  out.reserve(out.size() + node_log_encoded_bound(log));
+  const std::size_t runs_at = encode_session_sections_into(log, out);
+  kernels::VarintWriter w(out);
+  w.varint(log.error_runs().size());
+  put_error_runs(w, log.error_runs(), 0);
   return runs_at;  // w flushes on scope exit
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -89,6 +90,10 @@ void check_campaign_window(const CampaignWindow& window, std::uint64_t offset);
 /// Buffers reserved to this bound never reallocate mid-encode.
 [[nodiscard]] std::size_t node_log_encoded_bound(const NodeLog& log) noexcept;
 
+/// Upper bound on one error run's encoded size: six varints, a temperature
+/// and the period and count varints.
+inline constexpr std::size_t kErrorRunEncodedBound = 6 * 10 + 9 + 10;
+
 /// Serialize one node log (without the node index framing).
 [[nodiscard]] std::string encode_node_log(const NodeLog& log);
 
@@ -96,6 +101,17 @@ void check_campaign_window(const CampaignWindow& window, std::uint64_t offset);
 /// reuses `out` across nodes.  Returns the offset in `out` where the run
 /// section (decode_error_runs) begins.
 std::size_t encode_node_log_into(const NodeLog& log, std::string& out);
+
+/// encode_node_log_into in pieces, for a producer that assembles a body
+/// from parts encoded apart (sim::NodeSplit): the START, END and ALLOCFAIL
+/// sections (returns the offset where the run section will begin), and
+/// run records without the section count, the first one's time a delta
+/// from `previous`.  The section count (put_varint) followed by the run
+/// records, each piece continuing from the last time of the one before,
+/// is the run section encode_node_log writes.
+std::size_t encode_session_sections_into(const NodeLog& log, std::string& out);
+void encode_error_runs_into(std::span<const ErrorRun> runs, TimePoint previous,
+                            std::string& out);
 
 /// Inverse of encode_node_log.
 [[nodiscard]] NodeLog decode_node_log(std::string_view bytes, std::size_t& pos,

@@ -15,20 +15,38 @@ void RecordSink::on_node_log(EncodedNodeLog& log) {
   replay_node_log(log.log(), *this);
 }
 
-EncodedNodeLog::EncodedNodeLog(cluster::NodeId node, std::string body)
+namespace {
+
+/// `bytes` as a NodeBody, every check decode_node_log makes passed.
+NodeBody validated_body(cluster::NodeId node, std::string bytes) {
+  NodeBody body;
+  std::size_t pos = 0;
+  decode_session_sections(bytes, pos, node, body.sessions);
+  body.runs_at = pos;
+  const RunSectionCount count = count_error_runs(bytes, pos);
+  if (pos != bytes.size()) throw DecodeError("body size mismatch", pos);
+  body.runs = static_cast<std::size_t>(count.runs);
+  body.raw = count.raw;
+  body.bytes = std::move(bytes);
+  return body;
+}
+
+}  // namespace
+
+EncodedNodeLog::EncodedNodeLog(cluster::NodeId node, NodeBody body)
     : node_(node),
-      body_(std::make_shared<std::string>(std::move(body))),
+      own_(std::move(body.sessions)),
+      body_(std::make_shared<std::string>(std::move(body.bytes))),
+      runs_at_(body.runs_at),
+      runs_(body.runs),
+      raw_(body.raw),
       raw_known_(true),
       encoded_(true) {
   scratch_ = body_.get();
-  std::size_t pos = 0;
-  decode_session_sections(*body_, pos, node, own_);
-  runs_at_ = pos;
-  const RunSectionCount count = count_error_runs(*body_, pos);
-  if (pos != body_->size()) throw DecodeError("body size mismatch", pos);
-  runs_ = static_cast<std::size_t>(count.runs);
-  raw_ = count.raw;
 }
+
+EncodedNodeLog::EncodedNodeLog(cluster::NodeId node, std::string body)
+    : EncodedNodeLog(node, validated_body(node, std::move(body))) {}
 
 const NodeLog& EncodedNodeLog::log() {
   if (live_ != nullptr) return *live_;

@@ -58,33 +58,47 @@ namespace kernels {
 struct EncodeKernels;
 }  // namespace kernels
 
+/// A node-log body together with what its frame reports without decoding
+/// it: the START, END and ALLOCFAIL records, where the run section begins,
+/// and the run and raw-line counts.
+struct NodeBody {
+  std::string bytes;
+  NodeLog sessions;
+  std::size_t runs_at = 0;
+  std::size_t runs = 0;
+  std::uint64_t raw = 0;
+};
+
 /// One node's frame as the bulk path hands it to sinks: the node's records
 /// and its node-log body (encode_node_log bytes), each produced only when a
 /// sink asks for it.
 ///
 /// Live frames (the campaign driver, or any caller wrapping a NodeLog it
 /// holds) wrap the producer's log; bytes() encodes on first call into the
-/// producer's scratch, unless a worker already did.  Replayed frames
-/// (ArchiveReader::drain, ShardMergeReader::drain) own the body as read and
-/// validate all of it at delivery: construction decodes the
-/// START/END/ALLOCFAIL sections and walks the run section once, counting
-/// runs and raw lines under every check decode_node_log makes.  A corrupt
-/// body therefore throws DecodeError before any sink sees the frame, and
-/// log() on a frame that was delivered cannot fail.
+/// producer's scratch, unless a worker already did.  Owned-body frames hold
+/// a NodeBody: the campaign's costliest node when some sink wants bytes,
+/// which its workers then simulate and encode in session ranges
+/// (sim::NodeSplit) and never hold as one NodeLog, and every replayed frame (ArchiveReader::drain,
+/// ShardMergeReader::drain).  A replayed body is validated before it
+/// becomes a frame: the START/END/ALLOCFAIL sections are decoded and the
+/// run section walked once, counting runs and raw lines under every check
+/// decode_node_log makes.  A corrupt body therefore throws DecodeError
+/// before any sink sees the frame, and log() on a frame that was delivered
+/// cannot fail.
 ///
 /// What each accessor decodes:
 ///   - sessions(), raw_error_count(), error_run_count(), empty(): nothing
 ///     beyond construction;
-///   - log(): the run section, on a replayed frame's first call only, so a
-///     node whose runs no sink reads (the filter candidate the streaming
+///   - log(): the run section, on an owned-body frame's first call only, so
+///     a node whose runs no sink reads (the filter candidate the streaming
 ///     extractor drops: node 21-07 holds ~2.3 M runs) is never unpacked;
-///   - bytes(): nothing on a replayed frame; the encode on a live frame's
-///     first call.
+///   - bytes(): nothing on an owned-body frame; the encode on a live
+///     frame's first call.
 ///
 /// Who may keep the body: a sink that needs it past on_node_log (the
 /// streaming extractor holding a filter candidate) takes share_body(), a
 /// shared buffer that costs no copy when the frame owns the body (every
-/// replayed frame, and a live frame whose producer called adopt_body()),
+/// owned-body frame, and a live frame whose producer called adopt_body()),
 /// plus the offset of its run section, so the keeper decodes the runs
 /// alone.  Everything else is valid only during the on_node_log call.
 class EncodedNodeLog {
@@ -99,7 +113,10 @@ class EncodedNodeLog {
                  const kernels::EncodeKernels& /*encode*/) noexcept
       : EncodedNodeLog(node, log, scratch) {}
 
-  /// A replayed frame owning `body`, validated here: throws DecodeError
+  /// A frame owning `body`, which the producer vouches for: its counts and
+  /// sessions are taken as given.
+  EncodedNodeLog(cluster::NodeId node, NodeBody body);
+  /// A replayed frame owning `body`, validated first: throws DecodeError
   /// with body-relative offsets exactly where decode_node_log (plus the
   /// whole-body size check) would.
   EncodedNodeLog(cluster::NodeId node, std::string body);
@@ -121,9 +138,10 @@ class EncodedNodeLog {
     return live_ != nullptr ? live_->error_runs().size() : runs_;
   }
 
-  /// The whole log.  A replayed frame decodes its runs on the first call.
+  /// The whole log.  An owned-body frame decodes its runs on the first
+  /// call.
   [[nodiscard]] const NodeLog& log();
-  /// True once a replayed frame's runs were decoded (always false live).
+  /// True once an owned-body frame's runs were decoded (always false live).
   [[nodiscard]] bool runs_decoded() const noexcept { return runs_decoded_; }
 
   /// The node-log body.  Encodes a live frame's on first call, then returns
@@ -160,11 +178,11 @@ class EncodedNodeLog {
  private:
   cluster::NodeId node_;
   const NodeLog* live_ = nullptr;  ///< the producer's log (live frames)
-  NodeLog own_;  ///< replayed frames: the sessions, then the runs once decoded
+  NodeLog own_;  ///< owned-body frames: the sessions, then the runs once decoded
   std::string* scratch_ = nullptr;     ///< where bytes() lives
   std::shared_ptr<std::string> body_;  ///< the body, when the frame owns it
   std::size_t runs_at_ = 0;  ///< offset of the body's run section, once known
-  std::size_t runs_ = 0;     ///< replayed frames: run count
+  std::size_t runs_ = 0;     ///< owned-body frames: run count
   std::uint64_t raw_ = 0;
   bool raw_known_ = false;
   bool encoded_ = false;

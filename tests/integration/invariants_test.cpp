@@ -1,7 +1,8 @@
 // Cross-cutting invariants over the full default campaign: conservation
 // laws and structural guarantees that must hold regardless of calibration.
-// The records are walked one node at a time from the campaign's UNPS
-// stream; the faults come from streaming that stream into the extractor.
+// The records are walked once, one node at a time, from the campaign's UNPS
+// stream, and every per-record invariant is checked in that one walk; the
+// faults come from streaming that stream into the extractor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +19,8 @@
 namespace unp {
 namespace {
 
-/// The default campaign on every hardware thread: its UNPS stream and its
-/// summary.
+/// The default campaign on one thread, the reference the thread-parity
+/// test compares a 4-thread run against: its UNPS stream and its summary.
 struct DefaultRun {
   std::string stream;
   sim::CampaignSummary summary;
@@ -30,18 +31,103 @@ const DefaultRun& default_run() {
     DefaultRun out;
     std::ostringstream os(std::ios::binary);
     telemetry::ArchiveWriter writer(os);
-    out.summary = sim::run_campaign_streaming(
-        sim::CampaignConfig{}, {&writer}, sim::default_campaign_threads());
+    out.summary =
+        sim::run_campaign_streaming(sim::CampaignConfig{}, {&writer}, 1);
     out.stream = std::move(os).str();
     return out;
   }();
   return run;
 }
 
-/// Visit every node log of the default campaign as f(node, log).
-template <class F>
-void for_each_log(F&& f) {
-  test_support::for_each_node_log(default_run().stream, f);
+/// What the one walk over the default campaign's records found: for each
+/// per-record invariant, a description of every record that breaks it.
+struct WalkFindings {
+  std::vector<std::string> outside_sessions;
+  std::vector<std::string> temperature_epoch;
+  std::vector<std::string> foreign_node;
+  std::vector<std::string> outside_buffer;
+  std::vector<std::string> unchanged_word;
+  std::vector<std::string> hours_over_wall;
+  std::size_t nodes = 0;
+  std::uint64_t runs = 0;
+};
+
+std::string where(cluster::NodeId node, TimePoint t) {
+  return cluster::node_name(node) + " at " + format_iso8601(t);
+}
+
+/// Every per-record check in one pass: node 21-07's 2.27 M runs are
+/// decoded once, not once per invariant.
+WalkFindings walk_default_campaign() {
+  WalkFindings found;
+  const TimePoint sensors = sim::SessionSimConfig{}.sensors_online;
+  const double wall_hours =
+      static_cast<double>(sim::CampaignConfig{}.window.duration_seconds()) /
+      kSecondsPerHour;
+  test_support::for_each_node_log(
+      default_run().stream,
+      [&](cluster::NodeId node, const telemetry::NodeLog& log) {
+        ++found.nodes;
+        found.runs += log.error_runs().size();
+        const auto& starts = log.starts();
+        const auto& ends = log.ends();
+
+        // Every ERROR timestamp must fall between a START and its END (with
+        // the conservative pairing); END-lost sessions have no recorded
+        // end, so errors after the last START count as inside too.
+        std::vector<std::pair<TimePoint, TimePoint>> sessions;
+        std::size_t e = 0;
+        for (std::size_t s = 0; s < starts.size(); ++s) {
+          while (e < ends.size() && ends[e].time < starts[s].time) ++e;
+          if (e < ends.size()) sessions.emplace_back(starts[s].time, ends[e].time);
+        }
+
+        for (const auto& run : log.error_runs()) {
+          const telemetry::ErrorRecord& r = run.first;
+          const TimePoint last = run.last_time();
+          const bool inside = std::any_of(
+              sessions.begin(), sessions.end(), [&](const auto& w) {
+                return r.time > w.first && last <= w.second;
+              });
+          const bool after_open_start =
+              !starts.empty() && r.time > starts.back().time;
+          if (!inside && !after_open_start)
+            found.outside_sessions.push_back(where(node, r.time));
+          if (telemetry::has_temperature(r.temperature_c) != (r.time >= sensors))
+            found.temperature_epoch.push_back(where(node, r.time));
+          if (r.node != node) found.foreign_node.push_back(where(node, r.time));
+          if (r.virtual_address >= cluster::kScannableBytes ||
+              r.virtual_address % sizeof(Word) != 0 ||
+              r.physical_page != r.virtual_address >> 12)
+            found.outside_buffer.push_back(where(node, r.time));
+          if (r.expected == r.actual || r.flipped_bits() < 1)
+            found.unchanged_word.push_back(where(node, r.time));
+        }
+        for (const auto& start : starts) {
+          if (telemetry::has_temperature(start.temperature_c) !=
+              (start.time >= sensors))
+            found.temperature_epoch.push_back(where(node, start.time));
+        }
+
+        const double hours = log.monitored_hours();
+        if (hours < 0.0 || hours > wall_hours + 1e-6)
+          found.hours_over_wall.push_back(cluster::node_name(node));
+      });
+  return found;
+}
+
+const WalkFindings& walk_findings() {
+  static const WalkFindings found = walk_default_campaign();
+  return found;
+}
+
+/// Passes when `what` found no record; else names the first few.
+testing::AssertionResult none(const std::vector<std::string>& what) {
+  if (what.empty()) return testing::AssertionSuccess();
+  auto failure = testing::AssertionFailure() << what.size() << " records:";
+  for (std::size_t i = 0; i < std::min<std::size_t>(what.size(), 5); ++i)
+    failure << " " << what[i];
+  return failure;
 }
 
 const analysis::ExtractionResult& default_extraction() {
@@ -63,77 +149,26 @@ TEST(Invariants, RawLogConservationThroughExtraction) {
 }
 
 TEST(Invariants, ErrorRecordsLieInsideSessions) {
-  // Every ERROR timestamp must fall between a START and its END; the
-  // scanner cannot observe anything while a job owns the memory.
-  for_each_log([](cluster::NodeId node, const telemetry::NodeLog& log) {
-    if (log.error_runs().empty()) return;
-
-    // Build session intervals with the conservative pairing.
-    std::vector<std::pair<TimePoint, TimePoint>> sessions;
-    std::size_t e = 0;
-    const auto& starts = log.starts();
-    const auto& ends = log.ends();
-    for (std::size_t s = 0; s < starts.size(); ++s) {
-      while (e < ends.size() && ends[e].time < starts[s].time) ++e;
-      if (e < ends.size()) sessions.emplace_back(starts[s].time, ends[e].time);
-    }
-    for (const auto& run : log.error_runs()) {
-      const TimePoint first = run.first.time;
-      const TimePoint last = run.last_time();
-      const bool inside = std::any_of(
-          sessions.begin(), sessions.end(), [&](const auto& w) {
-            return first > w.first && last <= w.second;
-          });
-      // END-lost sessions have no recorded end; allow errors after the last
-      // session start as well.
-      const bool after_open_start =
-          !starts.empty() && first > starts.back().time;
-      EXPECT_TRUE(inside || after_open_start)
-          << cluster::node_name(node) << " error at " << format_iso8601(first);
-    }
-  });
+  // The scanner cannot observe anything while a job owns the memory.
+  EXPECT_TRUE(none(walk_findings().outside_sessions));
+  EXPECT_EQ(walk_findings().nodes, default_run().summary.accounting.size());
+  EXPECT_GT(walk_findings().runs, 2'000'000u);
 }
 
 TEST(Invariants, TemperaturePresenceMatchesSensorEpoch) {
-  const TimePoint sensors = sim::SessionSimConfig{}.sensors_online;
-  for_each_log([&](cluster::NodeId, const telemetry::NodeLog& log) {
-    for (const auto& run : log.error_runs()) {
-      EXPECT_EQ(telemetry::has_temperature(run.first.temperature_c),
-                run.first.time >= sensors)
-          << format_iso8601(run.first.time);
-    }
-    for (const auto& start : log.starts()) {
-      EXPECT_EQ(telemetry::has_temperature(start.temperature_c),
-                start.time >= sensors);
-    }
-  });
+  EXPECT_TRUE(none(walk_findings().temperature_epoch));
 }
 
 TEST(Invariants, ErrorsCarryTheirNodeIdentity) {
-  for_each_log([](cluster::NodeId node, const telemetry::NodeLog& log) {
-    for (const auto& run : log.error_runs()) {
-      EXPECT_EQ(run.first.node, node);
-    }
-  });
+  EXPECT_TRUE(none(walk_findings().foreign_node));
 }
 
 TEST(Invariants, VirtualAddressesInsideScanBuffer) {
-  for_each_log([](cluster::NodeId, const telemetry::NodeLog& log) {
-    for (const auto& run : log.error_runs()) {
-      EXPECT_LT(run.first.virtual_address, cluster::kScannableBytes);
-      EXPECT_EQ(run.first.virtual_address % sizeof(Word), 0u);
-      EXPECT_EQ(run.first.physical_page, run.first.virtual_address >> 12);
-    }
-  });
+  EXPECT_TRUE(none(walk_findings().outside_buffer));
 }
 
 TEST(Invariants, ObservedValueAlwaysDiffersFromExpected) {
-  for_each_log([](cluster::NodeId, const telemetry::NodeLog& log) {
-    for (const auto& run : log.error_runs()) {
-      EXPECT_NE(run.first.expected, run.first.actual);
-      EXPECT_GE(run.first.flipped_bits(), 1);
-    }
-  });
+  EXPECT_TRUE(none(walk_findings().unchanged_word));
 }
 
 TEST(Invariants, GroupingConservesFaults) {
@@ -152,7 +187,8 @@ TEST(Invariants, GroupingConservesFaults) {
 }
 
 TEST(Invariants, FullCampaignThreadParity) {
-  // The default campaign must be bit-identical however many threads run it.
+  // The default campaign must be bit-identical however many threads run it:
+  // 4 threads (node 21-07 split four ways) against the 1-thread reference.
   std::ostringstream os(std::ios::binary);
   telemetry::ArchiveWriter writer(os);
   analysis::StreamingExtractor extractor;
@@ -167,14 +203,7 @@ TEST(Invariants, FullCampaignThreadParity) {
 }
 
 TEST(Invariants, MonitoredHoursNeverExceedWallClock) {
-  const double wall_hours =
-      static_cast<double>(sim::CampaignConfig{}.window.duration_seconds()) /
-      kSecondsPerHour;
-  for_each_log([&](cluster::NodeId, const telemetry::NodeLog& log) {
-    const double hours = log.monitored_hours();
-    EXPECT_GE(hours, 0.0);
-    EXPECT_LE(hours, wall_hours + 1e-6);
-  });
+  EXPECT_TRUE(none(walk_findings().hours_over_wall));
 }
 
 }  // namespace

@@ -205,13 +205,14 @@ TEST(CampaignEmit, RunCountIsExactOnEveryNode) {
   const CampaignPlan plan = plan_campaign(config);
   const auto& nodes = plan.topology.monitored_nodes();
   SessionSimArena arena;
+  std::vector<SessionTally> tallies;
   std::size_t total = 0;
   for (std::size_t j = 0; j < nodes.size(); ++j) {
     const auto& events =
         plan.node_events[static_cast<std::size_t>(cluster::node_index(nodes[j]))];
     const std::size_t runs =
         count_node_runs(config.session, plan.plans[j], plan.ground_truth,
-                        events, arena);
+                        events, arena, tallies);
     telemetry::NodeLog fresh;
     simulate_node_shared_into(config.session, nodes[j], plan.plans[j],
                               cluster::Topology::is_overheating_slot(nodes[j]),

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "telemetry/binary_codec.hpp"
 
 namespace unp::sim {
 namespace {
@@ -323,16 +326,44 @@ std::vector<sched::ScanSession> random_sessions(RngStream& rng) {
   return sessions;
 }
 
+/// `count` random fault events over [from, to): transients, and stuck
+/// faults healing anywhere, each on 1-3 words with random masks.
+std::vector<FaultEvent> random_events(RngStream& rng, std::uint64_t count,
+                                      TimePoint from, TimePoint to) {
+  std::vector<FaultEvent> events;
+  for (; count > 0; --count) {
+    FaultEvent ev;
+    ev.time = rng.uniform_int(from, to);
+    ev.node = {4, 4};
+    if (rng.bernoulli(0.4)) {
+      ev.persistence = Persistence::kStuck;
+      ev.active_until = ev.time + rng.uniform_int(1, to - from);
+    }
+    for (std::uint64_t w = 1 + rng.uniform_u64(3); w > 0; --w) {
+      Word mask = Word{1} << rng.uniform_u64(32);
+      if (rng.bernoulli(0.5)) mask |= static_cast<Word>(rng.next_u64());
+      ev.words.push_back(
+          {rng.uniform_u64(1 << 20),
+           dram::WordCorruption{mask, static_cast<Word>(rng.next_u64())}});
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
 TEST(SessionSim, CountNodeRunsEqualsEmittedRuns) {
   // The counting walk must predict exactly the runs the emitting walk
   // appends, on 300 randomized nodes: transients inside, between and
   // outside sessions, stuck faults healing and starting anywhere, words
   // visible in one phase, both or neither, and counter runs on both sides
-  // of counter_exact_limit.  A fresh log ends with exactly that capacity.
+  // of counter_exact_limit.  A fresh log ends with exactly that capacity,
+  // and the per-session tallies add up to its runs and to its records that
+  // carry a temperature.
   RngStream rng(2025);
   SessionSimConfig config;
   config.counter_exact_limit = 12;
   SessionSimArena arena;
+  std::vector<SessionTally> tallies;
   std::size_t total = 0;
   for (int trial = 0; trial < 300; ++trial) {
     sched::ScanPlan plan;
@@ -340,30 +371,16 @@ TEST(SessionSim, CountNodeRunsEqualsEmittedRuns) {
     if (rng.bernoulli(0.3)) plan.sessions.back().end_lost = true;
     const TimePoint from = plan.sessions.front().window.start - 300;
     const TimePoint to = plan.sessions.back().window.end + 300;
+    // Sensors come online halfway through the node's sessions.
+    config.sensors_online = from + (to - from) / 2;
 
-    std::vector<FaultEvent> events;
-    for (std::uint64_t k = rng.uniform_u64(12); k > 0; --k) {
-      FaultEvent ev;
-      ev.time = rng.uniform_int(from, to);
-      ev.node = {4, 4};
-      if (rng.bernoulli(0.4)) {
-        ev.persistence = Persistence::kStuck;
-        ev.active_until = ev.time + rng.uniform_int(1, to - from);
-      }
-      for (std::uint64_t w = 1 + rng.uniform_u64(3); w > 0; --w) {
-        Word mask = Word{1} << rng.uniform_u64(32);
-        if (rng.bernoulli(0.5)) mask |= static_cast<Word>(rng.next_u64());
-        ev.words.push_back(
-            {rng.uniform_u64(1 << 20),
-             dram::WordCorruption{mask, static_cast<Word>(rng.next_u64())}});
-      }
-      events.push_back(std::move(ev));
-    }
+    const std::vector<FaultEvent> events =
+        random_events(rng, rng.uniform_u64(12), from, to);
     std::vector<std::uint32_t> indices(events.size());
     for (std::uint32_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
     const std::size_t runs =
-        count_node_runs(config, plan, events, indices, arena);
+        count_node_runs(config, plan, events, indices, arena, tallies);
     telemetry::NodeLog fresh;
     simulate_node_shared_into(config, {4, 4}, plan, false, 7, events, indices,
                               runs, arena, fresh);
@@ -372,9 +389,119 @@ TEST(SessionSim, CountNodeRunsEqualsEmittedRuns) {
     EXPECT_EQ(simulate_node(config, {4, 4}, plan, events, false, 7).error_runs(),
               fresh.error_runs())
         << "trial " << trial;
+    ASSERT_EQ(tallies.size(), plan.sessions.size());
+    std::size_t tallied_runs = 0;
+    std::size_t sites = 0;
+    for (const SessionTally& tally : tallies) {
+      tallied_runs += tally.runs;
+      sites += tally.temperature_sites;
+    }
+    std::size_t temperatures = 0;
+    const auto count_temperature = [&](double celsius) {
+      temperatures += telemetry::has_temperature(celsius) ? 1u : 0u;
+    };
+    for (const auto& r : fresh.starts()) count_temperature(r.temperature_c);
+    for (const auto& r : fresh.ends()) count_temperature(r.temperature_c);
+    for (const auto& r : fresh.error_runs())
+      count_temperature(r.first.temperature_c);
+    EXPECT_EQ(tallied_runs, runs) << "trial " << trial;
+    EXPECT_EQ(sites, temperatures) << "trial " << trial;
     total += runs;
   }
   EXPECT_GT(total, 2000u);
+}
+
+TEST(SessionSim, SplitNodeEqualsTheWholeNode) {
+  // A node simulated as chunks (NodeSplit) must give the body, sessions,
+  // counts and decoded log of the whole node, temperatures included: a
+  // chunk that read the noise sequence from a wrong offset shows only in
+  // the temperature bits.  Randomized nodes cover sessions before, after
+  // and across sensors_online, both patterns, counter runs on both sides
+  // of counter_exact_limit, lost ENDs, alloc failures and sessions with no
+  // runs, split 1-8 ways (more ways than sessions, and cuts inside heavy
+  // sessions, included).  Chunks run concurrently on a pool, in no fixed
+  // order.
+  RngStream rng(2026);
+  SessionSimConfig config;
+  config.counter_exact_limit = 12;
+  ThreadPool pool(4);
+  SessionSimArena arena;
+  std::size_t inside_cuts = 0;
+  std::size_t fewer_chunks = 0;
+  std::size_t hot_runs = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    sched::ScanPlan plan;
+    plan.sessions = random_sessions(rng);
+    for (auto& session : plan.sessions) session.end_lost = rng.bernoulli(0.25);
+    const TimePoint from = plan.sessions.front().window.start - 300;
+    const TimePoint to = plan.sessions.back().window.end + 300;
+    for (std::uint64_t k = rng.uniform_u64(3); k > 0; --k)
+      plan.failures.push_back({rng.uniform_int(from, to)});
+    std::sort(plan.failures.begin(), plan.failures.end(),
+              [](const auto& a, const auto& b) { return a.time < b.time; });
+    // Sensors online before, inside or after the node's sessions.
+    config.sensors_online = rng.uniform_int(from - 1000, to + 1000);
+    const std::vector<FaultEvent> events =
+        random_events(rng, rng.uniform_u64(16), from, to);
+    std::vector<std::uint32_t> indices(events.size());
+    for (std::uint32_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    const cluster::NodeId node{4, 4};
+    const bool hot = rng.bernoulli(0.3);
+    const std::uint64_t seed = 9 + static_cast<std::uint64_t>(trial);
+
+    const telemetry::NodeLog whole =
+        simulate_node(config, node, plan, events, hot, seed);
+    std::string bytes;
+    const std::size_t runs_at = telemetry::encode_node_log_into(whole, bytes);
+    std::vector<SessionTally> tallies;
+    ASSERT_EQ(count_node_runs(config, plan, events, indices, arena, tallies),
+              whole.error_runs().size());
+    ASSERT_EQ(tallies.size(), plan.sessions.size());
+    for (const auto& run : whole.error_runs())
+      hot_runs += telemetry::has_temperature(run.first.temperature_c) ? 1u : 0u;
+
+    for (std::size_t ways = 1; ways <= 8; ++ways) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " ways " << ways);
+      NodeSplit split(config, node, plan, hot, seed, events, indices, tallies,
+                      ways);
+      ASSERT_GE(split.chunks(), 1u);
+      ASSERT_LE(split.chunks(), ways);
+      fewer_chunks += split.chunks() < ways ? 1u : 0u;
+      // More chunks than sessions: some session was cut at a check.
+      inside_cuts += split.chunks() > plan.sessions.size() ? 1u : 0u;
+      std::vector<SessionSimArena> arenas(split.chunks());
+      std::atomic<int> completed{0};
+      pool.parallel_for(split.chunks(), [&](std::size_t k) {
+        const std::size_t chunk = split.chunks() - 1 - k;
+        if (split.run_chunk(chunk, arenas[chunk])) ++completed;
+      });
+      ASSERT_EQ(completed.load(), 1);
+      telemetry::NodeBody body = split.take_body();
+      ASSERT_TRUE(body.bytes == bytes);
+      EXPECT_EQ(body.runs_at, runs_at);
+      EXPECT_EQ(body.runs, whole.error_runs().size());
+      EXPECT_EQ(body.raw, whole.raw_error_count());
+      EXPECT_EQ(body.sessions.starts(), whole.starts());
+      EXPECT_EQ(body.sessions.ends(), whole.ends());
+      EXPECT_EQ(body.sessions.alloc_fails(), whole.alloc_fails());
+      EXPECT_TRUE(body.sessions.error_runs().empty());
+
+      telemetry::EncodedNodeLog frame(node, std::move(body));
+      EXPECT_EQ(frame.error_run_count(), whole.error_runs().size());
+      EXPECT_EQ(frame.raw_error_count(), whole.raw_error_count());
+      EXPECT_EQ(frame.sessions().starts(), whole.starts());
+      EXPECT_FALSE(frame.runs_decoded());
+      const telemetry::NodeLog& log = frame.log();
+      EXPECT_EQ(log.starts(), whole.starts());
+      EXPECT_EQ(log.ends(), whole.ends());
+      EXPECT_EQ(log.alloc_fails(), whole.alloc_fails());
+      EXPECT_EQ(log.error_runs(), whole.error_runs());
+      EXPECT_TRUE(frame.bytes() == bytes);
+    }
+  }
+  EXPECT_GT(inside_cuts, 50u);
+  EXPECT_GT(fewer_chunks, 50u);
+  EXPECT_GT(hot_runs, 500u);
 }
 
 TEST(SessionSim, CheckOrderThenSortByTimeEqualsStableSortOracle) {
